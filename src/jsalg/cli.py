@@ -77,13 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("h", "k"), default="h")
     p.add_argument("--type", dest="ltype", choices=("sl", "so", "sp"), default=None)
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--quick", action="store_true",
-                   help="for 'all': the acceptance battery (the default mode)")
     return ap
 
 
 def _build_algebra(args) -> jd.FiniteSuperAlgebra:
-    t = Fraction(args.t) if args.t is not None else None
+    if not args.family:
+        raise SystemExit2("this command needs --family")
+    if args.m < 0 or args.n < 0:
+        raise SystemExit2("--m and --n must be >= 0")
+    t = None
+    if args.t is not None:
+        try:
+            t = Fraction(args.t)
+        except (ValueError, ZeroDivisionError):
+            raise SystemExit2(f"--t must be a rational number, got {args.t!r}") from None
     return jd.build(args.family, m=args.m, n=args.n, t=t, deg=args.deg)
 
 

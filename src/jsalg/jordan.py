@@ -572,15 +572,35 @@ def ideal_closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
     seed_vec (= the ideal it generates, for (anti)commutative tables)."""
     if not J.is_total():
         raise ValueError("ideal closure needs a total product table")
+    return _closure(J, seed_vec)
+
+
+def _closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
+    """The ideal closure loop; a product that leaves a truncated table's
+    span is skipped."""
     ech = Echelon()
     frontier = []
     if ech.insert(dict(seed_vec)) is not None:
         frontier.append(dict(seed_vec))
+    table, oos = J.table, J.out_of_span
     while frontier:
         new_frontier = []
         for w in frontier:
             for i in range(J.dim):
-                prod = J.mul_vectors({i: _one_like(J)}, w)
+                prod: dict = {}
+                for j, cj in w.items():
+                    if (i, j) in oos:
+                        continue
+                    for k, x in table.get((i, j), {}).items():
+                        s = prod.get(k)
+                        if s is None:
+                            prod[k] = cj * x
+                        else:
+                            s = s + cj * x
+                            if s:
+                                prod[k] = s
+                            else:
+                                del prod[k]
                 if prod and ech.insert(prod) is not None:
                     new_frontier.append(prod)
         frontier = new_frontier
@@ -591,7 +611,9 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> boo
     """True iff the product is nonzero and the ideal closure of every basis
     vector and of `samples` seeded pseudo-random rational vectors is the
     whole algebra.  The sampled part makes this a declared probabilistic
-    check; for the catalog sizes here it is decisive."""
+    check; for the catalog sizes here it is decisive.  On a truncated table
+    products out of span are skipped, so every closure must reach the whole
+    stated span without them."""
     if not J.table:
         return False
     dim = J.dim
@@ -609,7 +631,7 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> boo
     if isinstance(one, GaussRational):
         vectors = [{i: GaussRational(c) for i, c in v.items()} for v in vectors]
     for v in vectors:
-        if ideal_closure(J, v).rank != dim:
+        if _closure(J, v).rank != dim:
             return False
     return True
 
@@ -617,6 +639,8 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> boo
 def check_simple_report(J: FiniteSuperAlgebra, expected: bool | None = None,
                         seed: int = 0) -> Report:
     t0 = time.perf_counter()
+    if not J.is_total():
+        raise ValueError("ideal closure needs a total product table")
     verdict = check_simple(J, seed=seed)
     ok = verdict if expected is None else (verdict == expected)
     ce = None

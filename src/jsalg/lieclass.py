@@ -244,8 +244,9 @@ def _invert_form(B: dict, n: int) -> dict:
                 col[r] = v
         cols.append(col)
     out = {}
+    solver = CoordSolver(cols)
     for j in range(n):
-        sol = solve_linear([dict(c) for c in cols], {j: Fraction(1)})
+        sol = solver.solve({j: Fraction(1)})
         for i, v in enumerate(sol):
             if v:
                 out[(i, j)] = v
@@ -533,6 +534,8 @@ def enumerate_short_gradings(L: ClassicalAlgebra, seed: int = 0,
             if rec["solvable"] != rec["condition17"] and equiv_defect is None:
                 equiv_defect = {"vertex": vertex, "sample": i, **rec}
     failures = {}
+    if not verdicts:
+        failures["reason"] = "no candidate vertex: nothing was certified"
     if mismatch:
         failures["classificationMismatch"] = mismatch
     if equiv_defect:
@@ -679,12 +682,11 @@ def h_zero_n_lie(n: int, derived: bool = True) -> FiniteSuperAlgebra:
         labels = [render_monomial(mo, 0, n) for mo in monos]
         parities = [mono_parity(mo) for mo in monos]
         return FiniteSuperAlgebra(labels, parities, full, name=f"H'(0,{n})")
-    ech = Echelon()
+    solver = CoordSolver()
     span_rows = []
     for (i, j), vec in sorted(full.items()):
-        if ech.insert(dict(vec)) is not None:
+        if solver.add(vec):
             span_rows.append(dict(vec))
-    solver = CoordSolver(span_rows)
     sdim = len(span_rows)
     labels = [f"d{t}" for t in range(sdim)]
     parities = []

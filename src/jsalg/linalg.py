@@ -1,33 +1,25 @@
-"""Sparse exact linear algebra over Q: reduced row echelon spans with
-deterministic pivoting, membership tests and coordinate solves.
+"""Sparse exact linear algebra over Q: one reduced row echelon span with
+deterministic pivoting, and the membership tests, coordinate solves and
+kernels built on it.
 
 Vectors are dicts coordinate -> Fraction (zero entries absent).  Pivots are
 the smallest coordinate of each row, rows are normalized to pivot 1 and kept
 fully reduced against each other, so the final row set is the canonical RREF
 basis of the span no matter the insertion order.
+
+Coordinate solves and kernels track columns with marker coordinates: column
+j enters the elimination carrying an extra entry 1 at the key (-1, j).
+Markers are never chosen as pivots, so each row is eliminated on its own
+coordinates while its markers record which combination of columns it is.
+A target that reduces to markers alone lies in the span and its negated
+markers are its coefficients; a column that reduces to markers alone
+depends on the earlier columns and its markers are a kernel vector.  A
+column's own coordinates must not be pairs (-1, j).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def vec_add(u: dict, v: dict, c=1) -> dict:
-    """u + c*v as a fresh dict."""
-    out = dict(u)
-    for k, x in v.items():
-        s = out.get(k)
-        if s is None:
-            y = c * x
-            if y:
-                out[k] = y
-        else:
-            s = s + c * x
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
 
 
 def vec_iadd(out: dict, v: dict, c=1) -> None:
@@ -43,12 +35,6 @@ def vec_iadd(out: dict, v: dict, c=1) -> None:
                 out[k] = s
             else:
                 del out[k]
-
-
-def vec_scale(u: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: c * x for k, x in u.items()}
 
 
 class Echelon:
@@ -105,11 +91,14 @@ class Echelon:
         res = self.reduce(vec)
         if not res:
             return None
-        piv = min(res)
+        return self._place(res, min(res))
+
+    def _place(self, res: dict, piv):
+        """Keep the reduced vector res as the row of pivot piv: normalize it
+        and back-substitute it into the other rows, which keeps RREF."""
         inv = Fraction(1) / res[piv]
         row = {k: inv * x for k, x in res.items()}
-        # back-substitute into existing rows to keep RREF
-        for p, r in self.rows.items():
+        for r in self.rows.values():
             c = r.get(piv)
             if c:
                 for k, x in row.items():
@@ -128,72 +117,48 @@ class Echelon:
         return piv
 
     def solve(self, vec: dict):
-        """Coordinates of vec in the pivot-ordered basis, or None if outside."""
-        out = dict(vec)
-        pivs = sorted(self.rows)
-        coords = []
-        for p in pivs:
-            c = out.get(p, None)
-            if c:
-                row = self.rows[p]
-                for k, x in row.items():
-                    s = out.get(k)
-                    if s is None:
-                        y = -c * x
-                        if y:
-                            out[k] = y
-                    else:
-                        s = s - c * x
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
-                coords.append(c)
-            else:
-                coords.append(Fraction(0))
-        if out:
+        """Coordinates of vec in the pivot-ordered basis, or None if outside.
+
+        The rows are fully reduced, so the coordinate on a row is the entry
+        of vec at that row's pivot."""
+        if self.reduce(vec):
             return None
-        return coords
+        return [vec.get(p, Fraction(0)) for p in sorted(self.rows)]
 
 
 class CoordSolver:
-    """Reusable exact solver expressing targets in a fixed list of columns.
+    """Exact coordinates of targets in a list of columns, in column order.
 
-    Column j is tracked through elimination with an augmented marker, so a
-    successful solve returns coefficients in the ORIGINAL column order
-    (free coefficients 0, deterministic)."""
+    Built from a list, every column keeps its place and a column that
+    depends on earlier ones gets coefficient 0 in every solve.  Grown with
+    `add`, it is the span of the independent columns offered, numbered in
+    the order they were accepted."""
 
-    def __init__(self, columns: list[dict]):
-        self.ncols = len(columns)
+    def __init__(self, columns=()):
         self.ech = Echelon()
-        for j, col in enumerate(columns):
-            v = dict(col)
-            v[(-1, j)] = Fraction(1)
-            res = ech_reduce_main(self.ech, v)
-            piv = _main_pivot(res)
-            if piv is None:
-                continue
-            inv = Fraction(1) / res[piv]
-            row = {k: inv * x for k, x in res.items()}
-            for p, r in self.ech.rows.items():
-                c = r.get(piv)
-                if c:
-                    for k, x in row.items():
-                        s = r.get(k)
-                        if s is None:
-                            y = -c * x
-                            if y:
-                                r[k] = y
-                        else:
-                            s = s - c * x
-                            if s:
-                                r[k] = s
-                            else:
-                                del r[k]
-            self.ech.rows[piv] = row
+        self.ncols = 0
+        for col in columns:
+            self._place(col, self.ncols)
+            self.ncols += 1
+
+    def add(self, col: dict) -> bool:
+        """Append col as the next column if it is independent of the columns
+        so far; True when it was appended."""
+        if self._place(col, self.ncols) is None:
+            return False
+        self.ncols += 1
+        return True
+
+    def _place(self, col: dict, j: int):
+        res = self.ech.reduce(col)
+        piv = _main_pivot(res)
+        if piv is not None:
+            res[(-1, j)] = Fraction(1)
+            self.ech._place(res, piv)
+        return piv
 
     def solve(self, target: dict):
-        res = ech_reduce_main(self.ech, dict(target))
+        res = self.ech.reduce(target)
         if _main_pivot(res) is not None:
             return None
         coeffs = [Fraction(0)] * self.ncols
@@ -215,33 +180,17 @@ def nullspace(columns: list[dict]):
     for j, col in enumerate(columns):
         v = dict(col)
         v[(-1, j)] = Fraction(1)
-        res = ech_reduce_main(ech, v)
+        res = ech.reduce(v)
         piv = _main_pivot(res)
         if piv is None:
             kernels.append({k[1]: x for k, x in res.items()})
-            continue
-        inv = Fraction(1) / res[piv]
-        row = {k: inv * x for k, x in res.items()}
-        for p, r in ech.rows.items():
-            c = r.get(piv)
-            if c:
-                for k, x in row.items():
-                    s = r.get(k)
-                    if s is None:
-                        y = -c * x
-                        if y:
-                            r[k] = y
-                    else:
-                        s = s - c * x
-                        if s:
-                            r[k] = s
-                        else:
-                            del r[k]
-        ech.rows[piv] = row
+        else:
+            ech._place(res, piv)
     return kernels
 
 
 def _main_pivot(vec: dict):
+    """Smallest coordinate of vec that is not a marker, or None."""
     best = None
     for k in vec:
         if isinstance(k, tuple) and len(k) == 2 and k[0] == -1:
@@ -249,31 +198,3 @@ def _main_pivot(vec: dict):
         if best is None or k < best:
             best = k
     return best
-
-
-def ech_reduce_main(ech: Echelon, vec: dict) -> dict:
-    """Reduce only on main (non-augmented) pivots."""
-    out = dict(vec)
-    rows = ech.rows
-    while True:
-        hit = None
-        for k in out:
-            if k in rows:
-                hit = k
-                break
-        if hit is None:
-            return out
-        c = out[hit]
-        row = rows[hit]
-        for k, x in row.items():
-            s = out.get(k)
-            if s is None:
-                y = -c * x
-                if y:
-                    out[k] = y
-            else:
-                s = s - c * x
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]

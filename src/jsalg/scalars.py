@@ -10,12 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rat(num, den=None) -> Fraction:
-    if den is None:
-        return Fraction(num)
-    return Fraction(num, den)
-
-
 def rat_str(q: Fraction) -> str:
     """Canonical rendering: "3", "-3/2"."""
     q = Fraction(q)

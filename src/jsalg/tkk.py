@@ -1,10 +1,18 @@
 """The three-graded Lie superalgebra of a Jordan table and its inverse.
 
-Lie(J) is realized concretely: degree -1 is J itself, degree 0 the span of
-the left multiplications L_a and their supercommutators (matrices on J),
+Lie(J) is realized concretely, in one way, on a window of basis indices of
+a carrier table: degree -1 is the window, degree 0 the span of the left
+multiplications L_a and their supercommutators (operators on the carrier),
 degree 1 the span of the product tensor P and the brackets [L_a, P]
-(J-valued bilinear tensors).  Spans are rational echelon closures with
-deterministic pivots, so bases and structure constants are reproducible.
+(carrier-valued bilinear tensors).  Every operator and tensor carries the
+set where it is defined, and every application is domain-checked, so on a
+degree-truncated carrier a result certifies the stated window exactly.  For
+a total J the carrier is J and the window is its whole basis: that is TKK.
+
+Each graded piece keeps its rows in order of acceptance and one span object
+(`linalg.CoordSolver`) over their restrictions to the window, which accepts
+independent rows and answers coordinates, so bases and structure constants
+are reproducible.
 
 Bracket rules between the realized pieces:
 
@@ -24,12 +32,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jordan import FiniteSuperAlgebra, _one_like
-from .linalg import Echelon, solve_linear, vec_iadd
-from .report import DetRand, Report
+from .jordan import FiniteSuperAlgebra, _one_like, check_simple
+from .linalg import CoordSolver, Echelon, nullspace, vec_iadd
+# solve_linear stays in this namespace: perfbench's tracer patches it here
+from .linalg import solve_linear  # noqa: F401
+from .report import Report
 
-# matrices: dict col -> (dict row -> coeff); M[c] is the value vector M(e_c)
-# tensors:  dict (x, y) -> (dict k -> coeff); B[x, y] is the vector B(e_x, e_y)
+# plain matrices on an assembled basis: dict col -> (dict row -> coeff)
 
 
 def matrix_apply(M: dict, vec: dict) -> dict:
@@ -60,103 +69,296 @@ def matrix_add(M: dict, N: dict, c=1) -> dict:
     return out
 
 
-def matrix_supercomm(M: dict, N: dict, pm: int, pn: int) -> dict:
-    s = -1 if (pm and pn) else 1
-    return matrix_add(matrix_compose(M, N), matrix_compose(N, M), -s)
-
-
-def matrix_flat(M: dict, dim: int) -> dict:
-    return {c * dim + r: v for c, col in M.items() for r, v in col.items()}
-
-
-def matrix_parity(M: dict, parities) -> int:
-    for c, col in M.items():
-        for r in col:
-            return (parities[c] + parities[r]) & 1
-    return 0
-
-
 def identity_matrix(dim: int, one=Fraction(1)) -> dict:
     return {i: {i: one} for i in range(dim)}
 
 
-def tensor_flat(B: dict, dim: int) -> dict:
-    return {
-        (x * dim + y) * dim + k: v
-        for (x, y), vec in B.items()
-        for k, v in vec.items()
-    }
+# -- the operator layer: operators and tensors on a carrier's basis ----------------
 
 
-def tensor_parity(B: dict, parities) -> int:
-    for (x, y), vec in B.items():
-        for k in vec:
-            return (parities[x] + parities[y] + parities[k]) & 1
-    return 0
+class WOp:
+    """An operator with an explicit domain of columns: cols[x] is M(e_x),
+    stored when nonzero, for x in the domain."""
+
+    __slots__ = ("cols", "domain")
+
+    def __init__(self, cols: dict, domain: frozenset):
+        self.cols = cols
+        self.domain = domain
+
+    def apply_basis(self, x: int):
+        if x not in self.domain:
+            return None
+        return self.cols.get(x, {})
+
+    def apply(self, vec: dict):
+        out: dict = {}
+        for c, cv in vec.items():
+            if c not in self.domain:
+                return None
+            col = self.cols.get(c)
+            if col:
+                vec_iadd(out, col, cv)
+        return out
+
+    def window_flat(self, win, dim: int):
+        return {x * dim + r: v for x, col in self.cols.items() if x in win
+                for r, v in col.items()}
 
 
-def tensor_add(A: dict, B: dict, c=1) -> dict:
-    out = {k: dict(v) for k, v in A.items()}
-    for key, vec in B.items():
-        acc = out.setdefault(key, {})
-        vec_iadd(acc, vec, c)
-        if not acc:
-            del out[key]
-    return out
+class WTensor:
+    """A bilinear map on a carrier's basis pairs: vals[(x, y)] is
+    B(e_x, e_y), stored when nonzero; pairs in `undefined` have no value."""
+
+    __slots__ = ("vals", "undefined")
+
+    def __init__(self, vals: dict, undefined: frozenset):
+        self.vals = vals
+        self.undefined = undefined
+
+    def at(self, x: int, y: int):
+        if (x, y) in self.undefined:
+            return None
+        return self.vals.get((x, y), {})
+
+    def has_window(self, win) -> bool:
+        return all(x not in win or y not in win for x, y in self.undefined)
+
+    def window_flat(self, win, dim: int):
+        return {(x * dim + y) * dim + k: v for (x, y), vec in self.vals.items()
+                if x in win and y in win for k, v in vec.items()}
+
+    def to_matrix(self, x: int, win) -> WOp | None:
+        """[B, x] on the window columns (column y holds B(x, y)); None when
+        B(x, y) is undefined for some y in the window."""
+        out = {}
+        for y in win:
+            vec = self.at(x, y)
+            if vec is None:
+                return None
+            if vec:
+                out[y] = dict(vec)
+        return WOp(out, win)
 
 
-def box_m_b(M: dict, B: dict) -> dict:
+def _wop_from_left_mul(carrier: FiniteSuperAlgebra, a: int) -> WOp:
+    cols = {}
+    domain = set()
+    for x in range(carrier.dim):
+        v = carrier.product(a, x)
+        if v is None:
+            continue
+        domain.add(x)
+        if v:
+            cols[x] = dict(v)
+    return WOp(cols, frozenset(domain))
+
+
+def _wop_bracket(M: WOp, pm: int, N: WOp, pn: int) -> WOp:
+    s = -1 if (pm and pn) else 1
+    cols = {}
+    domain = set()
+    for x in N.domain & M.domain:
+        nx = N.cols.get(x, {})
+        mx = M.cols.get(x, {})
+        a = M.apply(nx)
+        b = N.apply(mx)
+        if a is None or b is None:
+            continue
+        domain.add(x)
+        col = dict(a) if a else {}
+        if b:
+            vec_iadd(col, b, -s)
+        if col:
+            cols[x] = col
+    return WOp(cols, frozenset(domain))
+
+
+def _product_tensor(carrier: FiniteSuperAlgebra) -> WTensor:
+    vals = {}
+    for x in range(carrier.dim):
+        for y in range(carrier.dim):
+            v = carrier.product(x, y)
+            if v:
+                vals[(x, y)] = dict(v)
+    return WTensor(vals, carrier.out_of_span)
+
+
+def _tensor_bracket(M: WOp, pm: int, B: WTensor, pb: int, parities) -> WTensor:
+    """[M, B], with the B box M terms summed by the first index of B.
+
+    (x, y) is defined when x and y lie in M's domain, B(x, y) is defined and
+    lies in M's domain, and B(z, y) for z in supp M(x) and B(z, x) for z in
+    supp M(y) are defined.  Over a total carrier every pair is defined."""
+    s = 1 if (pm and pb) else -1  # [M, B] = M box B + s * (B box M)
     out = {}
-    for key, vec in B.items():
-        v = matrix_apply(M, vec)
+    for key, vec in B.vals.items():
+        v = matrix_apply(M.cols, vec)
         if v:
             out[key] = v
-    return out
-
-
-def box_b_m(B: dict, M: dict, parities) -> dict:
     by_first: dict = {}
-    for (z, y), vec in B.items():
+    for (z, y), vec in B.vals.items():
         by_first.setdefault(z, []).append((y, vec))
-    out: dict = {}
-    for x, col in M.items():
+    for x, col in M.cols.items():
         for z, cz in col.items():
+            c = cz if s > 0 else -cz
             for y, vec in by_first.get(z, ()):
                 acc = out.setdefault((x, y), {})
-                vec_iadd(acc, vec, cz)
+                vec_iadd(acc, vec, c)
                 if not acc:
                     del out[(x, y)]
-    for y, col in M.items():
+    for y, col in M.cols.items():
         py = parities[y]
         for z, cz in col.items():
+            c = cz if s > 0 else -cz
             for x, vec in by_first.get(z, ()):
-                sign = -1 if (parities[x] and py) else 1
                 acc = out.setdefault((x, y), {})
-                vec_iadd(acc, vec, cz if sign > 0 else -cz)
+                vec_iadd(acc, vec, -c if (parities[x] and py) else c)
                 if not acc:
                     del out[(x, y)]
-    return out
+    undefined = set(B.undefined)
+    n = len(parities)
+    outside = {x for x in range(n) if x not in M.domain}
+    if outside:
+        for x in outside:
+            for y in range(n):
+                undefined.add((x, y))
+                undefined.add((y, x))
+        for key, vec in B.vals.items():
+            if not outside.isdisjoint(vec):
+                undefined.add(key)
+    holes: dict = {}  # y -> {z : B(z, y) undefined}
+    for z, y in B.undefined:
+        holes.setdefault(y, set()).add(z)
+    for y, zs in holes.items():
+        for x, col in M.cols.items():
+            if not zs.isdisjoint(col):
+                undefined.add((x, y))
+                undefined.add((y, x))
+    if undefined:
+        out = {k: v for k, v in out.items() if k not in undefined}
+    return WTensor(out, frozenset(undefined))
 
 
-def tensor_bracket_mb(M: dict, B: dict, pm: int, pb: int, parities) -> dict:
-    s = -1 if (pm and pb) else 1
-    return tensor_add(box_m_b(M, B), box_b_m(B, M, parities), -s)
+# -- graded pieces and their structure constants --------------------------------------
 
 
-def tensor_to_matrix(B: dict, x: int) -> dict:
-    """[B, x] as a matrix: column y holds B(x, y)."""
-    out = {}
-    for (x2, y), vec in B.items():
-        if x2 == x and vec:
-            out[y] = dict(vec)
-    return out
+class _Piece:
+    """One graded piece: its rows (operator or tensor, parity) in order of
+    acceptance and one span of their window restrictions, which accepts
+    independent rows and answers coordinates."""
+
+    __slots__ = ("rows", "span", "win", "dim")
+
+    def __init__(self, win, dim: int):
+        self.rows = []
+        self.span = CoordSolver()
+        self.win = win
+        self.dim = dim
+
+    def add(self, op, parity: int) -> None:
+        if self.span.add(op.window_flat(self.win, self.dim)):
+            self.rows.append((op, parity))
+
+    def coords(self, op, offset: int = 0):
+        """Coordinates of op's window restriction on the rows, numbered from
+        offset; None when it leaves the span."""
+        flat = op.window_flat(self.win, self.dim)
+        if not flat:
+            return {}
+        sol = self.span.solve(flat)
+        if sol is None:
+            return None
+        return {offset + i: c for i, c in enumerate(sol) if c}
+
+
+def _cover_defects(piece: _Piece, ops, what: str, name: str) -> list:
+    """[] when the window restrictions of ops span exactly the piece's span.
+    Spanning a subspace of it is decided on the cover's canonical basis, one
+    coordinate solve per basis row."""
+    cover = Echelon()
+    for op in ops:
+        cover.insert(op.window_flat(piece.win, piece.dim))
+    if any(piece.span.solve(row) is None for row in cover.basis()):
+        return [f"{what} leaves {name}"]
+    if cover.rank != len(piece.rows):
+        return [f"{what} spans only {cover.rank} of {len(piece.rows)} in {name}"]
+    return []
+
+
+def _degree0(L, gens, par, win, dim: int) -> _Piece:
+    """The span of L_a for a in gens and of the supercommutators of the
+    accepted L_a that are defined on the whole window."""
+    g0 = _Piece(win, dim)
+    for a in gens:
+        g0.add(L[a], par[a])
+    base = list(g0.rows)
+    for i, (Mi, pi) in enumerate(base):
+        for Mj, pj in base[i:]:
+            C = _wop_bracket(Mi, pi, Mj, pj)
+            if win <= C.domain:
+                g0.add(C, (pi + pj) & 1)
+    return g0
+
+
+def _assemble(carrier: FiniteSuperAlgebra, gens, win, g0: _Piece, g1: _Piece,
+              name: str) -> FiniteSuperAlgebra:
+    """Structure constants over the basis gens + g0 rows + g1 rows.  A bracket
+    that is undefined on the window or leaves the realized span is marked
+    out-of-span."""
+    par = carrier.parities
+    n_min = len(gens)
+    n0 = len(g0.rows)
+    labels = (
+        [f"x:{carrier.labels[g]}" for g in gens]
+        + [f"m{j}" for j in range(n0)]
+        + [f"b{j}" for j in range(len(g1.rows))]
+    )
+    parities = [par[g] for g in gens] + [p for _, p in g0.rows] + [p for _, p in g1.rows]
+    gen_pos = {g: i for i, g in enumerate(gens)}
+    table = {}
+    oos = set()
+
+    def put(i, j, vec):
+        if vec is None:
+            oos.add((i, j))
+            oos.add((j, i))
+        elif vec:
+            table[(i, j)] = vec
+            s = -1 if (parities[i] and parities[j]) else 1
+            table[(j, i)] = {k: (-v if s > 0 else v) for k, v in vec.items()}
+
+    def in_gens(v):
+        if v is None or any(k not in gen_pos for k in v):
+            return None
+        return {gen_pos[k]: c for k, c in v.items()}
+
+    for i, (M, _pm) in enumerate(g0.rows):
+        for j, g in enumerate(gens):
+            put(n_min + i, j, in_gens(M.apply_basis(g)))
+    for i, (B, _pb) in enumerate(g1.rows):
+        for j, g in enumerate(gens):
+            M = B.to_matrix(g, win)
+            put(n_min + n0 + i, j, None if M is None else g0.coords(M, n_min))
+    for i, (Mi, pi) in enumerate(g0.rows):
+        for j in range(i, n0):
+            Mj, pj = g0.rows[j]
+            C = _wop_bracket(Mi, pi, Mj, pj)
+            put(n_min + i, n_min + j,
+                g0.coords(C, n_min) if win <= C.domain else None)
+    for i, (M, pm) in enumerate(g0.rows):
+        for j, (B, pb) in enumerate(g1.rows):
+            C = _tensor_bracket(M, pm, B, pb, par)
+            put(n_min + i, n_min + n0 + j,
+                g1.coords(C, n_min + n0) if C.has_window(win) else None)
+    return FiniteSuperAlgebra(labels, parities, table, oos, name=name)
 
 
 @dataclass
 class Sl2Triple:
     e: dict  # vector in degree -1
-    h: dict  # matrix (degree 0 realization)
-    f: dict  # tensor (degree 1 realization)
+    h: object  # WOp in a realization, coordinate vector once assembled
+    f: object  # WTensor in a realization, coordinate vector once assembled
 
 
 @dataclass
@@ -175,7 +377,8 @@ class GradedLie:
 
 
 class TKK:
-    """Realization of Lie(J) for a total Jordan table J."""
+    """Realization of Lie(J) for a total Jordan table J: the window is the
+    whole basis of J."""
 
     def __init__(self, J: FiniteSuperAlgebra):
         if not J.is_total():
@@ -186,67 +389,22 @@ class TKK:
         self.J = J
         d = J.dim
         par = J.parities
-        self.L = []
+        self.win = frozenset(range(d))
+        self.L = [_wop_from_left_mul(J, a) for a in range(d)]
+        self.P = _product_tensor(J)
+        self.g0 = _degree0(self.L, range(d), par, self.win, d)
+        self.g1 = _Piece(self.win, d)
+        self.g1.add(self.P, 0)
         for a in range(d):
-            col = {}
-            for x in range(d):
-                v = J.product(a, x)
-                if v:
-                    col[x] = dict(v)
-            self.L.append(col)
-        self.P = {}
-        for x in range(d):
-            for y in range(d):
-                v = J.product(x, y)
-                if v:
-                    self.P[(x, y)] = dict(v)
-        # degree-0 span
-        self.g0 = Echelon()
-        self.g0_rows = []  # (matrix, parity) in insertion order of acceptance
-        self.g0_flats = []
-        for a in range(d):
-            self._insert_g0(self.L[a], par[a])
-        l_rows = list(self.g0_rows)
-        for i, (Mi, pi) in enumerate(l_rows):
-            for Mj, pj in l_rows[i:]:
-                self._insert_g0(matrix_supercomm(Mi, Mj, pi, pj), (pi + pj) & 1)
-        # degree-1 span
-        self.g1 = Echelon()
-        self.g1_rows = []
-        self.g1_flats = []
-        self._insert_g1(self.P, 0)
-        for a in range(d):
-            B = tensor_bracket_mb(self.L[a], self.P, par[a], 0, par)
-            self._insert_g1(B, par[a])
+            self.g1.add(_tensor_bracket(self.L[a], par[a], self.P, 0, par), par[a])
         self.unit = J.find_unit()
-
-    def _insert_g0(self, M: dict, parity: int):
-        if not M:
-            return
-        flat = matrix_flat(M, self.J.dim)
-        if self.g0.insert(dict(flat)) is not None:
-            self.g0_rows.append((M, parity))
-            self.g0_flats.append(flat)
-
-    def _insert_g1(self, B: dict, parity: int):
-        if not B:
-            return
-        flat = tensor_flat(B, self.J.dim)
-        if self.g1.insert(dict(flat)) is not None:
-            self.g1_rows.append((B, parity))
-            self.g1_flats.append(flat)
 
     # -- structure ---------------------------------------------------------
 
     def dims(self):
         """(even, odd) dimension of the whole graded algebra."""
         ev, od = self.J.sdim()
-        for _, p in self.g0_rows:
-            if p:
-                od += 1
-            else:
-                ev += 1
-        for _, p in self.g1_rows:
+        for _, p in self.g0.rows + self.g1.rows:
             if p:
                 od += 1
             else:
@@ -256,18 +414,17 @@ class TKK:
     def graded_dims(self):
         return {
             -1: self.J.dim,
-            0: len(self.g0_rows),
-            1: len(self.g1_rows),
+            0: len(self.g0.rows),
+            1: len(self.g1.rows),
         }
 
     def triple(self) -> Sl2Triple | None:
         if self.unit is None:
             return None
-        d = self.J.dim
         h = {}
         for a, c in self.unit.items():
-            vec_iadd_matrix(h, self.L[a], -c)
-        return Sl2Triple(e=dict(self.unit), h=h, f=self.P)
+            h = matrix_add(h, self.L[a].cols, -c)
+        return Sl2Triple(e=dict(self.unit), h=WOp(h, self.win), f=self.P)
 
     # -- checks --------------------------------------------------------------
 
@@ -285,37 +442,35 @@ class TKK:
         d = self.J.dim
         failures = []
         # [h, e] = -e
-        he = matrix_apply(t.h, t.e)
-        if he != {k: -v for k, v in t.e.items()}:
+        if t.h.apply(t.e) != {k: -v for k, v in t.e.items()}:
             failures.append("[h,e] != -e")
         # [h, f] = f
-        hf = tensor_bracket_mb(t.h, t.f, 0, 0, par)
-        if hf != t.f:
+        if _tensor_bracket(t.h, 0, t.f, 0, par).vals != t.f.vals:
             failures.append("[h,f] != f")
         # [e, f] = h: [e, B] = -(-1)^{p e p B}[B, e] with everything even
-        ef = tensor_to_matrix_vec(t.f, t.e)
-        ef = {c: {k: -v for k, v in col.items()} for c, col in ef.items()}
-        if ef != t.h:
+        ef = {}
+        for x, c in t.e.items():
+            ef = matrix_add(ef, t.f.to_matrix(x, self.win).cols, -c)
+        if ef != t.h.cols:
             failures.append("[e,f] != h")
         # eigenvalues of ad h
         for x in range(d):
-            v = matrix_apply(t.h, {x: Fraction(1)})
-            if v != {x: Fraction(-1)}:
+            if t.h.apply_basis(x) != {x: Fraction(-1)}:
                 failures.append(f"ad h on degree -1 basis {x}")
                 break
-        for M, pm in self.g0_rows:
-            if matrix_supercomm(t.h, M, 0, pm):
+        for M, pm in self.g0.rows:
+            if _wop_bracket(t.h, 0, M, pm).cols:
                 failures.append("ad h nonzero on degree 0")
                 break
-        for B, pb in self.g1_rows:
-            if tensor_bracket_mb(t.h, B, 0, pb, par) != B:
+        for B, pb in self.g1.rows:
+            if _tensor_bracket(t.h, 0, B, pb, par).vals != B.vals:
                 failures.append("ad h != 1 on degree 1")
                 break
         ok = not failures
         return Report(
             "tkk-triple",
             params,
-            {"basisChecked": d + len(self.g0_rows) + len(self.g1_rows)},
+            {"basisChecked": d + len(self.g0.rows) + len(self.g1.rows)},
             "pass" if ok else "fail",
             None if ok else {"failures": failures},
             elapsed_ms=(time.perf_counter() - t0) * 1000,
@@ -327,57 +482,32 @@ class TKK:
         t0 = time.perf_counter()
         d = self.J.dim
         par = self.J.parities
+        g0, g1 = self.g0, self.g1
         failures = []
         # (transitivity) the realization acts faithfully: ranks match row counts
-        if self.g0.rank != len(self.g0_rows):
+        if g0.span.ech.rank != len(g0.rows):
             failures.append("degree-0 span rank defect")
-        if self.g1.rank != len(self.g1_rows):
+        if g1.span.ech.rank != len(g1.rows):
             failures.append("degree-1 span rank defect")
-        # [g_-1, g_1] = g_0
-        cover = Echelon()
-        for B, pb in self.g1_rows:
-            for x in range(d):
-                M = tensor_to_matrix(B, x)
-                if not M:
-                    continue
-                flat = matrix_flat(M, d)
-                if self.g0.reduce(flat):
-                    failures.append("[g-1, g1] leaves g0")
-                    break
-                cover.insert(flat)
-            if failures:
-                break
-        if not failures and cover.rank != self.g0.rank:
-            failures.append(
-                f"[g-1, g1] spans only {cover.rank} of {self.g0.rank} in g0"
-            )
-        # [g_0, g_1] = g_1
+        # [g_-1, g_1] = g_0 and [g_0, g_1] = g_1
+        win = self.win
         if not failures:
-            cover1 = Echelon()
-            for M, pm in self.g0_rows:
-                for B, pb in self.g1_rows:
-                    C = tensor_bracket_mb(M, B, pm, pb, par)
-                    if not C:
-                        continue
-                    flat = tensor_flat(C, d)
-                    if self.g1.reduce(flat):
-                        failures.append("[g0, g1] leaves g1")
-                        break
-                    cover1.insert(flat)
-                if failures:
-                    break
-            if not failures and cover1.rank != self.g1.rank:
-                failures.append(
-                    f"[g0, g1] spans only {cover1.rank} of {self.g1.rank} in g1"
-                )
+            failures += _cover_defects(
+                g0, (B.to_matrix(x, win) for B, _pb in g1.rows for x in range(d)),
+                "[g-1, g1]", "g0")
+        if not failures:
+            failures += _cover_defects(
+                g1, (_tensor_bracket(M, pm, B, pb, par)
+                     for M, pm in g0.rows for B, pb in g1.rows),
+                "[g0, g1]", "g1")
         ok = not failures
         return Report(
             "tkk-minimal",
             {"algebra": self.J.name},
             {
                 "g-1": self.J.dim,
-                "g0": len(self.g0_rows),
-                "g1": len(self.g1_rows),
+                "g0": len(g0.rows),
+                "g1": len(g1.rows),
             },
             "pass" if ok else "fail",
             None if ok else {"failures": failures},
@@ -391,14 +521,12 @@ class TKK:
         d = self.J.dim
         bad = None
         for x in range(d):
-            M = tensor_to_matrix(self.P, x)
-            if self.g0.reduce(matrix_flat(M, d)):
+            M = self.P.to_matrix(x, self.win)
+            if self.g0.coords(M) is None:
                 bad = {"reason": "[f,x] outside g0", "x": self.J.labels[x]}
                 break
             for y in range(d):
-                got = matrix_apply(M, {y: Fraction(1)})
-                want = self.J.product(x, y)
-                if got != want:
+                if M.apply_basis(y) != self.J.product(x, y):
                     bad = {"indices": [x, y],
                            "labels": [self.J.labels[x], self.J.labels[y]]}
                     break
@@ -416,123 +544,26 @@ class TKK:
     # -- assembly ------------------------------------------------------------
 
     def basis_size(self) -> int:
-        return self.J.dim + len(self.g0_rows) + len(self.g1_rows)
+        return self.J.dim + len(self.g0.rows) + len(self.g1.rows)
 
     def assemble(self) -> tuple:
         """Full structure constants of Lie(J) over the realized basis;
         returns (GradedLie, Sl2Triple in assembled coordinates or None)."""
         d = self.J.dim
-        par = self.J.parities
-        n0 = len(self.g0_rows)
-        n1 = len(self.g1_rows)
-        N = d + n0 + n1
-        labels = (
-            [f"x:{l}" for l in self.J.labels]
-            + [f"m{j}" for j in range(n0)]
-            + [f"b{j}" for j in range(n1)]
-        )
-        parities = (
-            list(par)
-            + [p for _, p in self.g0_rows]
-            + [p for _, p in self.g1_rows]
-        )
-        grading = [-1] * d + [0] * n0 + [1] * n1
-        table: dict = {}
-
-        def put(i, j, vec: dict):
-            if vec:
-                table[(i, j)] = vec
-                s = -1 if (parities[i] and parities[j]) else 1
-                table[(j, i)] = {k: (-v if s > 0 else v) for k, v in vec.items()}
-
-        one = Fraction(1)
-        # [M_i, x_j]
-        for i, (M, pm) in enumerate(self.g0_rows):
-            for j in range(d):
-                v = matrix_apply(M, {j: one})
-                put(d + i, j, v)
-        # [B_i, x_j] in g0 coordinates
-        for i, (B, pb) in enumerate(self.g1_rows):
-            for j in range(d):
-                M = tensor_to_matrix(B, j)
-                coords = self._g0_coords(M)
-                if coords is None:
-                    raise ValueError("[g1, g-1] left the degree-0 span")
-                put(d + n0 + i, j, {d + k: c for k, c in coords.items() if c})
-        # [M_i, M_j]
-        for i, (Mi, pi) in enumerate(self.g0_rows):
-            for j, (Mj, pj) in enumerate(self.g0_rows):
-                if j < i:
-                    continue
-                C = matrix_supercomm(Mi, Mj, pi, pj)
-                coords = self._g0_coords(C)
-                if coords is None:
-                    raise ValueError("[g0, g0] left the degree-0 span")
-                put(d + i, d + j, {d + k: c for k, c in coords.items() if c})
-        # [M_i, B_j]
-        for i, (M, pm) in enumerate(self.g0_rows):
-            for j, (B, pb) in enumerate(self.g1_rows):
-                C = tensor_bracket_mb(M, B, pm, pb, par)
-                coords = self._g1_coords(C)
-                if coords is None:
-                    raise ValueError("[g0, g1] left the degree-1 span")
-                put(d + i, d + n0 + j, {d + n0 + k: c for k, c in coords.items() if c})
-        alg = FiniteSuperAlgebra(
-            labels, parities, table, name=f"Lie({self.J.name or 'J'})"
-        )
-        lie = GradedLie(alg, grading)
+        n0 = len(self.g0.rows)
+        alg = _assemble(self.J, range(d), self.win, self.g0, self.g1,
+                        f"Lie({self.J.name or 'J'})")
+        if alg.out_of_span:
+            i, j = min(alg.out_of_span)
+            raise ValueError(
+                f"[{alg.labels[i]}, {alg.labels[j]}] left the realized span")
+        lie = GradedLie(alg, [-1] * d + [0] * n0 + [1] * len(self.g1.rows))
         t = self.triple()
         triple = None
         if t is not None:
-            h_coords = self._g0_coords(t.h)
-            f_coords = self._g1_coords(t.f)
-            triple = Sl2Triple(
-                e=dict(t.e),
-                h={d + k: c for k, c in h_coords.items() if c},
-                f={d + n0 + k: c for k, c in f_coords.items() if c},
-            )
+            triple = Sl2Triple(e=dict(t.e), h=self.g0.coords(t.h, d),
+                               f=self.g1.coords(t.f, d + n0))
         return lie, triple
-
-    def _g0_coords(self, M: dict):
-        if not M:
-            return {}
-        sol = solve_linear(
-            [dict(f) for f in self.g0_flats], matrix_flat(M, self.J.dim)
-        )
-        if sol is None:
-            return None
-        return {i: c for i, c in enumerate(sol) if c}
-
-    def _g1_coords(self, B: dict):
-        if not B:
-            return {}
-        sol = solve_linear(
-            [dict(f) for f in self.g1_flats], tensor_flat(B, self.J.dim)
-        )
-        if sol is None:
-            return None
-        return {i: c for i, c in enumerate(sol) if c}
-
-
-def vec_iadd_matrix(acc: dict, M: dict, c) -> None:
-    for col, vec in M.items():
-        a = acc.setdefault(col, {})
-        vec_iadd(a, vec, c)
-        if not a:
-            del acc[col]
-
-
-def tensor_to_matrix_vec(B: dict, xvec: dict) -> dict:
-    """[B, x] for a coordinate vector x."""
-    out: dict = {}
-    for (x2, y), vec in B.items():
-        cx = xvec.get(x2)
-        if cx:
-            acc = out.setdefault(y, {})
-            vec_iadd(acc, vec, cx)
-            if not acc:
-                del out[y]
-    return out
 
 
 # -- spec-level operations ------------------------------------------------------
@@ -740,178 +771,6 @@ def unital_extend(J: FiniteSuperAlgebra):
 # window exactly.  For total carriers the window is the whole basis.
 
 
-class WOp:
-    """A matrix with an explicit validity domain of columns."""
-
-    __slots__ = ("cols", "domain")
-
-    def __init__(self, cols: dict, domain: frozenset):
-        self.cols = cols
-        self.domain = domain
-
-    def apply_basis(self, x: int):
-        if x not in self.domain:
-            return None
-        return self.cols.get(x, {})
-
-    def apply(self, vec: dict):
-        out: dict = {}
-        for c, cv in vec.items():
-            if c not in self.domain:
-                return None
-            col = self.cols.get(c)
-            if col:
-                vec_iadd(out, col, cv)
-        return out
-
-    def window_flat(self, window, dim: int):
-        out = {}
-        for x in window:
-            col = self.cols.get(x)
-            if col:
-                for r, v in col.items():
-                    out[x * dim + r] = v
-        return out
-
-
-def _wop_from_left_mul(carrier: FiniteSuperAlgebra, a: int) -> WOp:
-    cols = {}
-    domain = set()
-    for x in range(carrier.dim):
-        v = carrier.product(a, x)
-        if v is None:
-            continue
-        domain.add(x)
-        if v:
-            cols[x] = dict(v)
-    return WOp(cols, frozenset(domain))
-
-
-def _wop_bracket(M: WOp, pm: int, N: WOp, pn: int) -> WOp:
-    s = -1 if (pm and pn) else 1
-    cols = {}
-    domain = set()
-    for x in N.domain & M.domain:
-        nx = N.cols.get(x, {})
-        mx = M.cols.get(x, {})
-        a = M.apply(nx)
-        b = N.apply(mx)
-        if a is None or b is None:
-            continue
-        domain.add(x)
-        col = dict(a) if a else {}
-        if b:
-            vec_iadd(col, b, -s)
-        if col:
-            cols[x] = col
-    return WOp(cols, frozenset(domain))
-
-
-class WTensor:
-    """A bilinear map stored on an explicit set of valid basis pairs."""
-
-    __slots__ = ("vals", "valid")
-
-    def __init__(self, vals: dict, valid: frozenset):
-        self.vals = vals
-        self.valid = valid
-
-    def at(self, x: int, y: int):
-        if (x, y) not in self.valid:
-            return None
-        return self.vals.get((x, y), {})
-
-    def has_window(self, window) -> bool:
-        return all((x, y) in self.valid for x in window for y in window)
-
-    def window_flat(self, window, dim: int):
-        out = {}
-        for x in window:
-            for y in window:
-                vec = self.vals.get((x, y))
-                if vec:
-                    for k, v in vec.items():
-                        out[(x * dim + y) * dim + k] = v
-        return out
-
-    def to_matrix(self, x: int, window) -> dict | None:
-        """[B, x] restricted to window columns."""
-        out = {}
-        for y in window:
-            vec = self.at(x, y)
-            if vec is None:
-                return None
-            if vec:
-                out[y] = dict(vec)
-        return out
-
-
-def _product_tensor(carrier: FiniteSuperAlgebra, domain) -> WTensor:
-    vals = {}
-    valid = set()
-    for x in domain:
-        for y in domain:
-            v = carrier.product(x, y)
-            if v is None:
-                continue
-            valid.add((x, y))
-            if v:
-                vals[(x, y)] = dict(v)
-    return WTensor(vals, frozenset(valid))
-
-
-def _tensor_bracket_wop(M: WOp, pm: int, B: WTensor, pb: int, parities,
-                        pairs_try) -> "WTensor":
-    """[M, B] on every pair of pairs_try whose lookups stay inside the
-    domains; the caller decides whether the achieved pairs still cover its
-    window."""
-    s = -1 if (pm and pb) else 1
-    vals = {}
-    valid = set()
-    for (x, y) in pairs_try:
-        mx = M.apply_basis(x)
-        if mx is None:
-            continue
-        my = M.apply_basis(y)
-        if my is None:
-            continue
-        bxy = B.at(x, y)
-        if bxy is None:
-            continue
-        t1 = M.apply(bxy)
-        if t1 is None:
-            continue
-        t2: dict = {}
-        bad = False
-        for z, cz in mx.items():
-            bz = B.at(z, y)
-            if bz is None:
-                bad = True
-                break
-            vec_iadd(t2, bz, cz)
-        if bad:
-            continue
-        sgn = -1 if (parities[x] and parities[y]) else 1
-        for z, cz in my.items():
-            bz = B.at(z, x)
-            if bz is None:
-                bad = True
-                break
-            vec_iadd(t2, bz, cz * sgn)
-        if bad:
-            continue
-        valid.add((x, y))
-        acc = dict(t1)
-        vec_iadd_dict(acc, t2, -s)
-        if acc:
-            vals[(x, y)] = acc
-    return WTensor(vals, frozenset(valid))
-
-
-def vec_iadd_dict(acc: dict, v: dict, c=1) -> None:
-    vec_iadd(acc, v, c)
-
-
 def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None = None,
                      seed: int = 0) -> Report:
     """For simple non-unital J: split Lie(J~) into an ideal S plus the span
@@ -942,7 +801,7 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
                 raise ValueError(f"generator {l!r} missing from the carrier")
             gens.append(lbl_pos[l])
     window = [0] + gens
-    win_set = set(window)
+    win = frozenset(window)
     dimC = carrier_t.dim
     par = carrier_t.parities
 
@@ -954,104 +813,67 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
     L = {w: _wop_from_left_mul(carrier_t, w) for w in span_gens}
     ident = WOp(identity_matrix(dimC), frozenset(range(dimC)))
 
-    def mflat(op: WOp):
-        return op.window_flat(window, dimC)
-
     # small certified rows (window generators only)
-    s0_small = []
-    s0_small_ech = Echelon()
-    for a in gens:
-        f = mflat(L[a])
-        if f and s0_small_ech.insert(dict(f)) is not None:
-            s0_small.append((L[a], par[a]))
-    base_small = list(s0_small)
-    for i, (Mi, pi) in enumerate(base_small):
-        for Mj, pj in base_small[i:]:
-            C = _wop_bracket(Mi, pi, Mj, pj)
-            if not win_set <= C.domain:
-                continue
-            f = mflat(C)
-            if f and s0_small_ech.insert(dict(f)) is not None:
-                s0_small.append((C, (pi + pj) & 1))
+    s0 = _degree0(L, gens, par, win, dimC)
 
     # big span of everything computable, for containment tests
     s0_big = Echelon()
-    big_ops = []
     for w in span_gens:
-        f = mflat(L[w])
-        if f and s0_big.insert(dict(f)) is not None:
-            big_ops.append((L[w], par[w]))
+        s0_big.insert(L[w].window_flat(win, dimC))
     for i, w in enumerate(span_gens):
         for v in span_gens[i:]:
             C = _wop_bracket(L[w], par[w], L[v], par[v])
-            if not win_set <= C.domain:
-                continue
-            f = mflat(C)
-            if f and s0_big.insert(dict(f)) is not None:
-                big_ops.append((C, (par[w] + par[v]) & 1))
+            if win <= C.domain:
+                s0_big.insert(C.window_flat(win, dimC))
 
-    P = _product_tensor(carrier_t, range(dimC))
-    if not P.has_window(window):
+    P = _product_tensor(carrier_t)
+    if not P.has_window(win):
         raise ValueError("carrier too small for the product tensor window")
-    s1_small = []
-    s1_small_ech = Echelon()
+    s1 = _Piece(win, dimC)
     failures = []
     for a in gens:
-        B = _tensor_bracket_wop(L[a], par[a], P, 0, par, P.valid)
-        if not B.has_window(window):
+        B = _tensor_bracket(L[a], par[a], P, 0, par)
+        if not B.has_window(win):
             failures.append("carrier too small for the degree-1 span")
             break
-        f = B.window_flat(window, dimC)
-        if f and s1_small_ech.insert(dict(f)) is not None:
-            s1_small.append((B, par[a]))
+        s1.add(B, par[a])
     s1_big = Echelon()
-    big_tens = []
     if not failures:
         for w in span_gens:
-            B = _tensor_bracket_wop(L[w], par[w], P, 0, par, P.valid)
-            if not B.has_window(window):
-                continue
-            f = B.window_flat(window, dimC)
-            if f and s1_big.insert(dict(f)) is not None:
-                big_tens.append((B, par[w]))
+            B = _tensor_bracket(L[w], par[w], P, 0, par)
+            if B.has_window(win):
+                s1_big.insert(B.window_flat(win, dimC))
 
     # a-part separation against the big spans
     if not failures:
-        if not s0_big.reduce(mflat(ident)):
+        if not s0_big.reduce(ident.window_flat(win, dimC)):
             failures.append("-L_1 lies in the S0 span")
-        if not s1_big.reduce(P.window_flat(window, dimC)):
+        if not s1_big.reduce(P.window_flat(win, dimC)):
             failures.append("P lies in the S1 span")
 
     if not failures:
         failures.extend(
-            _semidirect_ideal_defects(
-                carrier_t, window, gens, s0_small, s0_big, s1_small, s1_big,
-                P, ident, par, dimC
-            )
+            _semidirect_ideal_defects(window, gens, s0, s0_big, s1, s1_big,
+                                      P, ident, par, dimC)
         )
 
     s_simple = None
     if not failures:
-        s_alg = _assemble_s_table(
-            carrier_t, window, gens, s0_small, s1_small, par, dimC
-        )
-        s_simple = _windowed_simple(s_alg, seed=seed)
+        s_alg = _assemble(carrier_t, gens, win, s0, s1, "S")
+        s_simple = check_simple(s_alg, seed=seed)
         if not s_simple:
             failures.append("S failed the sampled window simplicity check")
 
     if not failures:
-        failures.extend(
-            _outer_defects(carrier_t, window, gens, s0_small, s1_small,
-                           P, ident, par, dimC)
-        )
+        failures.extend(_outer_defects(gens, s0, s1, P, par, dimC))
 
     ok = not failures
     span = {
         "carrierDim": dimC,
         "window": len(window),
         "sMinus1": len(gens),
-        "s0Certified": len(s0_small),
-        "s1Certified": len(s1_small),
+        "s0Certified": len(s0.rows),
+        "s1Certified": len(s1.rows),
         "s0ComputableSpan": s0_big.rank,
         "s1ComputableSpan": s1_big.rank,
     }
@@ -1061,23 +883,22 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
         span,
         "pass" if ok else "fail",
         None if ok else {"failures": failures},
-        details={"sDims": [len(gens), len(s0_small), len(s1_small)],
+        details={"sDims": [len(gens), len(s0.rows), len(s1.rows)],
                  "sSimpleSampled": s_simple},
         elapsed_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
-def _semidirect_ideal_defects(carrier, window, gens, s0_small, s0_big,
-                              s1_small, s1_big, P, ident, par, dimC):
+def _semidirect_ideal_defects(window, gens, s0, s0_big, s1, s1_big, P, ident,
+                              par, dimC):
     """Brackets of the certified window basis of Lie(J~) with the certified
     window basis of S land in S's computable window spans."""
-    defects = []
-    win_set = set(window)
-    g0_rows = s0_small + [(ident, 0)]
-    g1_rows = s1_small + [(P, 0)]
+    win = s0.win
+    g0_rows = s0.rows + [(ident, 0)]
+    g1_rows = s1.rows + [(P, 0)]
     # [g_{-1}, S0] in S_{-1} = J-part (no unit component)
     for x in window:
-        for M, pm in s0_small:
+        for M, _pm in s0.rows:
             v = M.apply_basis(x)
             if v is None:
                 return ["carrier too small at [g-1, S0]"]
@@ -1085,15 +906,14 @@ def _semidirect_ideal_defects(carrier, window, gens, s0_small, s0_big,
                 return ["[g-1, S0] has a unit component"]
     # [g_{-1}, S1] in S0
     for x in window:
-        for B, pb in s1_small:
-            M = B.to_matrix(x, window)
+        for B, _pb in s1.rows:
+            M = B.to_matrix(x, win)
             if M is None:
                 return ["carrier too small at [g-1, S1]"]
-            flat = {y * dimC + r: v for y, col in M.items() for r, v in col.items()}
-            if s0_big.reduce(flat):
+            if s0_big.reduce(M.window_flat(win, dimC)):
                 return ["[g-1, S1] leaves the S0 span"]
     # [g0, S_{-1}] in J-part
-    for M, pm in g0_rows:
+    for M, _pm in g0_rows:
         for x in gens:
             v = M.apply_basis(x)
             if v is None:
@@ -1102,208 +922,58 @@ def _semidirect_ideal_defects(carrier, window, gens, s0_small, s0_big,
                 return ["[g0, S-1] has a unit component"]
     # [g0, S0] in S0
     for M, pm in g0_rows:
-        for N, pn in s0_small:
+        for N, pn in s0.rows:
             C = _wop_bracket(M, pm, N, pn)
-            if not win_set <= C.domain:
+            if not win <= C.domain:
                 return ["carrier too small at [g0, S0]"]
-            flat = C.window_flat(window, dimC)
-            if flat and s0_big.reduce(flat):
+            if s0_big.reduce(C.window_flat(win, dimC)):
                 return ["[g0, S0] leaves the S0 span"]
     # [g0, S1] in S1
     for M, pm in g0_rows:
-        for B, pb in s1_small:
-            C = _tensor_bracket_wop(M, pm, B, pb, par, B.valid)
-            if not C.has_window(window):
+        for B, pb in s1.rows:
+            C = _tensor_bracket(M, pm, B, pb, par)
+            if not C.has_window(win):
                 return ["carrier too small at [g0, S1]"]
-            flat = C.window_flat(window, dimC)
-            if flat and s1_big.reduce(flat):
+            if s1_big.reduce(C.window_flat(win, dimC)):
                 return ["[g0, S1] leaves the S1 span"]
     # [g1, S_{-1}] in S0 and [g1, S0] in S1 ([g1, S1] = 0 by grading)
     for B, pb in g1_rows:
         for x in gens:
-            M = B.to_matrix(x, window)
+            M = B.to_matrix(x, win)
             if M is None:
                 return ["carrier too small at [g1, S-1]"]
-            flat = {y * dimC + r: v for y, col in M.items() for r, v in col.items()}
-            if s0_big.reduce(flat):
+            if s0_big.reduce(M.window_flat(win, dimC)):
                 return ["[g1, S-1] leaves the S0 span"]
-        for N, pn in s0_small:
-            C = _tensor_bracket_wop(N, pn, B, pb, par, B.valid)
-            if not C.has_window(window):
+        for N, pn in s0.rows:
+            C = _tensor_bracket(N, pn, B, pb, par)
+            if not C.has_window(win):
                 return ["carrier too small at [S0, g1]"]
-            flat = C.window_flat(window, dimC)
-            if flat and s1_big.reduce(flat):
+            if s1_big.reduce(C.window_flat(win, dimC)):
                 return ["[g1, S0] leaves the S1 span"]
-    return defects
+    return []
 
 
-def _assemble_s_table(carrier, window, gens, s0_rows, s1_rows, par, dimC):
-    """Structure constants of S over the certified window basis; brackets
-    leaving the certified span are flagged out-of-span."""
-    win_set = set(window)
-    n_min = len(gens)
-    n0 = len(s0_rows)
-    n1 = len(s1_rows)
-    labels = (
-        [f"x:{carrier.labels[g]}" for g in gens]
-        + [f"m{j}" for j in range(n0)]
-        + [f"b{j}" for j in range(n1)]
-    )
-    parities = (
-        [par[g] for g in gens]
-        + [p for _, p in s0_rows]
-        + [p for _, p in s1_rows]
-    )
-    gen_pos = {g: i for i, g in enumerate(gens)}
-    s0_flats = [M.window_flat(window, dimC) for M, _ in s0_rows]
-    s1_flats = [B.window_flat(window, dimC) for B, _ in s1_rows]
-    table = {}
-    oos = set()
-
-    def put(i, j, vec, pi, pj):
-        if vec is None:
-            oos.add((i, j))
-            oos.add((j, i))
-            return
-        if vec:
-            table[(i, j)] = vec
-            s = -1 if (pi and pj) else 1
-            table[(j, i)] = {k: (-v if s > 0 else v) for k, v in vec.items()}
-
-    def vec_in_window(v: dict):
-        out = {}
-        for k, c in v.items():
-            if not c:
-                continue
-            if k in gen_pos:
-                out[gen_pos[k]] = c
-            else:
-                return None  # outside the certified degree -1 window
-        return out
-
-    def m_coords(flat):
-        if not flat:
-            return {}
-        sol = solve_linear([dict(f) for f in s0_flats], flat)
-        if sol is None:
-            return None
-        return {n_min + i: c for i, c in enumerate(sol) if c}
-
-    def b_coords(flat):
-        if not flat:
-            return {}
-        sol = solve_linear([dict(f) for f in s1_flats], flat)
-        if sol is None:
-            return None
-        return {n_min + n0 + i: c for i, c in enumerate(sol) if c}
-
-    for i, (M, pm) in enumerate(s0_rows):
-        for j, g in enumerate(gens):
-            v = M.apply_basis(g)
-            put(n_min + i, j, vec_in_window(v) if v is not None else None,
-                pm, parities[j])
-    for i, (B, pb) in enumerate(s1_rows):
-        for j, g in enumerate(gens):
-            M = B.to_matrix(g, window)
-            if M is None:
-                put(n_min + n0 + i, j, None, pb, parities[j])
-                continue
-            flat = {y * dimC + r: v for y, col in M.items() for r, v in col.items()}
-            put(n_min + n0 + i, j, m_coords(flat), pb, parities[j])
-    for i, (Mi, pi) in enumerate(s0_rows):
-        for j in range(i, n0):
-            Mj, pj = s0_rows[j]
-            C = _wop_bracket(Mi, pi, Mj, pj)
-            if not win_set <= C.domain:
-                put(n_min + i, n_min + j, None, pi, pj)
-                continue
-            put(n_min + i, n_min + j, m_coords(C.window_flat(window, dimC)), pi, pj)
-    for i, (M, pm) in enumerate(s0_rows):
-        for j, (B, pb) in enumerate(s1_rows):
-            C = _tensor_bracket_wop(M, pm, B, pb, par, B.valid)
-            if not C.has_window(window):
-                put(n_min + i, n_min + n0 + j, None, pm, pb)
-                continue
-            put(n_min + i, n_min + n0 + j, b_coords(C.window_flat(window, dimC)),
-                pm, pb)
-    return FiniteSuperAlgebra(labels, parities, table, oos, name="S")
-
-
-def _windowed_simple(s_alg: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> bool:
-    """Sampled ideal-closure simplicity allowing out-of-span skips: every
-    seed's closure must still reach the whole window span."""
-    dim = s_alg.dim
-    if not s_alg.table:
-        return False
-    vectors = [{i: Fraction(1)} for i in range(dim)]
-    rng = DetRand(seed)
-    for _ in range(samples):
-        v = {}
-        for i in range(dim):
-            c = rng.rational()
-            if c:
-                v[i] = c
-        if v:
-            vectors.append(v)
-    for v in vectors:
-        ech = Echelon()
-        frontier = []
-        if ech.insert(dict(v)) is not None:
-            frontier.append(dict(v))
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(dim):
-                    prod = _mul_skip(s_alg, i, w)
-                    if prod and ech.insert(prod) is not None:
-                        nxt.append(prod)
-            frontier = nxt
-        if ech.rank != dim:
-            return False
-    return True
-
-
-def _mul_skip(alg: FiniteSuperAlgebra, i: int, w: dict):
-    out: dict = {}
-    for j, cj in w.items():
-        prod = alg.product(i, j)
-        if prod is None:
-            continue  # out-of-span contributions skipped (certified window)
-        for k, x in prod.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = cj * x
-            else:
-                s = s + cj * x
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
-
-
-def _outer_defects(carrier, window, gens, s0_rows, s1_rows, P, ident, par, dimC):
+def _outer_defects(gens, s0, s1, P, par, dimC):
     """No computable element of S restricts to ad h, ad e or ad f on the
     certified window basis of S."""
-    defects = []
-    win_set = set(window)
+    win = s0.win
     u_basis = (
         [("x", g) for g in gens]
-        + [("m", i) for i in range(len(s0_rows))]
-        + [("b", i) for i in range(len(s1_rows))]
+        + [("m", i) for i in range(len(s0.rows))]
+        + [("b", i) for i in range(len(s1.rows))]
     )
 
     def stack_of(kind, obj, p_obj):
         st = {}
         for pos, (ukind, uidx) in enumerate(u_basis):
             if ukind == "x":
-                val = _bracket_with_vector(kind, obj, p_obj, uidx, window, par, dimC)
+                val = _bracket_with_vector(kind, obj, uidx, win, dimC)
             elif ukind == "m":
-                M, pm = s0_rows[uidx]
-                val = _bracket_with_matrix(kind, obj, p_obj, M, pm, window, par, dimC)
+                M, pm = s0.rows[uidx]
+                val = _bracket_with_matrix(kind, obj, p_obj, M, pm, win, par, dimC)
             else:
-                B, pb = s1_rows[uidx]
-                val = _bracket_with_tensor(kind, obj, p_obj, B, pb, window, par, dimC)
+                B, pb = s1.rows[uidx]
+                val = _bracket_with_tensor(kind, obj, p_obj, B, pb, win, par, dimC)
             if val is None:
                 return None
             for coord, c in val.items():
@@ -1313,9 +983,9 @@ def _outer_defects(carrier, window, gens, s0_rows, s1_rows, P, ident, par, dimC)
     columns = []
     for g in gens:
         columns.append(stack_of("x", {g: Fraction(1)}, par[g]))
-    for M, pm in s0_rows:
+    for M, pm in s0.rows:
         columns.append(stack_of("m", M, pm))
-    for B, pb in s1_rows:
+    for B, pb in s1.rows:
         columns.append(stack_of("b", B, pb))
     if any(c is None for c in columns):
         return ["carrier too small for the outer-derivation solve"]
@@ -1325,15 +995,17 @@ def _outer_defects(carrier, window, gens, s0_rows, s1_rows, P, ident, par, dimC)
         ("e", stack_of("x", {0: Fraction(1)}, 0)),
         ("f", stack_of("b", P, 0)),
     ]
+    inner = CoordSolver(columns)
+    defects = []
     for name, tgt in targets:
         if tgt is None:
             return [f"carrier too small for the ad {name} stack"]
-        if solve_linear([dict(c) for c in columns], tgt) is not None:
+        if inner.solve(tgt) is not None:
             defects.append(f"ad {name} restricted to S is inner to S")
     return defects
 
 
-def _bracket_with_vector(kind, obj, p_obj, x, window, par, dimC):
+def _bracket_with_vector(kind, obj, x, win, dimC):
     """[obj, e_x] with type-tagged stack coordinates."""
     if kind == "x":
         return {}
@@ -1342,13 +1014,13 @@ def _bracket_with_vector(kind, obj, p_obj, x, window, par, dimC):
         if v is None:
             return None
         return {("v", k): c for k, c in v.items()}
-    M = obj.to_matrix(x, window)
+    M = obj.to_matrix(x, win)
     if M is None:
         return None
-    return {("m", y * dimC + r): v for y, col in M.items() for r, v in col.items()}
+    return {("m", k): c for k, c in M.window_flat(win, dimC).items()}
 
 
-def _bracket_with_matrix(kind, obj, p_obj, M, pm, window, par, dimC):
+def _bracket_with_matrix(kind, obj, p_obj, M, pm, win, par, dimC):
     if kind == "x":
         (x_idx, cx), = obj.items()
         v = M.apply_basis(x_idx)
@@ -1358,34 +1030,31 @@ def _bracket_with_matrix(kind, obj, p_obj, M, pm, window, par, dimC):
         return {("v", k): cx * c * s for k, c in v.items()}
     if kind == "m":
         C = _wop_bracket(obj, p_obj, M, pm)
-        if not set(window) <= C.domain:
+        if not win <= C.domain:
             return None
-        return {("m", k): c for k, c in C.window_flat(window, dimC).items()}
-    C = _tensor_bracket_wop(M, pm, obj, p_obj, par, obj.valid)
-    if not C.has_window(window):
+        return {("m", k): c for k, c in C.window_flat(win, dimC).items()}
+    C = _tensor_bracket(M, pm, obj, p_obj, par)
+    if not C.has_window(win):
         return None
     s = -1 if (p_obj and pm) else 1
     return {("t", k): -c if s > 0 else c
-            for k, c in C.window_flat(window, dimC).items()}
+            for k, c in C.window_flat(win, dimC).items()}
 
 
-def _bracket_with_tensor(kind, obj, p_obj, B, pb, window, par, dimC):
+def _bracket_with_tensor(kind, obj, p_obj, B, pb, win, par, dimC):
     if kind == "x":
         (x_idx, cx), = obj.items()
-        M = B.to_matrix(x_idx, window)
+        M = B.to_matrix(x_idx, win)
         if M is None:
             return None
         s = -1 if (par[x_idx] and pb) else 1
-        out = {}
-        for y, col in M.items():
-            for r, v in col.items():
-                out[("m", y * dimC + r)] = (-v if s > 0 else v) * cx
-        return out
+        return {("m", k): (-v if s > 0 else v) * cx
+                for k, v in M.window_flat(win, dimC).items()}
     if kind == "m":
-        C = _tensor_bracket_wop(obj, p_obj, B, pb, par, B.valid)
-        if not C.has_window(window):
+        C = _tensor_bracket(obj, p_obj, B, pb, par)
+        if not C.has_window(win):
             return None
-        return {("t", k): c for k, c in C.window_flat(window, dimC).items()}
+        return {("t", k): c for k, c in C.window_flat(win, dimC).items()}
     return {}
 
 
@@ -1400,8 +1069,6 @@ def check_minimal_table(L: GradedLie) -> Report:
     failures = []
     one = Fraction(1)
     # transitivity: nothing in degrees 0, 1 kills all of degree -1
-    from .linalg import nullspace
-
     cols = []
     for a in idx_0 + idx_1:
         stacked = {}

@@ -21,6 +21,13 @@ def test_verify_jordan_identity_exit_codes(capsys):
     assert run("verify", "simple", "--family", "Dt", "--t", "0") == 1
     assert run("verify", "simple", "--family", "Dt", "--t", "2") == 0
     capsys.readouterr()
+    # bad family arguments are usage errors, not failed checks
+    for argv in (("verify", "jordan-identity"),
+                 ("build", "--family", "GLplus", "--m", "-1", "--n", "1"),
+                 ("verify", "simple", "--family", "Dt", "--t", "1/0")):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors(capsys):
@@ -31,6 +38,8 @@ def test_usage_errors(capsys):
 
 def test_short_gradings_cli(capsys):
     assert run("verify", "short-gradings", "--type", "sl", "--rank", "4") == 0
+    # sl(1) has no candidate vertex: an empty report must not pass
+    assert run("verify", "short-gradings", "--type", "sl", "--rank", "1") == 1
     capsys.readouterr()
 
 

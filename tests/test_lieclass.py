@@ -83,6 +83,13 @@ def test_enumeration_matches_classification(fam, size):
     assert found == set(classified_short_vertices(fam, size))
 
 
+def test_enumeration_without_candidate_vertices_does_not_pass():
+    r = enumerate_short_gradings(classical("sl", 1))
+    assert r.certified_span["vertices"] == []
+    assert not r.passed
+    assert "reason" in r.counterexample
+
+
 def test_hk_fragments_and_their_gradings():
     for kind, k, n in [("h", 0, 4), ("h", 1, 3), ("k", 0, 3), ("k", 1, 3)]:
         lie, triple, rep = build_hk(kind, k, n, 3)

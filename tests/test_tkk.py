@@ -1,5 +1,7 @@
 """The three-graded construction, its inverse, and the semidirect split."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from jsalg.tkk import (
     GradedLie,
     Sl2Triple,
     TKK,
+    WOp,
+    WTensor,
     check_lie_table,
     check_minimal_table,
     check_semidirect,
@@ -29,8 +33,6 @@ from jsalg.tkk import (
     is_table_automorphism,
     matrix_apply,
     matrix_compose,
-    matrix_flat,
-    tensor_flat,
     tkk,
     unital_extend,
 )
@@ -164,6 +166,35 @@ def test_semidirect_kalg():
     assert r.details["sSimpleSampled"] is True
 
 
+def test_semidirect_kalg_report_is_pinned():
+    assert check_semidirect(kalg()).to_json() == (
+        '{"certifiedSpan":{"carrierDim":4,"s0Certified":8,"s0ComputableSpan":8,'
+        '"s1Certified":3,"s1ComputableSpan":3,"sMinus1":3,"window":4},'
+        '"details":{"sDims":[3,8,3],"sSimpleSampled":true},'
+        '"params":{"algebra":"K","seed":0},"status":"pass","suite":"tkk-semidirect"}'
+    )
+
+
+def _table_digest(alg):
+    entries = sorted([i, j, k, str(c)] for (i, j), vec in alg.table.items()
+                     for k, c in vec.items())
+    return hashlib.sha256(json.dumps(
+        {"labels": alg.labels, "parities": alg.parities, "c": entries},
+        separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("J, digest, triple", [
+    (dt(2), "858b1aef6f3033220dcbafaac23fadbe534cd64dc818b47050acb23a3a82efd8",
+     ({0: 1, 1: 1}, {4: -1, 5: -1}, {13: 1})),
+    (glplus(1, 1), "4ef6f834b67ff81c1fc43fd589988038a70b865983abcfbee4f968b448c4d01c",
+     ({0: 1, 3: 1}, {4: -1, 7: -1}, {10: 1})),
+], ids=["D_t(2)", "gl(1,1)+"])
+def test_assembled_tables_are_pinned(J, digest, triple):
+    L, t = tkk(J)
+    assert _table_digest(L.algebra) == digest
+    assert (t.e, t.h, t.f) == triple
+
+
 def test_semidirect_rejects_unital():
     r = check_semidirect(dt(1))
     assert r.status == "error"
@@ -185,9 +216,6 @@ def test_functoriality_of_the_shipped_witness():
     Ls, ts = A.assemble()
     Lt, tt = B.assemble()
     d = dim
-    n0s, n1s = len(A.g0_rows), len(A.g1_rows)
-    g0_solver = CoordSolver([dict(f) for f in B.g0_flats])
-    g1_solver = CoordSolver([dict(f) for f in B.g1_flats])
 
     def conj(M):
         return matrix_compose(phi, matrix_compose(M, phi_inv))
@@ -221,14 +249,15 @@ def test_functoriality_of_the_shipped_witness():
     images = []  # assembled source index -> assembled target vector
     for i in range(d):
         images.append(dict(phi[i]))
-    for M, _p in A.g0_rows:
-        sol = g0_solver.solve(matrix_flat(conj(M), dim))
-        assert sol is not None
-        images.append({d + k: c for k, c in enumerate(sol) if c})
-    for Bt, _p in A.g1_rows:
-        sol = g1_solver.solve(tensor_flat(transport(Bt), dim))
-        assert sol is not None
-        images.append({d + len(B.g0_rows) + k: c for k, c in enumerate(sol) if c})
+    for M, _p in A.g0.rows:
+        coords = B.g0.coords(WOp(conj(M.cols), B.win), d)
+        assert coords is not None
+        images.append(coords)
+    for Bt, _p in A.g1.rows:
+        coords = B.g1.coords(WTensor(transport(Bt.vals), frozenset()),
+                             d + len(B.g0.rows))
+        assert coords is not None
+        images.append(coords)
 
     def apply_map(vec):
         out = {}
