@@ -15,15 +15,20 @@ from jsalg.jordan import (
     jp_finite,
     kalg,
     build_js,
+    jp,
     witness_jp01_to_gl11,
 )
-from jsalg.linalg import CoordSolver, solve_linear
+from jsalg.linalg import CoordSolver, solve_linear, vec_iadd
 from jsalg.tkk import (
     GradedLie,
     Sl2Triple,
     TKK,
     WOp,
     WTensor,
+    _product_tensor,
+    _tensor_bracket,
+    _wop_bracket,
+    _wop_from_left_mul,
     check_lie_table,
     check_minimal_table,
     check_semidirect,
@@ -294,3 +299,46 @@ def test_assembled_jacobi_second_family():
     assert check_lie_table(L.algebra).passed
     assert check_triple(L, triple).passed
     assert check_minimal_table(L).passed
+
+
+def _per_pair_bracket(M, pm, B, pb, par):
+    """[M, B] computed pair by pair, with its validity rule spelled out."""
+    s = -1 if (pm and pb) else 1
+    vals, undefined = {}, set()
+    for x in range(len(par)):
+        for y in range(len(par)):
+            mx, my, bxy = M.apply_basis(x), M.apply_basis(y), B.at(x, y)
+            acc = None if None in (mx, my, bxy) else M.apply(bxy)
+            sgn = -1 if (par[x] and par[y]) else 1
+            for z, cz, w in [(z, cz, y) for z, cz in (mx or {}).items()] + [
+                    (z, sgn * cz, x) for z, cz in (my or {}).items()]:
+                bz = B.at(z, w)
+                if acc is None or bz is None:
+                    acc = None
+                    break
+                vec_iadd(acc, bz, -s * cz)
+            if acc is None:
+                undefined.add((x, y))
+            elif acc:
+                vals[(x, y)] = acc
+    return vals, undefined
+
+
+@pytest.mark.parametrize("J", [build_js(2), jp(1, 1, 2), kalg()], ids=lambda J: J.name)
+def test_grouped_tensor_bracket_keeps_the_per_pair_rule(J):
+    C, _ = unital_extend(J)
+    par = C.parities
+    L = [_wop_from_left_mul(C, w) for w in range(C.dim)]
+    P = _product_tensor(C)
+    cases = [(L[a], par[a], P, 0) for a in range(C.dim)]
+    cases += [(_wop_bracket(L[a], par[a], L[b], par[b]), (par[a] + par[b]) & 1, P, 0)
+              for a in range(C.dim) for b in range(a, C.dim, 3)]
+    for a in range(0, C.dim, 3):
+        Ba = _tensor_bracket(L[a], par[a], P, 0, par)
+        cases += [(L[w], par[w], Ba, par[a]) for w in range(C.dim)]
+    partial = False
+    for M, pm, B, pb in cases:
+        T = _tensor_bracket(M, pm, B, pb, par)
+        assert (T.vals, set(T.undefined)) == _per_pair_bracket(M, pm, B, pb, par)
+        partial |= bool(T.undefined)
+    assert partial == (not J.is_total())
