@@ -18,7 +18,7 @@ from . import lieclass as lc
 from . import schouten as sch
 from . import tkk as tk
 from .report import Report, merge_reports
-from .superpoly import SuperPoly, monomials_total_degree, mono_parity
+from .superpoly import SuperPoly, monomials_total_degree
 
 
 def _sub(reports, suite, params):
@@ -124,120 +124,30 @@ def _gpb_agreement(pair, spec, max_deg, tag) -> Report:
 
 
 def _gpb_jacobi(pair, spec, max_deg, tag) -> Report:
-    """Jacobi for the biderivation bracket itself, on monomial multisets,
-    with all values assembled from a monomial-pair cache (the identity is
-    multilinear, so this is exhaustive over the span)."""
+    """Antisymmetry and Jacobi for the biderivation bracket itself, on
+    monomial pairs and multisets, through the bracket engine's pair oracle
+    (the identities are multilinear, so this is exhaustive over the span).
+    Its scale is the lcm of the denominators of the pair's coefficients:
+    gpb_from_ac is linear in them, and partial derivatives of monomials add
+    only integer factors."""
     t0 = time.perf_counter()
-    monos = monomials_total_degree(spec.m, spec.n, max_deg)
-    N = len(monos)
     m, n = spec.m, spec.n
-    cache: dict = {}
+    monos = monomials_total_degree(m, n, max_deg)
+    N = len(monos)
 
-    def gp(ma, mb) -> dict:
-        key = (ma, mb)
-        r = cache.get(key)
-        if r is None:
-            f = SuperPoly(m, n, {ma: Fraction(1)})
-            g = SuperPoly(m, n, {mb: Fraction(1)})
-            r = sch.gpb_from_ac(pair, f, g).terms
-            cache[key] = r
-        return r
+    def gpb(a, b):
+        f = SuperPoly(m, n, {a: Fraction(1)})
+        return sch.gpb_from_ac(pair, f, SuperPoly(m, n, {b: Fraction(1)})).terms
 
-    def gp_left(ma, terms: dict) -> dict:
-        out: dict = {}
-        for mb, c in terms.items():
-            for mono, x in gp(ma, mb).items():
-                s = out.get(mono)
-                v = c * x
-                if s is None:
-                    if v:
-                        out[mono] = v
-                else:
-                    s = s + v
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return out
-
-    def gp_right(terms: dict, mb) -> dict:
-        out: dict = {}
-        for ma, c in terms.items():
-            for mono, x in gp(ma, mb).items():
-                s = out.get(mono)
-                v = c * x
-                if s is None:
-                    if v:
-                        out[mono] = v
-                else:
-                    s = s + v
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return out
-
-    ce = None
-    for i in range(N):
-        if ce:
-            break
-        pi = mono_parity(monos[i])
-        for j in range(i, N):
-            pj = mono_parity(monos[j])
-            s = -1 if (pi and pj) else 1
-            anti = dict(gp(monos[i], monos[j]))
-            for mono, x in gp(monos[j], monos[i]).items():
-                t = anti.get(mono)
-                v = x if s > 0 else -x
-                if t is None:
-                    if v:
-                        anti[mono] = v
-                else:
-                    t = t + v
-                    if t:
-                        anti[mono] = t
-                    else:
-                        del anti[mono]
-            if anti:
-                ce = {"identity": "antisymmetry", "indices": [i, j]}
-                break
-            ij = gp(monos[i], monos[j])
-            for k in range(j, N):
-                res = gp_left(monos[i], gp(monos[j], monos[k]))
-                for mono, x in gp_right(ij, monos[k]).items():
-                    t = res.get(mono)
-                    if t is None:
-                        if x:
-                            res[mono] = -x
-                    else:
-                        t = t - x
-                        if t:
-                            res[mono] = t
-                        else:
-                            del res[mono]
-                for mono, x in gp_left(monos[j], gp(monos[i], monos[k])).items():
-                    v = x if s > 0 else -x
-                    t = res.get(mono)
-                    if t is None:
-                        if v:
-                            res[mono] = -v
-                    else:
-                        t = t - v
-                        if t:
-                            res[mono] = t
-                        else:
-                            del res[mono]
-                if res:
-                    ce = {"identity": "jacobi", "indices": [i, j, k]}
-                    break
-            if ce:
-                break
+    scale = br.den_lcm(c for co, *_ in pair.a_terms + pair.c_pairs
+                       for c in co.terms.values())
+    identity, idxs = br.first_jacobi_failure(m, n, monos, gpb, scale)
     return Report(
         f"schouten-gpb-jacobi[{tag}]",
         {"maxDeg": max_deg},
         {"tripleMultisets": N * (N + 1) * (N + 2) // 6},
-        "pass" if ce is None else "fail",
-        ce,
+        "pass" if identity is None else "fail",
+        None if identity is None else {"identity": identity, "indices": list(idxs)},
         elapsed_ms=(time.perf_counter() - t0) * 1000,
     )
 

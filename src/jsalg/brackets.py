@@ -19,6 +19,26 @@ The "custom" evaluation uses
     {f,g} = sum_even C_ij df/dX_i dg/dX_j - (-1)^{p(f)} sum_odd C_ij df/dxi_i dg/dxi_j
 which reproduces {X_i,X_j} = C_ij on generators (the odd-odd prefactor
 swallows the extra Koszul sign of the squared odd derivatives).
+
+Evaluation.  `bracket`, `bracket_monomials` and `d_modified` work on
+Fractions.  The identity drivers read every value from one pair oracle,
+`_PairCache`, instead:
+
+* Monomials are interned to dense int ids, the driver's canonical list
+  first, so id i is the driver's index i.  The oracle caches the bracket,
+  the modified bracket, the derivation value and the product of ids, each
+  as an id-keyed dict of ints.
+* Every cached value is `scale` times the exact one.  The scale is fixed
+  when the oracle is built, from the per-kind denominator bound proved in
+  `spec_scale` (times den(D), and 2 more for kmc's D' = D/2).  Each fill
+  checks that the scale clears every denominator and raises RuntimeError
+  if not: a scale below its bound is an internal error, never a verdict.
+* The scans accumulate ints.  A tuple fails iff some value is nonzero (for
+  the series kind, some value of degree at most the certified degree).
+  Only then is the residual mapped back to monomials and Fractions, divided
+  by scale for the linear identities (antisymmetry, generalized Leibniz,
+  kmc-product) and by scale^2 for the ones that nest two values (Jacobi,
+  kmc-jacobi).
 """
 
 from __future__ import annotations
@@ -26,6 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .report import Report, pmap_chunks, resolve_workers
 from .superpoly import (
@@ -378,85 +399,329 @@ def _is_series(spec: BracketSpec) -> bool:
     return False
 
 
+def den_lcm(values) -> int:
+    """The lcm of the denominators of some rationals (1 for none)."""
+    out = 1
+    for c in values:
+        out = lcm(out, Fraction(c).denominator)
+    return out
+
+
+def _derivation_den(D: DerivationD) -> int:
+    """den(D): the lcm of the denominators of D's coefficients.  D(a) of a
+    monomial a is linear in them, and partial derivatives of a monomial only
+    add integer factors, so den(D) * D(a) is integral."""
+    return den_lcm(c for poly, _ in D.terms for c in poly.terms.values())
+
+
+def spec_scale(spec: BracketSpec, budget=None) -> int:
+    """An integer S with S * {a, b} integral for all monomials a, b (for the
+    series kind, the bracket truncated at `budget`).
+
+    * h, k, custom: the lcm of the denominators of c_even and c_odd.  The
+      constant part is bilinear in these entries with integer
+      partial-derivative factors, and the time part
+      (2 - E) f dg/dt - df/dt (2 - E) g has integer coefficients.
+    * dmod: 2 * S(base) * den(D), D = base.derivation(): the correction
+      (f D(g) - D(f) g)/2 is linear in the coefficients of D.
+    * gauge: S(base) * L^2 * p * (L p)^budget, with L the lcm of the
+      denominators of phi and p the numerator of its constant term c.
+      {phi f, phi g} is bilinear in the coefficients of phi, so S(base) L^2
+      clears it.  psi = 1 - phi/c has denominators dividing L p and no
+      constant term, so of the series phi^{-1} = (1/c) sum_k psi^k only
+      k <= budget survives the truncation, and 1/c adds p.
+    """
+    if spec.kind in ("h", "k", "custom"):
+        return den_lcm(c for _i, _j, c in spec.c_even + spec.c_odd)
+    if spec.kind == "dmod":
+        return 2 * spec_scale(spec.base, budget) * _derivation_den(spec.base.derivation())
+    if spec.kind == "gauge":
+        L = den_lcm(spec.phi.terms.values())
+        p = abs(spec.phi.constant_term().numerator)
+        return spec_scale(spec.base, budget) * L * L * p * (L * p) ** budget
+    raise ValueError(f"unknown kind {spec.kind}")
+
+
+class _Row(dict):
+    """One row of a pair cache: a missing entry j is filled as fill(i, j)."""
+
+    __slots__ = ("fill", "i")
+
+    def __init__(self, fill, i):
+        super().__init__()
+        self.fill = fill
+        self.i = i
+
+    def __missing__(self, j):
+        v = self[j] = self.fill(self.i, j)
+        return v
+
+
 class _PairCache:
-    """Bracket / d-modified / product caches on monomial pairs."""
+    """The pair oracle the identity scans read every value from.
 
-    def __init__(self, spec: BracketSpec, D: DerivationD | None = None, budget=None):
-        self.spec = spec
-        self.D = D
-        self.budget = budget
-        self.series = _is_series(spec)
-        self.br: dict = {}
-        self.dm: dict = {}
-        self.prod: dict = {}
+    Monomials are interned to dense int ids, the driver's list first, so id
+    i is the driver's index i; `par` and `deg` hold each id's parity and
+    total degree.  Four caches hold `scale` times an exact value as an
+    id-keyed dict of nonzero ints, filled on first use:
 
-    def _poly(self, mono) -> SuperPoly:
-        return SuperPoly(self.spec.m, self.spec.n, {mono: Fraction(1)})
+    * br[i][j], the bracket pair_fn(a_i, a_j);
+    * dm[i][j], the modified bracket {a, b} - a E(b) + E(a) b;
+    * ev[i], the derivation value E(a_i);
+    * pr[i][j], the product a_i a_j as (sign, id), or 0 when an odd
+      generator repeats (not scaled).
 
-    def bracket_pair(self, m1, m2) -> dict:
-        key = (m1, m2)
-        r = self.br.get(key)
-        if r is None:
-            if self.series:
-                r = bracket(self.spec, self._poly(m1), self._poly(m2), self.budget).terms
-            else:
-                r = bracket_monomials(self.spec, m1, m2)
-            self.br[key] = r
-        return r
+    E is D for the generalized Leibniz rule and D' = D/2 for kmc, so that
+    dm is {.,.}_D.  Every fill checks that `scale` clears each denominator
+    and raises RuntimeError otherwise: a scale below its stated bound is an
+    internal error, never a verdict.
+    """
 
-    def bracket_with(self, m1, poly_terms: dict) -> dict:
-        out: dict = {}
-        for m2, c in poly_terms.items():
-            for mono, x in self.bracket_pair(m1, m2).items():
-                _add_term(out, mono, c * x)
+    def __init__(self, m: int, n: int, monos, pair_fn, scale: int, E=None, keep=None):
+        self.m, self.n = m, n
+        self.pair_fn = pair_fn
+        self.scale = scale
+        self.E = E
+        self.keep = keep  # series kind: only degrees <= keep are certified
+        self.size = len(monos)
+        self.monos: list = []
+        self.ids: dict = {}
+        self.par: list = []
+        self.deg: list = []
+        self.br: list = []
+        self.dm: list = []
+        self.pr: list = []
+        self.ev = _Row(self._fill_der, None)
+        for mono in monos:
+            self.intern(mono)
+
+    def intern(self, mono) -> int:
+        i = self.ids.get(mono)
+        if i is None:
+            i = self.ids[mono] = len(self.monos)
+            self.monos.append(mono)
+            self.par.append(mono_parity(mono))
+            self.deg.append(mono_degree(mono))
+            self.br.append(_Row(self._fill_pair, i))
+            self.dm.append(_Row(self._fill_dmod, i))
+            self.pr.append(_Row(self._fill_prod, i))
+        return i
+
+    def _ints(self, terms: dict) -> dict:
+        S = self.scale
+        out = {}
+        for mono, c in terms.items():
+            v = c * S
+            if v.denominator != 1:
+                raise RuntimeError(
+                    f"internal error: bracket scale {S} leaves a denominator in {c}")
+            if v:
+                out[self.intern(mono)] = int(v)
         return out
 
-    def bracket_right(self, poly_terms: dict, m2) -> dict:
-        out: dict = {}
-        for m1, c in poly_terms.items():
-            for mono, x in self.bracket_pair(m1, m2).items():
-                _add_term(out, mono, c * x)
-        return out
+    def _fill_pair(self, i, j):
+        return self._ints(self.pair_fn(self.monos[i], self.monos[j]))
 
-    def dmod_pair(self, m1, m2) -> dict:
-        key = (m1, m2)
-        r = self.dm.get(key)
-        if r is None:
-            rr = dict(self.bracket_pair(m1, m2))
-            f = self._poly(m1)
-            g = self._poly(m2)
-            corr = mul(f, self.D.apply(g)) - mul(self.D.apply(f), g)
-            for mono, c in corr.terms.items():
-                _add_term(rr, mono, -c / 2)
-            self.dm[key] = rr
-            r = rr
-        return r
+    def _fill_prod(self, i, j):
+        r = mono_mul(self.monos[i], self.monos[j])
+        return 0 if r is None else (r[0], self.intern(r[1]))
 
-    def dmod_with(self, m1, poly_terms: dict) -> dict:
-        out: dict = {}
-        for m2, c in poly_terms.items():
-            for mono, x in self.dmod_pair(m1, m2).items():
-                _add_term(out, mono, c * x)
-        return out
+    def _fill_der(self, _, i):
+        a = SuperPoly(self.m, self.n, {self.monos[i]: Fraction(1)})
+        return self._ints(self.E.apply(a).terms)
 
-    def dmod_right(self, poly_terms: dict, m2) -> dict:
-        out: dict = {}
-        for m1, c in poly_terms.items():
-            for mono, x in self.dmod_pair(m1, m2).items():
-                _add_term(out, mono, c * x)
-        return out
+    def _fill_dmod(self, i, j):
+        acc = dict(self.br[i][j])
+        _mul_into(acc, self.pr, {i: -1}, self.ev[j])
+        _mul_into(acc, self.pr, self.ev[i], {j: 1})
+        return {y: v for y, v in acc.items() if v}
 
-    def product(self, m1, m2):
-        key = (m1, m2)
-        if key not in self.prod:
-            self.prod[key] = mono_mul(m1, m2)
-        return self.prod[key]
+    def certified(self, acc: dict) -> bool:
+        """Whether a nonzero accumulator has a nonzero certified value."""
+        keep, deg = self.keep, self.deg
+        return keep is None or any(v and deg[y] <= keep for y, v in acc.items())
+
+    def residual(self, acc: dict, power: int) -> dict:
+        """The certified part of an accumulator as a monomial term dict,
+        divided by scale**power (1 for a linear identity, 2 for one that
+        nests two scaled values)."""
+        d = self.scale**power
+        keep, deg = self.keep, self.deg
+        return {self.monos[y]: Fraction(v, d) for y, v in acc.items()
+                if v and (keep is None or deg[y] <= keep)}
 
 
-def _filter_budget(terms: dict, certified_deg, series: bool) -> dict:
-    if not series:
-        return terms
-    return {m: c for m, c in terms.items() if mono_degree(m) <= certified_deg}
+def _mul_into(acc: dict, pr: list, t1: dict, t2: dict, s: int = 1):
+    """acc += s * t1 t2 on id-keyed int dicts."""
+    for z, u in t1.items():
+        pz = pr[z]
+        for x, v in t2.items():
+            p = pz[x]
+            if p:
+                y = p[1]
+                acc[y] = acc.get(y, 0) + s * p[0] * u * v
+
+
+def _jacobiator(rows: list, ri, rj, k, ab: dict, s: int) -> dict:
+    """{a,{b,c}} - {{a,b},c} - s {b,{a,c}} on the ids (i, j, k), with {.,.}
+    read from rows (the bracket or the modified bracket), ri and rj the rows
+    of a and b, and ab = {a,b}."""
+    acc = {}
+    for x, v in rj[k].items():
+        for y, w in ri[x].items():
+            acc[y] = acc.get(y, 0) + v * w
+    for x, v in ab.items():
+        for y, w in rows[x][k].items():
+            acc[y] = acc.get(y, 0) - v * w
+    for x, v in ri[k].items():
+        for y, w in rj[x].items():
+            acc[y] = acc.get(y, 0) - s * v * w
+    return acc
+
+
+def _spec_oracle(spec: BracketSpec, monos, max_deg: int, D=None, halve=False):
+    """The pair oracle of a bracket spec.  Its scale is spec_scale(spec),
+    times den(D) when D is given (the Leibniz term D(a)bc is linear in D),
+    and times 2 more with halve, where E = D/2 (kmc's D')."""
+    series = _is_series(spec)
+    budget = max_deg + GAUGE_SLACK if series else None
+    m, n = spec.m, spec.n
+    if series:
+        def pair_fn(a, b):
+            f = SuperPoly(m, n, {a: Fraction(1)})
+            return bracket(spec, f, SuperPoly(m, n, {b: Fraction(1)}), budget).terms
+    else:
+        def pair_fn(a, b):
+            return bracket_monomials(spec, a, b)
+    scale = spec_scale(spec, budget)
+    E = D
+    if D is not None:
+        scale *= _derivation_den(D)
+        if halve:
+            scale *= 2
+            E = D.scale(Fraction(1, 2))
+    return _PairCache(m, n, monos, pair_fn, scale, E, max_deg if series else None)
+
+
+def _jacobi_scan(o: _PairCache, lo: int, hi: int):
+    """Super-antisymmetry on the pairs (i, j >= i), then the super Jacobi
+    identity on the multisets (i, j >= i, k >= j), for i in [lo, hi).
+    Returns (count, identity, tuple, residual) at the first failure, else
+    (count, None, None, None)."""
+    N, par, br = o.size, o.par, o.br
+    cnt = 0
+    for i in range(lo, hi):
+        bi = br[i]
+        for j in range(i, N):
+            acc = dict(bi[j])
+            s = -1 if par[i] and par[j] else 1
+            for y, v in br[j][i].items():
+                acc[y] = acc.get(y, 0) + s * v
+            cnt += 1
+            if any(acc.values()) and o.certified(acc):
+                return cnt, "antisymmetry", (i, j), o.residual(acc, 1)
+    for i in range(lo, hi):
+        bi = br[i]
+        for j in range(i, N):
+            s = -1 if par[i] and par[j] else 1
+            ab, bj = bi[j], br[j]
+            for k in range(j, N):
+                acc = _jacobiator(br, bi, bj, k, ab, s)
+                cnt += 1
+                if any(acc.values()) and o.certified(acc):
+                    return cnt, "jacobi", (i, j, k), o.residual(acc, 2)
+    return cnt, None, None, None
+
+
+def first_jacobi_failure(m: int, n: int, monos, pair_fn, scale: int):
+    """(identity, indices) of the first failure of super-antisymmetry or the
+    super Jacobi identity of the bracket pair_fn on monomials, or
+    (None, None); scale times every value of pair_fn must be integral."""
+    o = _PairCache(m, n, monos, pair_fn, scale)
+    return _jacobi_scan(o, 0, o.size)[1:3]
+
+
+def _product_rule(pr: list, ri, ea: dict, j, k, ab: dict, s: int) -> dict:
+    """{a,bc} - {a,b}c - s b{a,c} - E(a)bc on the ids (i, j, k), with {.,.}
+    read from ri, the row of a in the bracket or the modified bracket cache,
+    ab = {a,b} and ea = E(a)."""
+    acc = {}
+    bc = pr[j][k]
+    if bc:
+        sg, x = bc
+        for y, v in ri[x].items():
+            acc[y] = sg * v
+        for z, u in ea.items():
+            p = pr[z][x]
+            if p:
+                y = p[1]
+                acc[y] = acc.get(y, 0) - sg * p[0] * u
+    for z, v in ab.items():
+        p = pr[z][k]
+        if p:
+            y = p[1]
+            acc[y] = acc.get(y, 0) - p[0] * v
+    pj = pr[j]
+    for z, v in ri[k].items():
+        p = pj[z]
+        if p:
+            y = p[1]
+            acc[y] = acc.get(y, 0) - s * p[0] * v
+    return acc
+
+
+def _jacobi_worker(args):
+    spec, _D, monos, lo, hi, max_deg = args
+    return _jacobi_scan(_spec_oracle(spec, monos, max_deg), lo, hi)
+
+
+def _leibniz_worker(args):
+    spec, D, monos, lo, hi, max_deg = args
+    o = _spec_oracle(spec, monos, max_deg, D)
+    N, par, br, ev, pr = o.size, o.par, o.br, o.ev, o.pr
+    cnt = 0
+    for i in range(lo, hi):
+        ea, bi = ev[i], br[i]
+        for j in range(N):
+            s = -1 if par[i] and par[j] else 1
+            ab = bi[j]
+            for k in range(N):
+                acc = _product_rule(pr, bi, ea, j, k, ab, s)
+                cnt += 1
+                if any(acc.values()) and o.certified(acc):
+                    return cnt, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
+    return cnt, None, None, None
+
+
+def _kmc_worker(args):
+    spec, D, monos, lo, hi, max_deg = args
+    o = _spec_oracle(spec, monos, max_deg, D, halve=True)
+    N, par, dm, ev, pr = o.size, o.par, o.dm, o.ev, o.pr
+    cnt = 0
+    for i in range(lo, hi):
+        pf, ef, di = par[i], ev[i], dm[i]
+        for j in range(N):
+            pg, eg, dj = par[j], ev[j], dm[j]
+            fg = di[j]
+            s_fg = -1 if (pf and pg) else 1
+            for k in range(N):
+                # product rule for the modified bracket
+                acc = _product_rule(pr, di, ef, j, k, fg, s_fg)
+                cnt += 1
+                if any(acc.values()) and o.certified(acc):
+                    return cnt, "kmc-product", (i, j, k), o.residual(acc, 1)
+                # double-bracket rule for the modified bracket
+                ph = par[k]
+                acc = _jacobiator(dm, di, dj, k, fg, s_fg)
+                if ef:
+                    _mul_into(acc, pr, ef, dj[k])
+                if eg:
+                    _mul_into(acc, pr, eg, dm[k][i], -1 if (pf and (pg ^ ph)) else 1)
+                if ev[k]:
+                    _mul_into(acc, pr, ev[k], fg, -1 if (ph and (pf ^ pg)) else 1)
+                if any(acc.values()) and o.certified(acc):
+                    return cnt, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
+    return cnt, None, None, None
 
 
 def _counterexample(spec, monos, idxs, residual: dict, identity: str) -> dict:
@@ -470,18 +735,6 @@ def _counterexample(spec, monos, idxs, residual: dict, identity: str) -> dict:
     }
 
 
-def _span_description(spec: BracketSpec, max_deg: int, count: int, series: bool):
-    d = {
-        "signature": [spec.m, spec.n],
-        "kind": spec.kind,
-        "maxEvenDegree": max_deg,
-        "monomials": count,
-    }
-    if series:
-        d["certifiedDegree"] = max_deg
-    return d
-
-
 def _ranges(n: int, workers) -> list:
     w = resolve_workers(workers)
     w = min(w, max(1, n))
@@ -489,289 +742,54 @@ def _ranges(n: int, workers) -> list:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _antisym_worker(args):
-    spec, monos, lo, hi, max_deg = args
+def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span_counts):
+    """Run a scan worker over row chunks and report the first failure in
+    canonical order: an antisymmetry failure in any chunk comes before every
+    Jacobi failure, since the multiset Jacobi scan presumes antisymmetry."""
+    t0 = time.perf_counter()
     series = _is_series(spec)
-    budget = max_deg + GAUGE_SLACK if series else None
-    cache = _PairCache(spec, budget=budget)
+    monos = monomials(spec.m, spec.n, max_deg)
     N = len(monos)
-    cnt = 0
-    for i in range(lo, hi):
-        pi = mono_parity(monos[i])
-        for j in range(i, N):
-            pj = mono_parity(monos[j])
-            r = dict(cache.bracket_pair(monos[i], monos[j]))
-            s = -1 if (pi and pj) else 1
-            for mono, c in cache.bracket_pair(monos[j], monos[i]).items():
-                _add_term(r, mono, c if s > 0 else -c)
-            r = _filter_budget(r, max_deg, series)
-            cnt += 1
-            if r:
-                return cnt, (i, j), r
-    return cnt, None, None
-
-
-def _jacobi_worker(args):
-    spec, monos, lo, hi, max_deg = args
-    series = _is_series(spec)
-    budget = max_deg + GAUGE_SLACK if series else None
-    cache = _PairCache(spec, budget=budget)
-    N = len(monos)
-    cnt = 0
-    for i in range(lo, hi):
-        a = monos[i]
-        pa = mono_parity(a)
-        for j in range(i, N):
-            b = monos[j]
-            pb = mono_parity(b)
-            s2 = -1 if (pa and pb) else 1
-            ab = cache.bracket_pair(a, b)
-            for k in range(j, N):
-                c = monos[k]
-                lhs = cache.bracket_with(a, cache.bracket_pair(b, c))
-                for mono, x in cache.bracket_right(ab, c).items():
-                    _add_term(lhs, mono, -x)
-                for mono, x in cache.bracket_with(b, cache.bracket_pair(a, c)).items():
-                    _add_term(lhs, mono, -x if s2 > 0 else x)
-                lhs = _filter_budget(lhs, max_deg, series)
-                cnt += 1
-                if lhs:
-                    return cnt, (i, j, k), lhs
-    return cnt, None, None
+    chunks = [(spec, D, monos, lo, hi, max_deg) for lo, hi in _ranges(N, workers)]
+    fails = [r for r in pmap_chunks(worker, chunks, workers) if r[1]]
+    fails.sort(key=lambda r: r[1] != "antisymmetry")  # stable: chunk order within
+    ce = None
+    if fails:
+        _cnt, identity, idxs, res = fails[0]
+        ce = _counterexample(spec, monos, idxs, res, identity)
+    span = {"signature": [spec.m, spec.n], "kind": spec.kind,
+            "maxEvenDegree": max_deg, "monomials": N, **span_counts(N)}
+    if series:
+        span["certifiedDegree"] = max_deg
+    return Report(
+        suite=suite,
+        params={"kind": spec.kind, "m": spec.m, "n": spec.n, "maxDeg": max_deg},
+        certified_span=span,
+        status="pass" if ce is None else "fail",
+        counterexample=ce,
+        elapsed_ms=(time.perf_counter() - t0) * 1000,
+    )
 
 
 def check_jacobi(spec: BracketSpec, max_deg: int, workers=None) -> Report:
     """Super-antisymmetry on ordered pairs, then the super Jacobi identity on
     monomial multisets (sound once antisymmetry holds exhaustively: the
     Jacobiator is then super-antisymmetric in all three slots)."""
-    t0 = time.perf_counter()
-    series = _is_series(spec)
-    monos = monomials(spec.m, spec.n, max_deg)
-    N = len(monos)
-    ce = None
-    for cnt, bad, res in pmap_chunks(
-        _antisym_worker,
-        [(spec, monos, lo, hi, max_deg) for lo, hi in _ranges(N, workers)],
-        workers,
-    ):
-        if bad and ce is None:
-            ce = _counterexample(spec, monos, bad, res, "antisymmetry")
-            break
-    if ce is None:
-        for cnt, bad, res in pmap_chunks(
-            _jacobi_worker,
-            [(spec, monos, lo, hi, max_deg) for lo, hi in _ranges(N, workers)],
-            workers,
-        ):
-            if bad and ce is None:
-                ce = _counterexample(spec, monos, bad, res, "jacobi")
-                break
-    span = _span_description(spec, max_deg, N, series)
-    span["orderedPairs"] = N * (N + 1) // 2
-    span["tripleMultisets"] = N * (N + 1) * (N + 2) // 6
-    return Report(
-        suite="bracket-jacobi",
-        params={"kind": spec.kind, "m": spec.m, "n": spec.n, "maxDeg": max_deg},
-        certified_span=span,
-        status="pass" if ce is None else "fail",
-        counterexample=ce,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    )
-
-
-def _leibniz_worker(args):
-    spec, D, monos, lo, hi, max_deg = args
-    series = _is_series(spec)
-    budget = max_deg + GAUGE_SLACK if series else None
-    cache = _PairCache(spec, budget=budget)
-    N = len(monos)
-    d_vals = {}
-
-    def D_of(mono):
-        r = d_vals.get(mono)
-        if r is None:
-            r = D.apply(SuperPoly(spec.m, spec.n, {mono: Fraction(1)})).terms
-            d_vals[mono] = r
-        return r
-
-    cnt = 0
-    for i in range(lo, hi):
-        a = monos[i]
-        pa = mono_parity(a)
-        for j in range(N):
-            b = monos[j]
-            pb = mono_parity(b)
-            s = -1 if (pa and pb) else 1
-            ab = cache.bracket_pair(a, b)
-            for k in range(N):
-                c = monos[k]
-                bc = cache.product(b, c)
-                lhs: dict = {}
-                if bc is not None:
-                    sg, mono_bc = bc
-                    for mono, x in cache.bracket_pair(a, mono_bc).items():
-                        _add_term(lhs, mono, x if sg > 0 else -x)
-                for mono, x in ab.items():
-                    r = mono_mul(mono, c)
-                    if r is not None:
-                        _add_term(lhs, r[1], -x if r[0] > 0 else x)
-                for mono, x in cache.bracket_pair(a, c).items():
-                    r = mono_mul(b, mono)
-                    if r is not None:
-                        v = x if (s * r[0]) > 0 else -x
-                        _add_term(lhs, r[1], -v)
-                if bc is not None:
-                    sg, mono_bc = bc
-                    for mono, x in D_of(a).items():
-                        r = mono_mul(mono, mono_bc)
-                        if r is not None:
-                            v = x if (sg * r[0]) > 0 else -x
-                            _add_term(lhs, r[1], -v)
-                lhs = _filter_budget(lhs, max_deg, series)
-                cnt += 1
-                if lhs:
-                    return cnt, (i, j, k), lhs
-    return cnt, None, None
+    return _check("bracket-jacobi", _jacobi_worker, spec, None, max_deg, workers,
+                  lambda N: {"orderedPairs": N * (N + 1) // 2,
+                             "tripleMultisets": N * (N + 1) * (N + 2) // 6})
 
 
 def check_gen_leibniz(
     spec: BracketSpec, D: DerivationD, max_deg: int, workers=None
 ) -> Report:
     """{a,bc} = {a,b}c + (-1)^{p(a)p(b)} b{a,c} + D(a)bc on ordered triples."""
-    t0 = time.perf_counter()
-    series = _is_series(spec)
-    monos = monomials(spec.m, spec.n, max_deg)
-    N = len(monos)
-    ce = None
-    for cnt, bad, res in pmap_chunks(
-        _leibniz_worker,
-        [(spec, D, monos, lo, hi, max_deg) for lo, hi in _ranges(N, workers)],
-        workers,
-    ):
-        if bad and ce is None:
-            ce = _counterexample(spec, monos, bad, res, "generalized-leibniz")
-            break
-    span = _span_description(spec, max_deg, N, series)
-    span["orderedTriples"] = N**3
-    return Report(
-        suite="bracket-leibniz",
-        params={"kind": spec.kind, "m": spec.m, "n": spec.n, "maxDeg": max_deg},
-        certified_span=span,
-        status="pass" if ce is None else "fail",
-        counterexample=ce,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    )
-
-
-def _dict_mul(t1: dict, t2: dict) -> dict:
-    out: dict = {}
-    for mm1, x1 in t1.items():
-        for mm2, x2 in t2.items():
-            r = mono_mul(mm1, mm2)
-            if r is not None:
-                _add_term(out, r[1], x1 * x2 if r[0] > 0 else -x1 * x2)
-    return out
-
-
-def _kmc_worker(args):
-    spec, D, monos, lo, hi, max_deg = args
-    series = _is_series(spec)
-    budget = max_deg + GAUGE_SLACK if series else None
-    cache = _PairCache(spec, D=D, budget=budget)
-    N = len(monos)
-    Dp = D.scale(Fraction(1, 2))
-    dp_vals = {}
-
-    def Dp_of(mono):
-        r = dp_vals.get(mono)
-        if r is None:
-            r = Dp.apply(SuperPoly(spec.m, spec.n, {mono: Fraction(1)})).terms
-            dp_vals[mono] = r
-        return r
-
-    cnt = 0
-    for i in range(lo, hi):
-        f = monos[i]
-        pf = mono_parity(f)
-        for j in range(N):
-            g = monos[j]
-            pg = mono_parity(g)
-            fg = cache.dmod_pair(f, g)
-            s_fg = -1 if (pf and pg) else 1
-            for k in range(N):
-                h = monos[k]
-                ph = mono_parity(h)
-                # product rule for the modified bracket
-                gh_prod = cache.product(g, h)
-                r1: dict = {}
-                if gh_prod is not None:
-                    sg, mono_gh = gh_prod
-                    for mono, x in cache.dmod_pair(f, mono_gh).items():
-                        _add_term(r1, mono, x if sg > 0 else -x)
-                for mono, x in fg.items():
-                    r = mono_mul(mono, h)
-                    if r is not None:
-                        _add_term(r1, r[1], -x if r[0] > 0 else x)
-                for mono, x in cache.dmod_pair(f, h).items():
-                    r = mono_mul(g, mono)
-                    if r is not None:
-                        v = x if (s_fg * r[0]) > 0 else -x
-                        _add_term(r1, r[1], -v)
-                if gh_prod is not None:
-                    sg, mono_gh = gh_prod
-                    for mono, x in Dp_of(f).items():
-                        r = mono_mul(mono, mono_gh)
-                        if r is not None:
-                            v = x if (sg * r[0]) > 0 else -x
-                            _add_term(r1, r[1], -v)
-                r1 = _filter_budget(r1, max_deg, series)
-                cnt += 1
-                if r1:
-                    return cnt, (i, j, k), r1, "kmc-product"
-                # double-bracket rule for the modified bracket
-                gh = cache.dmod_pair(g, h)
-                r2 = cache.dmod_with(f, gh)
-                for mono, x in cache.dmod_right(fg, h).items():
-                    _add_term(r2, mono, -x)
-                for mono, x in cache.dmod_with(g, cache.dmod_pair(f, h)).items():
-                    _add_term(r2, mono, -x if s_fg > 0 else x)
-                for mono, x in _dict_mul(Dp_of(f), gh).items():
-                    _add_term(r2, mono, x)
-                s = -1 if (pf and (pg ^ ph)) else 1
-                for mono, x in _dict_mul(Dp_of(g), cache.dmod_pair(h, f)).items():
-                    _add_term(r2, mono, x if s > 0 else -x)
-                s = -1 if (ph and (pf ^ pg)) else 1
-                for mono, x in _dict_mul(Dp_of(h), fg).items():
-                    _add_term(r2, mono, x if s > 0 else -x)
-                r2 = _filter_budget(r2, max_deg, series)
-                if r2:
-                    return cnt, (i, j, k), r2, "kmc-jacobi"
-    return cnt, None, None, None
+    return _check("bracket-leibniz", _leibniz_worker, spec, D, max_deg, workers,
+                  lambda N: {"orderedTriples": N**3})
 
 
 def check_kmc(spec: BracketSpec, D: DerivationD, max_deg: int, workers=None) -> Report:
     """Both compatibility identities of the modified bracket {.,.}_D with
     D' = D/2, on ordered monomial triples."""
-    t0 = time.perf_counter()
-    series = _is_series(spec)
-    monos = monomials(spec.m, spec.n, max_deg)
-    N = len(monos)
-    ce = None
-    for cnt, bad, res, which in pmap_chunks(
-        _kmc_worker,
-        [(spec, D, monos, lo, hi, max_deg) for lo, hi in _ranges(N, workers)],
-        workers,
-    ):
-        if bad and ce is None:
-            ce = _counterexample(spec, monos, bad, res, which)
-            break
-    span = _span_description(spec, max_deg, N, series)
-    span["orderedTriples"] = N**3
-    return Report(
-        suite="bracket-kmc",
-        params={"kind": spec.kind, "m": spec.m, "n": spec.n, "maxDeg": max_deg},
-        certified_span=span,
-        status="pass" if ce is None else "fail",
-        counterexample=ce,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    )
+    return _check("bracket-kmc", _kmc_worker, spec, D, max_deg, workers,
+                  lambda N: {"orderedTriples": N**3})

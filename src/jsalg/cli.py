@@ -108,9 +108,15 @@ def _emit(report: Report, args) -> int:
     return 0 if report.passed else 1
 
 
+_POLY_SUITES = ("bracket-jacobi", "bracket-leibniz", "bracket-kmc", "schouten",
+                "hk-fragment")
+
+
 def _suite_report(args) -> Report:
     suite = args.suite
     workers = args.workers
+    if suite in _POLY_SUITES and min(args.k, args.n, args.deg) < 0:
+        raise SystemExit2("--k, --n and --deg must be >= 0")
     if suite == "jordan-identity":
         return jd.check_jordan(_build_algebra(args), workers=workers)
     if suite == "relation10":
@@ -148,6 +154,8 @@ def _suite_report(args) -> Report:
     if suite == "short-gradings":
         if not args.ltype or not args.rank:
             raise SystemExit2("short-gradings needs --type and --rank")
+        if args.rank < 0:
+            raise SystemExit2("--rank must be >= 0")
         # --rank is the matrix size: sl N, so N, sp N (N even)
         L = lc.classical(args.ltype, args.rank)
         return lc.enumerate_short_gradings(L, seed=args.seed)

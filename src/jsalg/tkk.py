@@ -477,24 +477,21 @@ class TKK:
         )
 
     def check_minimal(self) -> Report:
-        """Transitivity, [g_-1, g_1] = g_0 and [g_0, g_1] = g_1, by exact
-        rank computations on the realized spans."""
+        """[g_-1, g_1] = g_0 and [g_0, g_1] = g_1, by exact rank computations
+        on the realized spans.  Transitivity holds by construction for this
+        operator realization: g_0 and g_1 are kept as their action on
+        g_-1 = J, and a row enters a span only when that action is
+        independent of the rows before it, so no nonzero element acts as
+        zero on g_-1.  `check_minimal_table` tests transitivity on an
+        assembled table."""
         t0 = time.perf_counter()
         d = self.J.dim
         par = self.J.parities
         g0, g1 = self.g0, self.g1
-        failures = []
-        # (transitivity) the realization acts faithfully: ranks match row counts
-        if g0.span.ech.rank != len(g0.rows):
-            failures.append("degree-0 span rank defect")
-        if g1.span.ech.rank != len(g1.rows):
-            failures.append("degree-1 span rank defect")
-        # [g_-1, g_1] = g_0 and [g_0, g_1] = g_1
         win = self.win
-        if not failures:
-            failures += _cover_defects(
-                g0, (B.to_matrix(x, win) for B, _pb in g1.rows for x in range(d)),
-                "[g-1, g1]", "g0")
+        failures = _cover_defects(
+            g0, (B.to_matrix(x, win) for B, _pb in g1.rows for x in range(d)),
+            "[g-1, g1]", "g0")
         if not failures:
             failures += _cover_defects(
                 g1, (_tensor_bracket(M, pm, B, pb, par)

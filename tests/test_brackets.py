@@ -208,3 +208,101 @@ def test_derivation_leibniz_against_product():
             f = SuperPoly(1, 2, {m1: Fraction(1)})
             g = SuperPoly(1, 2, {m2: Fraction(1)})
             assert D.apply(mul(f, g)) == mul(D.apply(f), g) + mul(f, D.apply(g))
+
+
+# -- the integer-coded engine: failing reports pinned byte for byte -------------
+
+THIRD = BracketSpec.custom(
+    3, 1, [[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0], [0, 0, Fraction(-1, 3)]],
+    has_time=True)
+
+# canonical JSON recorded with the earlier Fraction-accumulating drivers
+GOLDEN_FAILURES = [
+    (lambda w: check_kmc(BracketSpec.k_type(0, 3), DerivationD.multiple_of_dt(1, 3, c=1),
+                         3, workers=w),
+     '{"certifiedSpan":{"kind":"k","maxEvenDegree":3,"monomials":32,"orderedTriples":32768,'
+     '"signature":[1,3]},"counterexample":{"identity":"kmc-product","indices":[8,0,0],'
+     '"monomials":["x1","1","1"],"residual":"1"},"params":{"kind":"k","m":1,"maxDeg":3,'
+     '"n":3},"status":"fail","suite":"bracket-kmc"}'),
+    (lambda w: check_gen_leibniz(BracketSpec.k_type(1, 0), DerivationD.zero(3, 0), 3,
+                                 workers=w),
+     '{"certifiedSpan":{"kind":"k","maxEvenDegree":3,"monomials":20,"orderedTriples":8000,'
+     '"signature":[3,0]},"counterexample":{"identity":"generalized-leibniz",'
+     '"indices":[10,0,0],"monomials":["x1","1","1"],"residual":"2"},"params":{"kind":"k",'
+     '"m":3,"maxDeg":3,"n":0},"status":"fail","suite":"bracket-leibniz"}'),
+    (lambda w: check_kmc(THIRD, DerivationD.multiple_of_dt(3, 1, c=Fraction(1, 3)), 2,
+                         workers=w),
+     '{"certifiedSpan":{"kind":"custom","maxEvenDegree":2,"monomials":20,'
+     '"orderedTriples":8000,"signature":[3,1]},"counterexample":{"identity":"kmc-product",'
+     '"indices":[12,0,0],"monomials":["x1","1","1"],"residual":"5/3"},'
+     '"params":{"kind":"custom","m":3,"maxDeg":2,"n":1},"status":"fail",'
+     '"suite":"bracket-kmc"}'),
+    (lambda w: check_jacobi(BracketSpec.custom(2, 0, [[0, Fraction(1, 3)],
+                                                      [Fraction(1, 3), 0]]), 2, workers=w),
+     '{"certifiedSpan":{"kind":"custom","maxEvenDegree":2,"monomials":6,"orderedPairs":21,'
+     '"signature":[2,0],"tripleMultisets":56},"counterexample":{"identity":"antisymmetry",'
+     '"indices":[1,3],"monomials":["x2","x1"],"residual":"2/3"},"params":{"kind":"custom",'
+     '"m":2,"maxDeg":2,"n":0},"status":"fail","suite":"bracket-jacobi"}'),
+    # quadratic identities: the residual is divided by scale^2 (here 6^2)
+    (lambda w: check_jacobi(BracketSpec.d_modified(THIRD), 2, workers=w),
+     '{"certifiedSpan":{"kind":"dmod","maxEvenDegree":2,"monomials":20,"orderedPairs":210,'
+     '"signature":[3,1],"tripleMultisets":1540},"counterexample":{"identity":"jacobi",'
+     '"indices":[1,1,12],"monomials":["xi1","xi1","x1"],"residual":"1/3"},'
+     '"params":{"kind":"dmod","m":3,"maxDeg":2,"n":1},"status":"fail",'
+     '"suite":"bracket-jacobi"}'),
+    (lambda w: check_kmc(BracketSpec.d_modified(BracketSpec.k_type(0, 2)),
+                         DerivationD.multiple_of_dt(1, 2), 2, workers=w),
+     '{"certifiedSpan":{"kind":"dmod","maxEvenDegree":2,"monomials":12,'
+     '"orderedTriples":1728,"signature":[1,2]},"counterexample":{"identity":"kmc-jacobi",'
+     '"indices":[1,2,4],"monomials":["xi1","xi1 xi2","x1"],"residual":"-1 xi1"},'
+     '"params":{"kind":"dmod","m":1,"maxDeg":2,"n":2},"status":"fail",'
+     '"suite":"bracket-kmc"}'),
+]
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN_FAILURES)))
+def test_failing_reports_are_pinned(case):
+    run, want = GOLDEN_FAILURES[case]
+    assert run(1).to_json() == want
+
+
+def test_failing_report_bytes_do_not_depend_on_workers():
+    run, want = GOLDEN_FAILURES[2]
+    assert run(2).to_json() == want
+
+
+def test_gauge_with_nonunit_constant_term():
+    # phi = 2 + x1: the scale carries the constant term's numerator
+    spec = BracketSpec.h_type(1, 0)
+    tw = gauge_twist(spec, SuperPoly.const(2, 0, 2) + xv(2, 0, 0))
+    assert check_jacobi(tw, 2).passed
+    assert check_gen_leibniz(tw, tw.derivation(), 2).passed
+
+
+def test_scale_below_its_bound_raises(monkeypatch):
+    import jsalg.brackets as br
+
+    monkeypatch.setattr(br, "spec_scale", lambda spec, budget=None: 1)
+    with pytest.raises(RuntimeError, match="scale"):
+        check_jacobi(THIRD, 2)
+    monkeypatch.setattr(br, "_derivation_den", lambda D: 1)
+    with pytest.raises(RuntimeError, match="scale"):
+        check_kmc(THIRD, DerivationD.multiple_of_dt(3, 1, c=Fraction(1, 3)), 2)
+
+
+def test_antisymmetry_failure_in_a_later_chunk_is_reported_first(monkeypatch):
+    # the multiset Jacobi scan presumes antisymmetry on every pair, so an
+    # antisymmetry failure anywhere outranks a Jacobi failure in an earlier chunk
+    import jsalg.brackets as br
+
+    def worker(args):
+        lo = args[3]
+        if lo == 0:
+            return 1, "jacobi", (0, 0, 0), {}
+        return 1, "antisymmetry", (lo, lo), {}
+
+    monkeypatch.setattr(br, "pmap_chunks", lambda fn, chunks, workers: [fn(c) for c in chunks])
+    r = br._check("bracket-jacobi", worker, BracketSpec.h_type(1, 0), None, 2, 2,
+                  lambda N: {})
+    assert r.counterexample["identity"] == "antisymmetry"
+    assert r.counterexample["indices"] == [3, 3]

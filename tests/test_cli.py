@@ -41,6 +41,22 @@ def test_short_gradings_cli(capsys):
     # sl(1) has no candidate vertex: an empty report must not pass
     assert run("verify", "short-gradings", "--type", "sl", "--rank", "1") == 1
     capsys.readouterr()
+    # a negative rank is a usage error, not a failed check
+    assert run("verify", "short-gradings", "--type", "sl", "--rank", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_polynomial_parameters_are_usage_errors(capsys):
+    for argv in (("bracket-jacobi", "--k", "-1", "--n", "1"),
+                 ("bracket-kmc", "--kind", "k", "--k", "0", "--n", "-2"),
+                 ("bracket-leibniz", "--k", "1", "--n", "1", "--deg", "-1"),
+                 ("schouten", "--k", "-1", "--n", "2"),
+                 ("hk-fragment", "--kind", "h", "--k", "0", "--n", "-1")):
+        assert run("verify", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_export_import_roundtrip(tmp_path, capsys):

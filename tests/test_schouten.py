@@ -172,3 +172,20 @@ def test_pair_validation():
         bad.validate()
     pairing_h_pair(1, 3).validate()
     pairing_k_pair(1, 2).validate()
+
+
+def test_gpb_jacobi_reports_the_failing_identity():
+    from jsalg.acceptance import _gpb_jacobi
+
+    # an odd bivector (xi d/dx ^ d/dx) is symmetric on even functions
+    xi = SuperPoly.variable(1, 1, odd_var(0))
+    sym = ACPair(1, 1, (), ((xi, even_var(0), even_var(0)),))
+    r = _gpb_jacobi(sym, BracketSpec(1, 1, "h"), 2, "sym")
+    assert r.counterexample == {"identity": "antisymmetry", "indices": [2, 2]}
+    # d/dxi ^ d/dx is antisymmetric but not Jacobi
+    mixed = ACPair(1, 1, (), ((SuperPoly.one(1, 1), odd_var(0), even_var(0)),))
+    r = _gpb_jacobi(mixed, BracketSpec(1, 1, "h"), 2, "mixed")
+    assert r.counterexample == {"identity": "jacobi", "indices": [1, 1, 4]}
+    # the h pair at (1, 1) has scale 2 (its odd block is 1/2) and passes
+    r = _gpb_jacobi(pairing_h_pair(1, 1), BracketSpec.h_type(1, 1), 2, "h(1,1)")
+    assert r.passed and r.certified_span == {"tripleMultisets": 9 * 10 * 11 // 6}
