@@ -8,10 +8,22 @@ mark basis pairs whose product leaves the spanned degree range as
 out-of-span; every checker skips exactly the tuples that would need such a
 product and reports the certified count, so a pass is always an exact claim
 about a stated finite set.
+
+The three table identity checkers (check_jordan, check_relation10 and
+tkk.check_lie_table) read one table oracle, `_scaled_products`: rows[i][j]
+is scale * (e_i o e_j) as a sparse dict, {} for a zero product and None
+for an out-of-span pair, with scale the lcm of the table's denominators
+(1 for a GaussRational table, whose constants are used as they are).  They
+accumulate through one primitive, `_mul_into`, and report through one
+scan loop, `_table_report`, which counts certified and skipped tuples and
+keeps the first failure.  Every identity is homogeneous, so a residual of
+degree d in the structure constants is scale**d times the exact one;
+`_table_report` divides by scale**d when it reports residual coordinates.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -94,22 +106,15 @@ class FiniteSuperAlgebra:
 
     def commutativity_defect(self):
         """First (i, j, k) violating supercommutativity, or None."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                a = self.product(i, j)
-                b = self.product(j, i)
-                if (a is None) != (b is None):
-                    return (i, j, -1)
-                if a is None:
-                    continue
-                s = -1 if (self.parities[i] and self.parities[j]) else 1
-                keys = set(a) | set(b)
-                for k in keys:
-                    if a.get(k, 0) != s * b.get(k, 0):
-                        return (i, j, k)
-        return None
+        return self._symmetry_defect(1)
 
     def anticommutativity_defect(self):
+        """First (i, j, k) violating superanticommutativity, or None."""
+        return self._symmetry_defect(-1)
+
+    def _symmetry_defect(self, sign: int):
+        """First (i, j, k) with c_ij^k != sign (-1)^{p(i)p(j)} c_ji^k, or
+        (i, j, -1) when exactly one of the two products is out of span."""
         for i in range(self.dim):
             for j in range(self.dim):
                 a = self.product(i, j)
@@ -118,7 +123,7 @@ class FiniteSuperAlgebra:
                     return (i, j, -1)
                 if a is None:
                     continue
-                s = 1 if (self.parities[i] and self.parities[j]) else -1
+                s = -sign if (self.parities[i] and self.parities[j]) else sign
                 keys = set(a) | set(b)
                 for k in keys:
                     if a.get(k, 0) != s * b.get(k, 0):
@@ -171,14 +176,35 @@ class FiniteSuperAlgebra:
 
     @staticmethod
     def from_json_dict(d: dict) -> "FiniteSuperAlgebra":
+        """Parse the export format; a malformed file raises ValueError."""
+        if not isinstance(d, dict) or not isinstance(d.get("basis"), list):
+            raise ValueError("expected an object with a 'basis' list")
+        if not all(isinstance(b, dict) for b in d["basis"]):
+            raise ValueError("every basis entry must be an object")
         labels = [b["label"] for b in d["basis"]]
         parities = [int(b["parity"]) for b in d["basis"]]
         if any(p not in (0, 1) for p in parities):
             raise ValueError("parities must be 0 or 1")
+        dim = len(labels)
+
+        def index(i):
+            if not _is_int(i) or not 0 <= i < dim:
+                raise ValueError(f"basis index {i!r} out of range 0..{dim - 1}")
+            return i
+
         table: dict = {}
-        for i, j, k, num, den in d.get("c", []):
-            table.setdefault((i, j), {})[k] = Fraction(num, den)
-        oos = frozenset(tuple(p) for p in d.get("outOfSpan", []))
+        for entry in d.get("c", []):
+            if not isinstance(entry, list) or len(entry) != 5:
+                raise ValueError(f"'c' entry {entry!r} is not [i, j, k, num, den]")
+            i, j, k, num, den = entry
+            if not (_is_int(num) and _is_int(den)) or den == 0:
+                raise ValueError(f"'c' entry {entry!r} needs integers num and den != 0")
+            table.setdefault((index(i), index(j)), {})[index(k)] = Fraction(num, den)
+        oos = set()
+        for pair in d.get("outOfSpan", []):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"'outOfSpan' entry {pair!r} is not a pair")
+            oos.add((index(pair[0]), index(pair[1])))
         alg = FiniteSuperAlgebra(labels, parities, table, oos, name=d.get("name", ""))
         if not alg.parity_consistent():
             raise ValueError("parity-inconsistent structure constants")
@@ -197,6 +223,10 @@ class FiniteSuperAlgebra:
         return f"FiniteSuperAlgebra({self.name or 'anon'}, dim ({ev}|{od}))"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _one_like(J: FiniteSuperAlgebra):
     for vec in J.table.values():
         for c in vec.values():
@@ -205,69 +235,100 @@ def _one_like(J: FiniteSuperAlgebra):
     return Fraction(1)
 
 
-# -- scaled tables for the hot identity loops -----------------------------------
+# -- the table identity engine -------------------------------------------------------
 
 
 def _scaled_products(J: FiniteSuperAlgebra):
-    """Products with denominators cleared to plain ints when the table is
-    rational (identities are homogeneous, so scaling preserves zero-tests);
-    GaussRational tables are used as-is."""
-    dens = set()
-    rational = True
-    for vec in J.table.values():
-        for c in vec.values():
-            if isinstance(c, GaussRational):
-                rational = False
-                break
-            dens.add(c.denominator)
-        if not rational:
-            break
-    prods: dict = {}
+    """The table oracle: (rows, scale) with rows[i][j] = scale * (e_i o e_j)
+    as a sparse dict with no zero entries, {} for a zero product and None
+    for an out-of-span pair.  A rational table's denominators are cleared to
+    plain ints (scale = their lcm; identities are homogeneous, so scaling
+    preserves zero-tests); a GaussRational table is used as-is, scale 1.
+    The rows are shared and read-only."""
+    rational = not any(isinstance(c, GaussRational)
+                       for vec in J.table.values() for c in vec.values())
+    scale = 1
     if rational:
-        scale = 1
-        for d in dens:
-            scale = scale * d // _gcd(scale, d)
-        for (i, j), vec in J.table.items():
-            prods[(i, j)] = {k: int(c * scale) for k, c in vec.items()}
-    else:
-        for (i, j), vec in J.table.items():
-            prods[(i, j)] = dict(vec)
-    return prods
+        scale = math.lcm(1, *(c.denominator
+                              for vec in J.table.values() for c in vec.values()))
+    rows = [[{}] * J.dim for _ in range(J.dim)]
+    for (i, j), vec in J.table.items():
+        rows[i][j] = {k: int(c * scale) if rational else c
+                      for k, c in vec.items() if c}
+    for i, j in J.out_of_span:
+        rows[i][j] = None
+    return rows, scale
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _mul_into(acc: dict, rows, u: dict, v: dict, s: int = 1) -> bool:
+    """acc += s * (u o v), s = +-1, over the oracle rows; False on the first
+    product of nonzero coefficients that is out of span (acc is then
+    partial).
 
-
-def _vec_mul(prods, oos, u: dict, v: dict):
-    out: dict = {}
+    Entries are never deleted, so an intermediate vector may hold zeros;
+    zero coefficients are skipped, so such an entry never reads a product."""
     for i, ci in u.items():
+        if not ci:
+            continue
+        row = rows[i]
         for j, cj in v.items():
-            if (i, j) in oos:
-                return None
-            prod = prods.get((i, j))
-            if not prod:
+            if not cj:
                 continue
-            c = ci * cj
-            for k, x in prod.items():
-                s = out.get(k)
-                if s is None:
-                    out[k] = c * x
-                else:
-                    s = s + c * x
-                    if s:
-                        out[k] = s
+            p = row[j]
+            if p is None:
+                return False
+            if p:
+                # a unit factor (the basis-vector side of most calls) skips
+                # the multiply, which is costly on GaussRational
+                c = cj if ci == 1 else ci if cj == 1 else ci * cj
+                if s < 0:
+                    c = -c
+                for k, x in p.items():
+                    if k in acc:
+                        acc[k] += c * x
                     else:
-                        del out[k]
-    return out
+                        acc[k] = c * x
+    return True
 
 
-def _basis_mul(prods, oos, i: int, j: int):
-    if (i, j) in oos:
-        return None
-    return prods.get((i, j), {})
+def _table_report(suite, J: FiniteSuperAlgebra, t0, scan, unit, span,
+                  residual_degree=0) -> Report:
+    """Run one identity scan over J's table oracle and build its report.
+
+    scan(rows, parities, dim) yields (indices, residual) for each certified
+    tuple in canonical order and (n, None) for n skipped ones.  The first
+    nonzero residual is the counterexample; with residual_degree d its
+    coordinates are reported exactly, divided by scale**d.  A scan that
+    certifies no tuple fails: a pass must be a claim about a nonempty set.
+    """
+    rows, scale = _scaled_products(J)
+    certified = skipped = 0
+    ce = None
+    for idx, res in scan(rows, J.parities, J.dim):
+        if res is None:
+            skipped += idx
+            continue
+        certified += 1
+        if any(res.values()):
+            ce = {"indices": list(idx), "labels": [J.labels[t] for t in idx]}
+            if residual_degree:
+                den = scale ** residual_degree
+                ce["residualCoords"] = {
+                    str(k): str(v if den == 1 else Fraction(v, den))
+                    for k, v in res.items() if v
+                }
+            break
+    if ce is None and certified == 0:
+        ce = {"reason": f"no {unit} could be certified"}
+    units = unit.capitalize() + "s"
+    return Report(
+        suite,
+        {"algebra": J.name, "dim": J.dim},
+        {**span, f"certified{units}": certified, f"skipped{units}": skipped},
+        "pass" if ce is None else "fail",
+        ce,
+        elapsed_ms=(time.perf_counter() - t0) * 1000,
+    )
 
 
 def check_jordan(J: FiniteSuperAlgebra, workers=None) -> Report:
@@ -298,270 +359,100 @@ def check_jordan(J: FiniteSuperAlgebra, workers=None) -> Report:
             },
             elapsed_ms=(time.perf_counter() - t0) * 1000,
         )
-    prods = _scaled_products(J)
-    oos = J.out_of_span
-    par = J.parities
-    dim = J.dim
-    certified = 0
-    skipped = 0
-    ce = None
-    for a in range(dim):
-        if ce:
-            break
-        for b in range(a, dim):
-            if ce:
-                break
-            for c in range(b, dim):
-                ab = _basis_mul(prods, oos, a, b)
-                bc = _basis_mul(prods, oos, b, c)
-                ca = _basis_mul(prods, oos, c, a)
-                if ab is None or bc is None or ca is None:
-                    skipped += dim
-                    continue
-                pa, pb, pc = par[a], par[b], par[c]
-                s1 = -1 if (pa and pc) else 1
-                s2 = -1 if (pb and pa) else 1
-                s3 = -1 if (pc and pb) else 1
-                q1 = (pa + pb) & 1
-                q2 = (pb + pc) & 1
-                q3 = (pc + pa) & 1
-                for x in range(dim):
-                    res = _jordan_terms(
-                        prods, oos, par, ab, bc, ca, a, b, c, x,
-                        s1, s2, s3, q1, q2, q3,
-                    )
-                    if res is None:
-                        skipped += 1
-                        continue
-                    certified += 1
-                    if res:
-                        ce = {
-                            "indices": [a, b, c, x],
-                            "labels": [J.labels[t] for t in (a, b, c, x)],
-                            "residualCoords": {str(k): str(v) for k, v in res.items()},
-                        }
-                        break
-                if ce:
-                    break
-    span = {
-        "dim": J.dim,
-        "certifiedQuadruples": certified,
-        "skippedQuadruples": skipped,
-        "quantifier": "multisets a<=b<=c times all x",
-    }
-    if ce is None and certified == 0:
-        ce = {"reason": "no quadruple could be certified"}
-    return Report(
-        "jordan-identity",
-        params,
-        span,
-        "pass" if ce is None else "fail",
-        ce,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
+    return _table_report(
+        "jordan-identity", J, t0, _jordan_scan, "quadruple",
+        {"dim": J.dim, "quantifier": "multisets a<=b<=c times all x"},
+        residual_degree=3,
     )
 
 
-def _jordan_terms(prods, oos, par, ab, bc, ca, a, b, c, x, s1, s2, s3, q1, q2, q3):
-    """Residual of the Jordan identity applied to x; None when uncertified."""
-    res: dict = {}
-    for u_vec, w, s, q in ((ab, c, s1, q1), (bc, a, s2, q2), (ca, b, s3, q3)):
-        wx = _basis_mul(prods, oos, w, x)
-        if wx is None:
-            return None
-        t1 = _vec_mul(prods, oos, u_vec, wx)
-        if t1 is None:
-            return None
-        ux = _vec_mul(prods, oos, u_vec, {x: 1})
-        if ux is None:
-            return None
-        t2 = _vec_mul(prods, oos, {w: 1}, ux)
-        if t2 is None:
-            return None
-        sw = -1 if (q and par[w]) else 1
-        for k, v in t1.items():
-            sacc = res.get(k)
-            vv = v if s > 0 else -v
-            if sacc is None:
-                if vv:
-                    res[k] = vv
-            else:
-                sacc = sacc + vv
-                if sacc:
-                    res[k] = sacc
-                else:
-                    del res[k]
-        for k, v in t2.items():
-            vv = v if (s * sw) > 0 else -v
-            sacc = res.get(k)
-            if sacc is None:
-                if vv:
-                    res[k] = -vv
-            else:
-                sacc = sacc - vv
-                if sacc:
-                    res[k] = sacc
-                else:
-                    del res[k]
-    return res
+def _jordan_scan(rows, par, dim):
+    """sum over the cyclic terms (u, w) of (ab, c), (bc, a), (ca, b) of
+    s (u o (w o x)) - s s' (w o (u o x)), s the Koszul sign of the cyclic
+    shift and s' = (-1)^{p(u)p(w)}, on multisets a <= b <= c times all x."""
+    unit = [{i: 1} for i in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            for c in range(b, dim):
+                ab, bc, ca = rows[a][b], rows[b][c], rows[c][a]
+                if ab is None or bc is None or ca is None:
+                    yield dim, None
+                    continue
+                terms = []
+                for u, w, odd, pu in ((ab, c, par[a] and par[c], par[a] + par[b]),
+                                      (bc, a, par[b] and par[a], par[b] + par[c]),
+                                      (ca, b, par[c] and par[b], par[c] + par[a])):
+                    s = -1 if odd else 1
+                    terms.append((u, w, s, -s if (pu & 1 and par[w]) else s))
+                for x in range(dim):
+                    res: dict = {}
+                    for u, w, s, t in terms:
+                        wx = rows[w][x]
+                        if wx is None:
+                            res = None
+                            break
+                        if not u:
+                            continue
+                        ux: dict = {}
+                        if (wx and not _mul_into(res, rows, u, wx, s)
+                                or not _mul_into(ux, rows, u, unit[x])
+                                or ux and not _mul_into(res, rows, unit[w], ux, -t)):
+                            res = None
+                            break
+                    yield ((a, b, c, x), res) if res is not None else (1, None)
 
 
 def check_relation10(J: FiniteSuperAlgebra, workers=None) -> Report:
     """[[L_a, L_b], L_c] = (-1)^{p(b)p(c)} L_{a o (c o b) - (a o c) o b} on all
     ordered basis triples applied to every basis element in span."""
-    t0 = time.perf_counter()
-    params = {"algebra": J.name, "dim": J.dim}
-    prods = _scaled_products(J)
-    oos = J.out_of_span
-    par = J.parities
-    dim = J.dim
-    certified = 0
-    skipped = 0
-    ce = None
-    for a in range(dim):
-        if ce:
-            break
-        pa = par[a]
-        for b in range(dim):
-            if ce:
-                break
-            pb = par[b]
-            s_ab = -1 if (pa and pb) else 1
-            # K(x) = a o (b o x) - (-1)^{pa pb} b o (a o x)
-            Kx = []
-            for x in range(dim):
-                bx = _basis_mul(prods, oos, b, x)
-                ax = _basis_mul(prods, oos, a, x)
-                if bx is None or ax is None:
-                    Kx.append(None)
-                    continue
-                t1 = _vec_mul(prods, oos, {a: 1}, bx)
-                t2 = _vec_mul(prods, oos, {b: 1}, ax)
-                if t1 is None or t2 is None:
-                    Kx.append(None)
-                    continue
-                acc = dict(t1)
-                for k, v in t2.items():
-                    vv = v if s_ab > 0 else -v
-                    s = acc.get(k)
-                    if s is None:
-                        if vv:
-                            acc[k] = -vv
-                    else:
-                        s = s - vv
-                        if s:
-                            acc[k] = s
-                        else:
-                            del acc[k]
-                Kx.append(acc)
-            for c in range(dim):
-                pc = par[c]
-                cb = _basis_mul(prods, oos, c, b)
-                ac = _basis_mul(prods, oos, a, c)
-                if cb is None or ac is None:
-                    skipped += dim
-                    continue
-                v1 = _vec_mul(prods, oos, {a: 1}, cb)
-                v2 = _vec_mul(prods, oos, ac, {b: 1})
-                if v1 is None or v2 is None:
-                    skipped += dim
-                    continue
-                v = dict(v1)
-                for k, val in v2.items():
-                    s = v.get(k)
-                    if s is None:
-                        if val:
-                            v[k] = -val
-                    else:
-                        s = s - val
-                        if s:
-                            v[k] = s
-                        else:
-                            del v[k]
-                s_rhs = -1 if (pb and pc) else 1
-                s_kc = -1 if (((pa + pb) & 1) and pc) else 1
-                for x in range(dim):
-                    cx = _basis_mul(prods, oos, c, x)
-                    if cx is None or Kx[x] is None:
-                        skipped += 1
-                        continue
-                    # K(c o x)
-                    lhs: dict = {}
-                    bad = False
-                    for y, cy in cx.items():
-                        if Kx[y] is None:
-                            bad = True
-                            break
-                        for k, val in Kx[y].items():
-                            s = lhs.get(k)
-                            if s is None:
-                                if cy * val:
-                                    lhs[k] = cy * val
-                            else:
-                                s = s + cy * val
-                                if s:
-                                    lhs[k] = s
-                                else:
-                                    del lhs[k]
-                    if bad:
-                        skipped += 1
-                        continue
-                    t2 = _vec_mul(prods, oos, {c: 1}, Kx[x])
-                    if t2 is None:
-                        skipped += 1
-                        continue
-                    for k, val in t2.items():
-                        vv = val if s_kc > 0 else -val
-                        s = lhs.get(k)
-                        if s is None:
-                            if vv:
-                                lhs[k] = -vv
-                        else:
-                            s = s - vv
-                            if s:
-                                lhs[k] = s
-                            else:
-                                del lhs[k]
-                    rhs = _vec_mul(prods, oos, v, {x: 1})
-                    if rhs is None:
-                        skipped += 1
-                        continue
-                    certified += 1
-                    for k, val in rhs.items():
-                        vv = val if s_rhs > 0 else -val
-                        s = lhs.get(k)
-                        if s is None:
-                            if vv:
-                                lhs[k] = -vv
-                        else:
-                            s = s - vv
-                            if s:
-                                lhs[k] = s
-                            else:
-                                del lhs[k]
-                    if lhs:
-                        ce = {
-                            "indices": [a, b, c, x],
-                            "labels": [J.labels[t] for t in (a, b, c, x)],
-                        }
-                        break
-                if ce:
-                    break
-    span = {
-        "dim": J.dim,
-        "certifiedQuadruples": certified,
-        "skippedQuadruples": skipped,
-        "quantifier": "ordered triples times all x",
-    }
-    if ce is None and certified == 0:
-        ce = {"reason": "no quadruple could be certified"}
-    return Report(
-        "jordan-relation10",
-        params,
-        span,
-        "pass" if ce is None else "fail",
-        ce,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
+    return _table_report(
+        "jordan-relation10", J, time.perf_counter(), _relation10_scan,
+        "quadruple", {"dim": J.dim, "quantifier": "ordered triples times all x"},
     )
+
+
+def _relation10_scan(rows, par, dim):
+    """K(c o x) - (-1)^{(p(a)+p(b))p(c)} c o K(x) - (-1)^{p(b)p(c)} v o x with
+    K(x) = a o (b o x) - (-1)^{p(a)p(b)} b o (a o x), precomputed per (a, b),
+    and v = a o (c o b) - (a o c) o b."""
+    unit = [{i: 1} for i in range(dim)]
+    for a in range(dim):
+        ra = rows[a]
+        for b in range(dim):
+            rb = rows[b]
+            s_ab = -1 if (par[a] and par[b]) else 1
+            K = []
+            K_row = [K]
+            for x in range(dim):
+                bx, ax = rb[x], ra[x]
+                kx: dict = {}
+                if (bx is None or ax is None
+                        or bx and not _mul_into(kx, rows, unit[a], bx)
+                        or ax and not _mul_into(kx, rows, unit[b], ax, -s_ab)):
+                    kx = None
+                K.append(kx)
+            for c in range(dim):
+                rc = rows[c]
+                cb, ac = rc[b], ra[c]
+                v: dict = {}
+                if (cb is None or ac is None
+                        or cb and not _mul_into(v, rows, unit[a], cb)
+                        or ac and not _mul_into(v, rows, ac, unit[b], -1)):
+                    yield dim, None
+                    continue
+                s_rhs = -1 if (par[b] and par[c]) else 1
+                s_kc = -1 if (((par[a] + par[b]) & 1) and par[c]) else 1
+                for x in range(dim):
+                    cx, kx = rc[x], K[x]
+                    lhs: dict = {}
+                    # K(c o x) reads K as the one-row table K_row
+                    if (cx is None or kx is None
+                            or cx and not _mul_into(lhs, K_row, unit[0], cx)
+                            or kx and not _mul_into(lhs, rows, unit[c], kx, -s_kc)
+                            or v and not _mul_into(lhs, rows, v, unit[x], -s_rhs)):
+                        yield 1, None
+                    else:
+                        yield (a, b, c, x), lhs
 
 
 # -- simplicity and isomorphism ---------------------------------------------------

@@ -85,6 +85,21 @@ def test_import_rejects_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_import_rejects_malformed_files(tmp_path, capsys):
+    basis = [{"label": "a", "parity": 0}, {"label": "b", "parity": 0}]
+    for name, data in (
+        ("c index out of range", {"basis": basis, "c": [[0, 0, 2, 1, 1]]}),
+        ("zero denominator", {"basis": basis, "c": [[0, 0, 0, 1, 0]]}),
+        ("top-level list", [basis]),
+        ("outOfSpan pair out of range", {"basis": basis, "outOfSpan": [[0, 5]]}),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run("import", "--in", str(path)) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+
+
 def test_jck_export_is_a_usage_error(capsys):
     assert run("export", "--family", "JCK", "--deg", "1",
                "--out", os.devnull) == 2
