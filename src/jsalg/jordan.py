@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 
 from .brackets import BracketSpec, DerivationD, bracket, d_modified
-from .linalg import Echelon, solve_linear
+from .linalg import Echelon, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .scalars import GaussRational
 from .superpoly import (
@@ -44,13 +44,19 @@ class FiniteSuperAlgebra:
     """Based Z/2-graded algebra with a sparse structure-constant table.
 
     table[(i, j)] is a dict k -> coefficient for e_i o e_j (missing pair =
-    zero product); pairs in out_of_span have no stored product at all.
+    zero product); pairs in out_of_span have no stored product at all.  The
+    constructor drops zero coefficients and the products they leave empty,
+    so no stored vector holds a zero.
     """
 
     def __init__(self, labels, parities, table, out_of_span=(), name=""):
         self.labels = list(labels)
         self.parities = list(parities)
-        self.table = {k: dict(v) for k, v in table.items() if v}
+        self.table = {}
+        for key, vec in table.items():
+            vec = {k: c for k, c in vec.items() if c}
+            if vec:
+                self.table[key] = vec
         self.out_of_span = frozenset(out_of_span)
         self.name = name
 
@@ -84,17 +90,7 @@ class FiniteSuperAlgebra:
                 prod = self.product(i, j)
                 if prod is None:
                     return None
-                c = ci * cj
-                for k, x in prod.items():
-                    s = out.get(k)
-                    if s is None:
-                        out[k] = c * x
-                    else:
-                        s = s + c * x
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
+                vec_iadd(out, prod, ci * cj)
         return out
 
     def parity_consistent(self) -> bool:
@@ -254,7 +250,7 @@ def _scaled_products(J: FiniteSuperAlgebra):
     rows = [[{}] * J.dim for _ in range(J.dim)]
     for (i, j), vec in J.table.items():
         rows[i][j] = {k: int(c * scale) if rational else c
-                      for k, c in vec.items() if c}
+                      for k, c in vec.items()}
     for i, j in J.out_of_span:
         rows[i][j] = None
     return rows, scale
@@ -468,7 +464,8 @@ def ideal_closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
 
 def _closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
     """The ideal closure loop; a product that leaves a truncated table's
-    span is skipped."""
+    span is skipped.  It stops once the span is the whole algebra, whose
+    RREF basis no further product can change."""
     ech = Echelon()
     frontier = []
     if ech.insert(dict(seed_vec)) is not None:
@@ -480,19 +477,12 @@ def _closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
             for i in range(J.dim):
                 prod: dict = {}
                 for j, cj in w.items():
-                    if (i, j) in oos:
-                        continue
-                    for k, x in table.get((i, j), {}).items():
-                        s = prod.get(k)
-                        if s is None:
-                            prod[k] = cj * x
-                        else:
-                            s = s + cj * x
-                            if s:
-                                prod[k] = s
-                            else:
-                                del prod[k]
+                    p = table.get((i, j))
+                    if p and (i, j) not in oos:
+                        vec_iadd(prod, p, cj)
                 if prod and ech.insert(prod) is not None:
+                    if ech.rank == J.dim:
+                        return ech
                     new_frontier.append(prod)
         frontier = new_frontier
     return ech
@@ -591,18 +581,7 @@ def check_iso(w: IsoWitness) -> Report:
                 continue
             lhs = {}
             for k, c in prod.items():
-                for t, x in w.image(k).items():
-                    s = lhs.get(t)
-                    v = c * x
-                    if s is None:
-                        if v:
-                            lhs[t] = v
-                    else:
-                        s = s + v
-                        if s:
-                            lhs[t] = s
-                        else:
-                            del lhs[t]
+                vec_iadd(lhs, w.image(k), c)
             rhs = T.mul_vectors(w.image(i), w.image(j))
             if rhs is None or lhs != rhs:
                 ce = {
@@ -625,24 +604,18 @@ def check_iso(w: IsoWitness) -> Report:
 # -- matrix realizations -----------------------------------------------------------
 
 
-def _mat_mul(A: dict, B: dict, size: int) -> dict:
-    out: dict = {}
-    cols: dict = {}
+def _mat_mul(A: dict, B: dict) -> dict:
+    """The product AB of sparse matrices stored as (row, col) -> entry:
+    row r of AB is the sum over A[r, c] of A[r, c] times row c of B."""
+    rows_b: dict = {}
     for (r, c), v in B.items():
-        cols.setdefault(r, []).append((c, v))
+        rows_b.setdefault(r, {})[c] = v
+    rows: dict = {}
     for (r, c), v in A.items():
-        for c2, w in cols.get(c, ()):  # A[r,c] B[c,c2]
-            key = (r, c2)
-            s = out.get(key)
-            if s is None:
-                out[key] = v * w
-            else:
-                s = s + v * w
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return out
+        row = rows_b.get(c)
+        if row:
+            vec_iadd(rows.setdefault(r, {}), row, v)
+    return {(r, c): v for r, row in rows.items() for c, v in row.items()}
 
 
 def _mat_parity(M: dict, mdim: int) -> int:
@@ -668,25 +641,10 @@ def _algebra_from_matrices(mats, size, mdim, labels, name) -> FiniteSuperAlgebra
     half = Fraction(1, 2)
     for i, A in enumerate(mats):
         for j, B in enumerate(mats):
-            AB = _mat_mul(A, B, size)
-            BA = _mat_mul(B, A, size)
-            s = -1 if (parities[i] and parities[j]) else 1
             prod: dict = {}
-            for key, v in AB.items():
-                prod[key] = v * half
-            for key, v in BA.items():
-                w = v * half
-                if s < 0:
-                    w = -w
-                t = prod.get(key)
-                if t is None:
-                    prod[key] = w
-                else:
-                    t = t + w
-                    if t:
-                        prod[key] = t
-                    else:
-                        del prod[key]
+            vec_iadd(prod, _mat_mul(A, B), half)
+            vec_iadd(prod, _mat_mul(B, A),
+                     -half if (parities[i] and parities[j]) else half)
             sol = solver.solve({r * size + c: v for (r, c), v in prod.items()})
             if sol is None:
                 raise ValueError("product leaves the matrix family span")
@@ -736,7 +694,7 @@ def ospplus(m: int, n: int) -> FiniteSuperAlgebra:
         Binv[(m + r + i, m + i)] = Fraction(1)
 
     def star(M: dict) -> dict:
-        return _mat_mul(_mat_mul(Binv, _sup_transpose(M, m), size), B, size)
+        return _mat_mul(_mat_mul(Binv, _sup_transpose(M, m)), B)
 
     mats, labels = _selfadjoint_basis(size, m, star)
     alg = _algebra_from_matrices(mats, size, m, labels, f"osp({m},{n})+")
@@ -800,16 +758,7 @@ def _selfadjoint_basis(size, mdim, star):
             Us = star(U)
             assert star(Us) == U, "star is not an involution"
             cand: dict = dict(U)
-            for key, v in Us.items():
-                s = cand.get(key)
-                if s is None:
-                    cand[key] = v
-                else:
-                    s = s + v
-                    if s:
-                        cand[key] = s
-                    else:
-                        del cand[key]
+            vec_iadd(cand, Us)
             if not cand:
                 continue
             vec = {rr * size + cc: v for (rr, cc), v in cand.items()}
@@ -909,37 +858,13 @@ def falg() -> FiniteSuperAlgebra:
                 for v2 in range(kdim):
                     sign = -1 if (kpar[v1] and kpar[u2]) else 1
                     prod: dict = {}
-                    uu = K.product(u1, u2)
                     vv = K.product(v1, v2)
-                    for w, cw in uu.items():
-                        for z, cz in vv.items():
-                            c = cw * cz
-                            key = idx(w, z)
-                            s = prod.get(key)
-                            if s is None:
-                                prod[key] = c
-                            else:
-                                s = s + c
-                                if s:
-                                    prod[key] = s
-                                else:
-                                    del prod[key]
+                    for w, cw in K.product(u1, u2).items():
+                        vec_iadd(prod, {idx(w, z): cz for z, cz in vv.items()}, sign * cw)
                     fc = form.get((u1, u2), Fraction(0)) * form.get((v1, v2), Fraction(0))
                     if fc:
-                        c = -Fraction(3, 4) * fc
-                        s = prod.get(0)
-                        if s is None:
-                            prod[0] = c
-                        else:
-                            s = s + c
-                            if s:
-                                prod[0] = s
-                            else:
-                                del prod[0]
-                    if sign < 0:
-                        prod = {k: -v for k, v in prod.items()}
-                    if prod:
-                        table[(idx(u1, v1), idx(u2, v2))] = prod
+                        vec_iadd(prod, {0: -Fraction(3, 4) * fc}, sign)
+                    table[(idx(u1, v1), idx(u2, v2))] = prod
     return FiniteSuperAlgebra(labels, parities, table, name="F")
 
 
@@ -1053,22 +978,14 @@ def build_jck(deg: int) -> FiniteSuperAlgebra:
     def put(r, c, entries):
         # entries: list of (coeff, xdeg, unit, eta)
         vec = {}
-        bad = False
         for coeff, a, u, eta in entries:
             if not coeff:
                 continue
             if a > deg:
-                bad = True
-                break
-            k = pos[(a, u)] + (N if eta else 0)
-            s = vec.get(k)
-            vec[k] = coeff if s is None else s + coeff
-            if not vec[k]:
-                del vec[k]
-        if bad:
-            oos.add((r, c))
-        elif vec:
-            table[(r, c)] = vec
+                oos.add((r, c))
+                return
+            vec_iadd(vec, {pos[(a, u)] + (N if eta else 0): coeff})
+        table[(r, c)] = vec
 
     for r, (a, u) in enumerate(base):
         for c, (b, v) in enumerate(base):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import BracketSpec, DerivationD, bracket
-from .jordan import FiniteSuperAlgebra, kkm_double
-from .linalg import CoordSolver, Echelon, nullspace, solve_linear
+from .jordan import FiniteSuperAlgebra, _mat_mul, kkm_double
+from .linalg import CoordSolver, Echelon, nullspace, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
     SuperPoly,
@@ -66,23 +66,30 @@ class ClassicalAlgebra:
         flat = {r * self.size + c: v for (r, c), v in M.items()}
         return self.coord_solver().solve(flat)
 
-    def structure(self):
-        """c[i][j] = coordinates of [X_i, X_j]."""
-        if not hasattr(self, "_sc"):
+    def algebra(self) -> FiniteSuperAlgebra:
+        """The structure constants as an even table: c[(i, j)] holds the
+        coordinates of [X_i, X_j]."""
+        if not hasattr(self, "_alg"):
             sc = {}
+            # [X_j, X_i] = -[X_i, X_j], so only the pairs i < j are solved
             for i, A in enumerate(self.basis):
-                for j, B in enumerate(self.basis):
-                    C = _comm(A, B)
+                for j in range(i + 1, self.dim):
+                    C = _comm(A, self.basis[j])
                     if not C:
                         continue
                     coords = self.to_coords(C)
                     if coords is None:
                         raise ValueError("bracket leaves the algebra")
                     vec = {k: c for k, c in enumerate(coords) if c}
-                    if vec:
-                        sc[(i, j)] = vec
-            self._sc = sc
-        return self._sc
+                    sc[(i, j)] = vec
+                    sc[(j, i)] = {k: -c for k, c in vec.items()}
+            self._alg = FiniteSuperAlgebra(self.labels, [0] * self.dim, sc,
+                                           name=f"{self.family}({self.size})")
+        return self._alg
+
+    def structure(self):
+        """c[(i, j)] = coordinates of [X_i, X_j]."""
+        return self.algebra().table
 
     def ad(self, vec: dict) -> dict:
         """ad of a coordinate vector, as a coordinate colmap."""
@@ -91,72 +98,20 @@ class ClassicalAlgebra:
         for j in range(self.dim):
             col: dict = {}
             for i, ci in vec.items():
-                for k, c in sc.get((i, j), {}).items():
-                    s = col.get(k)
-                    if s is None:
-                        col[k] = ci * c
-                    else:
-                        s = s + ci * c
-                        if s:
-                            col[k] = s
-                        else:
-                            del col[k]
+                p = sc.get((i, j))
+                if p:
+                    vec_iadd(col, p, ci)
             if col:
                 out[j] = col
         return out
 
     def bracket_vec(self, u: dict, v: dict) -> dict:
-        sc = self.structure()
-        out: dict = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, c in sc.get((i, j), {}).items():
-                    s = out.get(k)
-                    w = ci * cj * c
-                    if s is None:
-                        if w:
-                            out[k] = w
-                    else:
-                        s = s + w
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
-        return out
+        return self.algebra().mul_vectors(u, v)
 
 
 def _comm(A: dict, B: dict) -> dict:
-    out: dict = {}
-    rowsB: dict = {}
-    for (r, c), v in B.items():
-        rowsB.setdefault(r, []).append((c, v))
-    for (r, c), v in A.items():
-        for c2, w in rowsB.get(c, ()):
-            key = (r, c2)
-            s = out.get(key)
-            if s is None:
-                out[key] = v * w
-            else:
-                s = s + v * w
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    rowsA: dict = {}
-    for (r, c), v in A.items():
-        rowsA.setdefault(r, []).append((c, v))
-    for (r, c), v in B.items():
-        for c2, w in rowsA.get(c, ()):
-            key = (r, c2)
-            s = out.get(key)
-            if s is None:
-                out[key] = -v * w
-            else:
-                s = s - v * w
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+    out = _mat_mul(A, B)
+    vec_iadd(out, _mat_mul(B, A), -1)
     return out
 
 
@@ -211,16 +166,7 @@ def classical(family: str, size: int) -> ClassicalAlgebra:
                 # U - B^{-1} U^t B, the skew projection for the form
                 Ut = {(c2, r2): v for (r2, c2), v in U.items()}
                 cand = dict(U)
-                for key, v in _mat_mul3(Binv, Ut, B, n).items():
-                    s = cand.get(key)
-                    if s is None:
-                        cand[key] = -v
-                    else:
-                        s = s - v
-                        if s:
-                            cand[key] = s
-                        else:
-                            del cand[key]
+                vec_iadd(cand, _mat_mul(_mat_mul(Binv, Ut), B), -1)
                 if not cand:
                     continue
                 flat = {a * n + b: v for (a, b), v in cand.items()}
@@ -251,29 +197,6 @@ def _invert_form(B: dict, n: int) -> dict:
             if v:
                 out[(i, j)] = v
     return out
-
-
-def _mat_mul3(A, B, C, n):
-    def mul2(X, Y):
-        rowsY = {}
-        for (r, c), v in Y.items():
-            rowsY.setdefault(r, []).append((c, v))
-        out = {}
-        for (r, c), v in X.items():
-            for c2, w in rowsY.get(c, ()):
-                key = (r, c2)
-                s = out.get(key)
-                if s is None:
-                    out[key] = v * w
-                else:
-                    s = s + v * w
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return out
-
-    return mul2(mul2(A, B), C)
 
 
 # -- Killing form and short-grading data ---------------------------------------------
@@ -435,18 +358,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
     for _ in range(samples):
         e: dict = {}
         for v in minus:
-            c = rng.rational()
-            if c:
-                for k, x in v.items():
-                    s = e.get(k)
-                    if s is None:
-                        e[k] = c * x
-                    else:
-                        s = s + c * x
-                        if s:
-                            e[k] = s
-                        else:
-                            del e[k]
+            vec_iadd(e, v, rng.rational())
         if not e:
             records.append({"solvable": False, "condition17": False})
             continue
@@ -459,16 +371,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
         for kerc in nullspace([dict(c) for c in cent_cols]):
             z: dict = {}
             for idx, c in kerc.items():
-                for k, x in zero[idx].items():
-                    s = z.get(k)
-                    if s is None:
-                        z[k] = c * x
-                    else:
-                        s = s + c * x
-                        if s:
-                            z[k] = s
-                        else:
-                            del z[k]
+                vec_iadd(z, zero[idx], c)
             if killing_pairing(L, z, h):
                 cond17 = False
                 break
@@ -476,17 +379,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
         if solvable and triple is None:
             f: dict = {}
             for idx, c in enumerate(sol):
-                if c:
-                    for k, x in plus[idx].items():
-                        s = f.get(k)
-                        if s is None:
-                            f[k] = c * x
-                        else:
-                            s = s + c * x
-                            if s:
-                                f[k] = s
-                            else:
-                                del f[k]
+                vec_iadd(f, plus[idx], c)
             if _verify_triple(L, e, h, f, adh):
                 triple = (e, h, f)
     return triple, records, {lam: len(v) for lam, v in eig.items()}
@@ -678,10 +571,11 @@ def h_zero_n_lie(n: int, derived: bool = True) -> FiniteSuperAlgebra:
             vec = _poly_coords(bracket(spec, fa, fb), pos, n, True)
             if vec:
                 full[(i, j)] = vec
+    labels = [render_monomial(mo, 0, n) for mo in monos]
+    parities = [mono_parity(mo) for mo in monos]
+    H = FiniteSuperAlgebra(labels, parities, full, name=f"H'(0,{n})")
     if not derived:
-        labels = [render_monomial(mo, 0, n) for mo in monos]
-        parities = [mono_parity(mo) for mo in monos]
-        return FiniteSuperAlgebra(labels, parities, full, name=f"H'(0,{n})")
+        return H
     solver = CoordSolver()
     span_rows = []
     for (i, j), vec in sorted(full.items()):
@@ -696,21 +590,7 @@ def h_zero_n_lie(n: int, derived: bool = True) -> FiniteSuperAlgebra:
     table = {}
     for i, u in enumerate(span_rows):
         for j, v in enumerate(span_rows):
-            w: dict = {}
-            for a, ca in u.items():
-                for b, cb in v.items():
-                    for kk, c in full.get((a, b), {}).items():
-                        s = w.get(kk)
-                        x = ca * cb * c
-                        if s is None:
-                            if x:
-                                w[kk] = x
-                        else:
-                            s = s + x
-                            if s:
-                                w[kk] = s
-                            else:
-                                del w[kk]
+            w = H.mul_vectors(u, v)
             if not w:
                 continue
             sol = solver.solve(w)
@@ -867,6 +747,7 @@ def _check_double_map(src: FiniteSuperAlgebra, tgt: FiniteSuperAlgebra,
         images = [
             (idx, -c if idx < eta_offset else c) for idx, c in images
         ]
+    image_vecs = [{idx: c} for idx, c in images]
     ce = None
     certified = 0
     skipped = 0
@@ -881,18 +762,7 @@ def _check_double_map(src: FiniteSuperAlgebra, tgt: FiniteSuperAlgebra,
                 continue
             lhs = {}
             for k, c in sp.items():
-                kk, ck = images[k]
-                v = c * ck
-                s = lhs.get(kk)
-                if s is None:
-                    if v:
-                        lhs[kk] = v
-                else:
-                    s = s + v
-                    if s:
-                        lhs[kk] = s
-                    else:
-                        del lhs[kk]
+                vec_iadd(lhs, image_vecs[k], c)
             rhs = {k: ci * cj * c for k, c in tp.items() if ci * cj * c}
             certified += 1
             if lhs != rhs:

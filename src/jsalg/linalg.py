@@ -1,6 +1,6 @@
-"""Sparse exact linear algebra over Q: one reduced row echelon span with
-deterministic pivoting, and the membership tests, coordinate solves and
-kernels built on it.
+"""Sparse exact linear algebra over Q: the one scaled sparse add
+(`vec_iadd`), one reduced row echelon span with deterministic pivoting, and
+the membership tests, coordinate solves and kernels built on it.
 
 Vectors are dicts coordinate -> Fraction (zero entries absent).  Pivots are
 the smallest coordinate of each row, rows are normalized to pivot 1 and kept
@@ -23,14 +23,19 @@ from fractions import Fraction
 
 
 def vec_iadd(out: dict, v: dict, c=1) -> None:
+    """out += c * v in place: the one sparse accumulate of jsalg.  An entry
+    that cancels is deleted, so zero-free inputs give a zero-free out."""
+    if not c:
+        return
+    one = c == 1
     for k, x in v.items():
+        y = x if one else c * x
         s = out.get(k)
         if s is None:
-            y = c * x
             if y:
                 out[k] = y
         else:
-            s = s + c * x
+            s = s + y
             if s:
                 out[k] = s
             else:
@@ -68,20 +73,7 @@ class Echelon:
                     break
             if hit is None:
                 return out
-            c = out[hit]
-            row = rows[hit]
-            for k, x in row.items():
-                s = out.get(k)
-                if s is None:
-                    y = -c * x
-                    if y:
-                        out[k] = y
-                else:
-                    s = s - c * x
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+            vec_iadd(out, rows[hit], -out[hit])
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -101,18 +93,7 @@ class Echelon:
         for r in self.rows.values():
             c = r.get(piv)
             if c:
-                for k, x in row.items():
-                    s = r.get(k)
-                    if s is None:
-                        y = -c * x
-                        if y:
-                            r[k] = y
-                    else:
-                        s = s - c * x
-                        if s:
-                            r[k] = s
-                        else:
-                            del r[k]
+                vec_iadd(r, row, -c)
         self.rows[piv] = row
         return piv
 

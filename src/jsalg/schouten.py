@@ -32,7 +32,6 @@ MAX_DEGREE = 3
 
 
 def _factor_key(v: VarRef) -> FactorKey:
-    v = v.resolved()
     return (0, v.index) if v.kind == "even" else (1, v.index)
 
 
@@ -219,10 +218,6 @@ def _homogeneous_parts(poly: SuperPoly):
             p.terms = part
             out.append(p)
     return out
-
-
-def _single(m: int, n: int, key: FactorKey) -> tuple:
-    return SuperPoly.one(m, n), (key,)
 
 
 def _term_parity(f: SuperPoly, W: tuple) -> int:

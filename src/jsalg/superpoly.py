@@ -26,15 +26,10 @@ Monomial = tuple  # (tuple[int, ...], tuple[int, ...])
 
 @dataclass(frozen=True)
 class VarRef:
-    """A generator reference.  kind "even"/"odd"; "time" aliases even index 0."""
+    """A generator reference: kind "even" or "odd", and its index."""
 
     kind: str
     index: int = 0
-
-    def resolved(self) -> "VarRef":
-        if self.kind == "time":
-            return VarRef("even", 0)
-        return self
 
 
 def even_var(i: int) -> VarRef:
@@ -43,10 +38,6 @@ def even_var(i: int) -> VarRef:
 
 def odd_var(j: int) -> VarRef:
     return VarRef("odd", j)
-
-
-def time_var() -> VarRef:
-    return VarRef("time", 0)
 
 
 def merge_odds(s: tuple, t: tuple):
@@ -122,7 +113,6 @@ class SuperPoly:
 
     @staticmethod
     def variable(m: int, n: int, v: VarRef) -> "SuperPoly":
-        v = v.resolved()
         if v.kind == "even":
             if not 0 <= v.index < m:
                 raise ValueError(f"even index {v.index} out of range for m={m}")
@@ -284,7 +274,6 @@ def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
 
 def mono_partial(mono: Monomial, v: VarRef):
     """Left partial derivative of a monomial: (coefficient, monomial) or None."""
-    v = v.resolved()
     evens, odds = mono
     if v.kind == "even":
         e = evens[v.index]
@@ -303,7 +292,6 @@ def mono_partial(mono: Monomial, v: VarRef):
 def partial(f: SuperPoly, v: VarRef) -> SuperPoly:
     """Left partial derivative; odd derivatives carry the Koszul sign of the
     factors preceding the differentiated generator."""
-    v = v.resolved()
     if v.kind == "even" and not 0 <= v.index < f.m:
         raise ValueError(f"even index {v.index} out of range")
     if v.kind == "odd" and not 0 <= v.index < f.n:

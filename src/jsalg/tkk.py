@@ -92,14 +92,9 @@ class WOp:
         return self.cols.get(x, {})
 
     def apply(self, vec: dict):
-        out: dict = {}
-        for c, cv in vec.items():
-            if c not in self.domain:
-                return None
-            col = self.cols.get(c)
-            if col:
-                vec_iadd(out, col, cv)
-        return out
+        if not self.domain.issuperset(vec):
+            return None
+        return matrix_apply(self.cols, vec)
 
     def window_flat(self, win, dim: int):
         return {x * dim + r: v for x, col in self.cols.items() if x in win

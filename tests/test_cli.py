@@ -100,6 +100,14 @@ def test_import_rejects_malformed_files(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, name
 
 
+def test_import_counts_no_stored_zero(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"basis": [{"label": "a", "parity": 0}],
+                                "c": [[0, 0, 0, 0, 1]]}))
+    assert run("import", "--in", str(path)) == 0
+    assert "0 nonzero products" in capsys.readouterr().out
+
+
 def test_jck_export_is_a_usage_error(capsys):
     assert run("export", "--family", "JCK", "--deg", "1",
                "--out", os.devnull) == 2

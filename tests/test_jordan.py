@@ -272,3 +272,25 @@ def test_kkm_even_part_associative_regular_module():
             ba = J.product(b, a)
             assert v == {N + k: c for k, c in ba.items()}
             assert J.parities[N + b] == (J.parities[b] + 1) % 2
+
+
+def test_explicit_zero_constants_are_dropped():
+    # a stored 0 is no product: nothing may take it as a pivot or count it
+    a = {"label": "a", "parity": 0}
+    J = FiniteSuperAlgebra.from_json_dict({"basis": [a], "c": [[0, 0, 0, 0, 1]]})
+    assert J.find_unit() is None
+    assert J.to_json_dict()["c"] == []
+    assert check_simple(J) is False
+    assert J.table == {}
+    # unital e, x with e e = e, e x = x e = x and a stored x x = 0 e
+    e, x = {"label": "e", "parity": 0}, {"label": "x", "parity": 0}
+    J = FiniteSuperAlgebra.from_json_dict({"basis": [e, x], "c": [
+        [0, 0, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 1, 1, 1], [1, 1, 0, 0, 1]]})
+    assert J.find_unit() == {0: 1}
+    d = J.to_json_dict()
+    assert d["unit"] == 0 and [1, 1, 0, 0, 1] not in d["c"]
+    assert (1, 1) not in J.table
+    assert check_simple(J) is False  # span{x} is an ideal
+    # the constructor drops zeros of any table, GaussRational ones too
+    G = FiniteSuperAlgebra(["u"], [0], {(0, 0): {0: GaussRational(0)}})
+    assert G.table == {}

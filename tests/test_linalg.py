@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsalg.linalg import CoordSolver, Echelon, nullspace, solve_linear
+from jsalg.linalg import CoordSolver, Echelon, nullspace, solve_linear, vec_iadd
 
 KEYS = 5
 OUTSIDE = KEYS  # a coordinate no column uses
@@ -54,6 +54,18 @@ def rank_of(columns):
     for col in columns:
         ech.insert(dict(col))
     return ech.rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors, vectors, st.one_of(st.just(0), st.just(1), scalars))
+def test_vec_iadd_is_the_dense_sum_and_stores_no_zero(u, v, c):
+    out, before = dict(u), dict(v)
+    vec_iadd(out, v, c)
+    dense = [u.get(k, 0) + c * v.get(k, 0) for k in range(KEYS)]
+    assert set(out) <= set(range(KEYS))
+    assert [out.get(k, 0) for k in range(KEYS)] == dense
+    assert all(x != 0 for x in out.values())
+    assert v == before
 
 
 @settings(max_examples=150, deadline=None)
