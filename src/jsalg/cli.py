@@ -94,17 +94,21 @@ def _build_algebra(args) -> jd.FiniteSuperAlgebra:
     return jd.build(args.family, m=args.m, n=args.n, t=t, deg=args.deg)
 
 
-def _emit(report: Report, args) -> int:
-    if args.format == "json":
-        payload = report.to_json()
-    else:
-        payload = report.text()
-    if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(payload)
-            f.write("\n")
+def _write(payload: str, out) -> None:
+    """payload and a newline, to the file out or else to stdout."""
+    if out:
+        with open(out, "w") as f:
+            f.write(payload + "\n")
     else:
         print(payload)
+
+
+def _canonical(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _emit(report: Report, args) -> int:
+    _write(report.to_json() if args.format == "json" else report.text(), args.out)
     return 0 if report.passed else 1
 
 
@@ -206,16 +210,10 @@ def main(argv=None) -> int:
                   f"{'unital' if unit else 'non-unital'}, "
                   f"{'total' if J.is_total() else f'{len(J.out_of_span)} out-of-span pairs'}")
             if args.out:
-                with open(args.out, "w") as f:
-                    json.dump(J.to_json_dict(), f, sort_keys=True,
-                              separators=(",", ":"))
-                    f.write("\n")
+                _write(_canonical(J.to_json_dict()), args.out)
             return 0
         if args.cmd == "export":
-            J = _build_algebra(args)
-            with open(args.out, "w") as f:
-                json.dump(J.to_json_dict(), f, sort_keys=True, separators=(",", ":"))
-                f.write("\n")
+            _write(_canonical(_build_algebra(args).to_json_dict()), args.out)
             return 0
         if args.cmd == "import":
             with open(args.path) as f:
@@ -230,27 +228,18 @@ def main(argv=None) -> int:
             lie, triple = tk.tkk(J)
             d = lie.algebra.to_json_dict()
             d["grading"] = lie.grading
-            payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(payload)
-                    f.write("\n")
-            else:
-                print(payload)
+            _write(_canonical(d), args.out)
             return 0
         if args.cmd == "verify":
             if args.suite == "all":
-                reports = acc.run_battery(workers=args.workers)
-                ok = all(r.passed for r in reports)
-                if args.out:
-                    payload = json.dumps(
-                        [r.to_json_dict() for r in reports],
-                        sort_keys=True, separators=(",", ":"),
-                    )
-                    with open(args.out, "w") as f:
-                        f.write(payload)
-                        f.write("\n")
-                return 0 if ok else 1
+                # JSON on stdout moves the pass/fail lines to stderr
+                json_out = args.format == "json" and not args.out
+                stream = sys.stderr if json_out else sys.stdout
+                reports = acc.run_battery(workers=args.workers,
+                                          echo=lambda line: print(line, file=stream))
+                if args.out or json_out:
+                    _write(_canonical([r.to_json_dict() for r in reports]), args.out)
+                return 0 if all(r.passed for r in reports) else 1
             report = _suite_report(args)
             return _emit(report, args)
     except SystemExit2 as exc:

@@ -156,7 +156,8 @@ def classical(family: str, size: int) -> ClassicalAlgebra:
                 B[(i, r + i)] = Fraction(1)
                 B[(r + i, i)] = Fraction(-1)
             rank = r
-        Binv = _invert_form(B, n)
+        # every fixed form is a signed permutation matrix, so B^-1 = B^t
+        Binv = {(c, r): v for (r, c), v in B.items()}
         ech = Echelon()
         basis = []
         labels = []
@@ -178,25 +179,6 @@ def classical(family: str, size: int) -> ClassicalAlgebra:
         assert alg.dim == expected
         return alg
     raise ValueError(f"unknown family {family!r}")
-
-
-def _invert_form(B: dict, n: int) -> dict:
-    # all the fixed forms are orthogonal-permutation-like; invert by solving
-    cols = []
-    for j in range(n):
-        col = {}
-        for (r, c), v in B.items():
-            if c == j:
-                col[r] = v
-        cols.append(col)
-    out = {}
-    solver = CoordSolver(cols)
-    for j in range(n):
-        sol = solver.solve({j: Fraction(1)})
-        for i, v in enumerate(sol):
-            if v:
-                out[(i, j)] = v
-    return out
 
 
 # -- Killing form and short-grading data ---------------------------------------------
@@ -279,8 +261,6 @@ def _coweight_vector(r: int, vertex: int, last: str):
         # a_i = sum_{j >= i} delta_{j,vertex} over the chain, alpha_r = a_r
         for i in range(r):
             a[i] = Fraction(1) if (i + 1) <= vertex else Fraction(0)
-        if vertex == r:
-            pass  # alpha_r = a_r = 1 handled by the same assignment
         return a
     if last == "long-c":
         # alpha_r = 2 a_r: a_i = 1 (i <= vertex), except scale 1/2 for s = r
@@ -310,8 +290,6 @@ def classified_short_vertices(family: str, size: int):
         out = [1] if r >= 3 else []
         if r % 2 == 0:
             out.extend([r - 1, r])
-        if r == 3:
-            pass  # spin vertices of so(6) carry no short subalgebra
         return out
     raise ValueError(family)
 
@@ -380,12 +358,12 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
             f: dict = {}
             for idx, c in enumerate(sol):
                 vec_iadd(f, plus[idx], c)
-            if _verify_triple(L, e, h, f, adh):
+            if _verify_triple(L, e, h, f):
                 triple = (e, h, f)
     return triple, records, {lam: len(v) for lam, v in eig.items()}
 
 
-def _verify_triple(L: ClassicalAlgebra, e, h, f, adh) -> bool:
+def _verify_triple(L: ClassicalAlgebra, e, h, f) -> bool:
     he = L.bracket_vec(h, e)
     if he != {k: -v for k, v in e.items()}:
         return False

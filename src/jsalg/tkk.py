@@ -14,12 +14,16 @@ Each graded piece keeps its rows in order of acceptance and one span object
 independent rows and answers coordinates, so bases and structure constants
 are reproducible.
 
-Bracket rules between the realized pieces:
+Bracket rules between the realized pieces, implemented once by `_bracket`
+(every other order follows from [v, u] = -(-1)^{p(u)p(v)} [u, v]):
 
     [M, x] = M(x)                       [B, x](y) = B(x, y)
     [M, B] = M box B - (-1)^{p(M)p(B)} B box M
     (M box B)(x,y) = M(B(x,y))
     (B box M)(x,y) = B(M(x), y) + (-1)^{p(x)p(y)} B(M(y), x)
+
+`check_semidirect` computes each bracket once per call: its ideal check,
+its assembly of S and its outer-derivation check read one memo.
 
 For unital J the distinguished triple is (e, -L_e, P); the sign convention
 throughout is [h,e] = -e, [h,f] = f, [e,f] = h, with the grading read off the
@@ -235,6 +239,38 @@ def _tensor_bracket(M: WOp, pm: int, B: WTensor, pb: int, parities) -> WTensor:
     return WTensor(out, frozenset(undefined))
 
 
+def _swapped(vec, pu: int, pv: int):
+    """[v, u] from vec = [u, v]: -(-1)^{p(u)p(v)} [u, v] (None stays None)."""
+    if vec is None:
+        return None
+    if pu and pv:
+        return dict(vec)
+    return {k: -c for k, c in vec.items()}
+
+
+def _bracket(u, v, win, par, dim: int):
+    """[u, v] of realized elements (degree, object, parity), where the object
+    is a carrier basis index in degree -1, a WOp in degree 0 and a WTensor in
+    degree 1.  Returns the carrier vector in degree -1 and the window flat in
+    degrees 0 and 1; {} when the degrees sum outside -1..1 and None when the
+    result is undefined on the window."""
+    (du, a, pu), (dv, b, pv) = u, v
+    if not -1 <= du + dv <= 1:
+        return {}
+    if du == -1 or (du, dv) == (1, 0):
+        return _swapped(_bracket(v, u, win, par, dim), pv, pu)
+    if dv == -1:
+        if du == 0:
+            return a.apply_basis(b)  # [M, x] = M(x)
+        C = a.to_matrix(b, win)  # [B, x] = B(x, .)
+        return None if C is None else C.window_flat(win, dim)
+    if dv == 0:
+        C = _wop_bracket(a, pu, b, pv)
+        return C.window_flat(win, dim) if win <= C.domain else None
+    C = _tensor_bracket(a, pu, b, pv, par)
+    return C.window_flat(win, dim) if C.has_window(win) else None
+
+
 # -- graded pieces and their structure constants --------------------------------------
 
 
@@ -258,7 +294,11 @@ class _Piece:
     def coords(self, op, offset: int = 0):
         """Coordinates of op's window restriction on the rows, numbered from
         offset; None when it leaves the span."""
-        flat = op.window_flat(self.win, self.dim)
+        return self.solve(op.window_flat(self.win, self.dim), offset)
+
+    def solve(self, flat: dict, offset: int = 0):
+        """Coordinates of a window flat on the rows, numbered from offset;
+        None when it leaves the span."""
         if not flat:
             return {}
         sol = self.span.solve(flat)
@@ -267,13 +307,13 @@ class _Piece:
         return {offset + i: c for i, c in enumerate(sol) if c}
 
 
-def _cover_defects(piece: _Piece, ops, what: str, name: str) -> list:
-    """[] when the window restrictions of ops span exactly the piece's span.
-    Spanning a subspace of it is decided on the cover's canonical basis, one
-    coordinate solve per basis row."""
+def _cover_defects(piece: _Piece, flats, what: str, name: str) -> list:
+    """[] when the window flats span exactly the piece's span.  Spanning a
+    subspace of it is decided on the cover's canonical basis, one coordinate
+    solve per basis row."""
     cover = Echelon()
-    for op in ops:
-        cover.insert(op.window_flat(piece.win, piece.dim))
+    for flat in flats:
+        cover.insert(flat)
     if any(piece.span.solve(row) is None for row in cover.basis()):
         return [f"{what} leaves {name}"]
     if cover.rank != len(piece.rows):
@@ -296,56 +336,46 @@ def _degree0(L, gens, par, win, dim: int) -> _Piece:
     return g0
 
 
-def _assemble(carrier: FiniteSuperAlgebra, gens, win, g0: _Piece, g1: _Piece,
-              name: str) -> FiniteSuperAlgebra:
-    """Structure constants over the basis gens + g0 rows + g1 rows.  A bracket
-    that is undefined on the window or leaves the realized span is marked
-    out-of-span."""
-    par = carrier.parities
-    n_min = len(gens)
-    n0 = len(g0.rows)
+def _elements(gens, rows0, rows1, par) -> list:
+    """The basis gens + rows0 + rows1 as (degree, object, parity)."""
+    return ([(-1, g, par[g]) for g in gens] + [(0, M, p) for M, p in rows0]
+            + [(1, B, p) for B, p in rows1])
+
+
+def _assemble(carrier: FiniteSuperAlgebra, gens, g0: _Piece, g1: _Piece,
+              name: str, bracket) -> FiniteSuperAlgebra:
+    """Structure constants over the basis gens + g0 rows + g1 rows: one
+    bracket per pair j <= i, solved in the piece of its degree, and its
+    mirror.  A bracket that is undefined on the window or leaves the realized
+    span is marked out-of-span."""
+    elems = _elements(gens, g0.rows, g1.rows, carrier.parities)
+    n_min, n0 = len(gens), len(g0.rows)
     labels = (
         [f"x:{carrier.labels[g]}" for g in gens]
         + [f"m{j}" for j in range(n0)]
         + [f"b{j}" for j in range(len(g1.rows))]
     )
-    parities = [par[g] for g in gens] + [p for _, p in g0.rows] + [p for _, p in g1.rows]
+    parities = [p for _, _, p in elems]
     gen_pos = {g: i for i, g in enumerate(gens)}
+    pieces = {0: (g0, n_min), 1: (g1, n_min + n0)}
     table = {}
     oos = set()
-
-    def put(i, j, vec):
-        if vec is None:
-            oos.add((i, j))
-            oos.add((j, i))
-        elif vec:
-            table[(i, j)] = vec
-            s = -1 if (parities[i] and parities[j]) else 1
-            table[(j, i)] = {k: (-v if s > 0 else v) for k, v in vec.items()}
-
-    def in_gens(v):
-        if v is None or any(k not in gen_pos for k in v):
-            return None
-        return {gen_pos[k]: c for k, c in v.items()}
-
-    for i, (M, _pm) in enumerate(g0.rows):
-        for j, g in enumerate(gens):
-            put(n_min + i, j, in_gens(M.apply_basis(g)))
-    for i, (B, _pb) in enumerate(g1.rows):
-        for j, g in enumerate(gens):
-            M = B.to_matrix(g, win)
-            put(n_min + n0 + i, j, None if M is None else g0.coords(M, n_min))
-    for i, (Mi, pi) in enumerate(g0.rows):
-        for j in range(i, n0):
-            Mj, pj = g0.rows[j]
-            C = _wop_bracket(Mi, pi, Mj, pj)
-            put(n_min + i, n_min + j,
-                g0.coords(C, n_min) if win <= C.domain else None)
-    for i, (M, pm) in enumerate(g0.rows):
-        for j, (B, pb) in enumerate(g1.rows):
-            C = _tensor_bracket(M, pm, B, pb, par)
-            put(n_min + i, n_min + n0 + j,
-                g1.coords(C, n_min + n0) if C.has_window(win) else None)
+    for i, u in enumerate(elems):
+        for j, v in enumerate(elems[:i + 1]):
+            vec = bracket(u, v)
+            deg = u[0] + v[0]
+            if vec and deg == -1:
+                vec = (None if any(k not in gen_pos for k in vec)
+                       else {gen_pos[k]: c for k, c in vec.items()})
+            elif vec:
+                piece, offset = pieces[deg]
+                vec = piece.solve(vec, offset)
+            if vec is None:
+                oos.add((i, j))
+                oos.add((j, i))
+            elif vec:
+                table[(i, j)] = vec
+                table[(j, i)] = _swapped(vec, parities[i], parities[j])
     return FiniteSuperAlgebra(labels, parities, table, oos, name=name)
 
 
@@ -435,30 +465,32 @@ class TKK:
                           {"reason": "no unit, no canonical triple"})
         par = self.J.parities
         d = self.J.dim
+        win = self.win
+        h = (0, t.h, 0)
         failures = []
         # [h, e] = -e
         if t.h.apply(t.e) != {k: -v for k, v in t.e.items()}:
             failures.append("[h,e] != -e")
         # [h, f] = f
-        if _tensor_bracket(t.h, 0, t.f, 0, par).vals != t.f.vals:
+        if _bracket(h, (1, t.f, 0), win, par, d) != t.f.window_flat(win, d):
             failures.append("[h,f] != f")
         # [e, f] = h: [e, B] = -(-1)^{p e p B}[B, e] with everything even
         ef = {}
         for x, c in t.e.items():
-            ef = matrix_add(ef, t.f.to_matrix(x, self.win).cols, -c)
+            ef = matrix_add(ef, t.f.to_matrix(x, win).cols, -c)
         if ef != t.h.cols:
             failures.append("[e,f] != h")
         # eigenvalues of ad h
         for x in range(d):
-            if t.h.apply_basis(x) != {x: Fraction(-1)}:
+            if _bracket(h, (-1, x, par[x]), win, par, d) != {x: Fraction(-1)}:
                 failures.append(f"ad h on degree -1 basis {x}")
                 break
         for M, pm in self.g0.rows:
-            if _wop_bracket(t.h, 0, M, pm).cols:
+            if _bracket(h, (0, M, pm), win, par, d) != {}:
                 failures.append("ad h nonzero on degree 0")
                 break
         for B, pb in self.g1.rows:
-            if _tensor_bracket(t.h, 0, B, pb, par).vals != B.vals:
+            if _bracket(h, (1, B, pb), win, par, d) != B.window_flat(win, d):
                 failures.append("ad h != 1 on degree 1")
                 break
         ok = not failures
@@ -485,11 +517,12 @@ class TKK:
         g0, g1 = self.g0, self.g1
         win = self.win
         failures = _cover_defects(
-            g0, (B.to_matrix(x, win) for B, _pb in g1.rows for x in range(d)),
+            g0, (_bracket((1, B, pb), (-1, x, par[x]), win, par, d)
+                 for B, pb in g1.rows for x in range(d)),
             "[g-1, g1]", "g0")
         if not failures:
             failures += _cover_defects(
-                g1, (_tensor_bracket(M, pm, B, pb, par)
+                g1, (_bracket((0, M, pm), (1, B, pb), win, par, d)
                      for M, pm in g0.rows for B, pb in g1.rows),
                 "[g0, g1]", "g1")
         ok = not failures
@@ -543,8 +576,10 @@ class TKK:
         returns (GradedLie, Sl2Triple in assembled coordinates or None)."""
         d = self.J.dim
         n0 = len(self.g0.rows)
-        alg = _assemble(self.J, range(d), self.win, self.g0, self.g1,
-                        f"Lie({self.J.name or 'J'})")
+        par = self.J.parities
+        alg = _assemble(self.J, range(d), self.g0, self.g1,
+                        f"Lie({self.J.name or 'J'})",
+                        lambda u, v: _bracket(u, v, self.win, par, d))
         if alg.out_of_span:
             i, j = min(alg.out_of_span)
             raise ValueError(
@@ -754,60 +789,73 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
             span_gens.append(w)
     L = {w: _wop_from_left_mul(carrier_t, w) for w in span_gens}
     ident = WOp(identity_matrix(dimC), frozenset(range(dimC)))
-
-    # small certified rows (window generators only)
-    s0 = _degree0(L, gens, par, win, dimC)
-
-    # big span of everything computable, for containment tests
-    s0_big = Echelon()
-    for w in span_gens:
-        s0_big.insert(L[w].window_flat(win, dimC))
-    for i, w in enumerate(span_gens):
-        for v in span_gens[i:]:
-            C = _wop_bracket(L[w], par[w], L[v], par[v])
-            if win <= C.domain:
-                s0_big.insert(C.window_flat(win, dimC))
-
     P = _product_tensor(carrier_t)
-    if not P.has_window(win):
-        raise ValueError("carrier too small for the product tensor window")
-    s1 = _Piece(win, dimC)
+    memo = {}
+
+    def bracket(u, v):
+        """_bracket, computed once per pair of elements in this call; the
+        results are shared, so callers must not change them."""
+        if (u, v) in memo:
+            return memo[(u, v)]
+        if (v, u) in memo:
+            return _swapped(memo[(v, u)], v[2], u[2])
+        out = memo[(u, v)] = _bracket(u, v, win, par, dimC)
+        return out
+
+    s0, s1 = _Piece(win, dimC), _Piece(win, dimC)
+    s0_big, s1_big = Echelon(), Echelon()
     failures = []
-    for a in gens:
-        B = _tensor_bracket(L[a], par[a], P, 0, par)
-        if not B.has_window(win):
-            failures.append("carrier too small for the degree-1 span")
-            break
-        s1.add(B, par[a])
-    s1_big = Echelon()
+    if not L.keys() >= set(gens):
+        failures.append("carrier too small for the degree-0 span")
+    else:
+        # small certified rows (window generators only)
+        s0 = _degree0(L, gens, par, win, dimC)
+        # big span of everything computable, for containment tests
+        for w in span_gens:
+            s0_big.insert(L[w].window_flat(win, dimC))
+        for i, w in enumerate(span_gens):
+            for v in span_gens[i:]:
+                C = _wop_bracket(L[w], par[w], L[v], par[v])
+                if win <= C.domain:
+                    s0_big.insert(C.window_flat(win, dimC))
+        if not P.has_window(win):
+            raise ValueError("carrier too small for the product tensor window")
+        for a in gens:
+            B = _tensor_bracket(L[a], par[a], P, 0, par)
+            if not B.has_window(win):
+                failures.append("carrier too small for the degree-1 span")
+                break
+            s1.add(B, par[a])
+
     if not failures:
         for w in span_gens:
             B = _tensor_bracket(L[w], par[w], P, 0, par)
             if B.has_window(win):
                 s1_big.insert(B.window_flat(win, dimC))
-
-    # a-part separation against the big spans
-    if not failures:
+        # a-part separation against the big spans
         if not s0_big.reduce(ident.window_flat(win, dimC)):
             failures.append("-L_1 lies in the S0 span")
         if not s1_big.reduce(P.window_flat(win, dimC)):
             failures.append("P lies in the S1 span")
 
+    # the certified window bases of Lie(J~) (with +L_1 and P) and of S
+    G = _elements(window, s0.rows + [(ident, 0)], s1.rows + [(P, 0)], par)
+    S = _elements(gens, s0.rows, s1.rows, par)
     if not failures:
-        failures.extend(
-            _semidirect_ideal_defects(window, gens, s0, s0_big, s1, s1_big,
-                                      P, ident, par, dimC)
-        )
+        failures.extend(_semidirect_ideal_defects(G, S, bracket, s0_big, s1_big))
 
     s_simple = None
     if not failures:
-        s_alg = _assemble(carrier_t, gens, win, s0, s1, "S")
+        s_alg = _assemble(carrier_t, gens, s0, s1, "S", bracket)
         s_simple = check_simple(s_alg, seed=seed)
         if not s_simple:
             failures.append("S failed the sampled window simplicity check")
 
     if not failures:
-        failures.extend(_outer_defects(gens, s0, s1, P, par, dimC))
+        # h = -L_1 is tested through +L_1: span membership ignores the sign
+        failures.extend(_outer_defects(
+            S, [("h", (0, ident, 0)), ("e", (-1, 0, 0)), ("f", (1, P, 0))],
+            bracket))
 
     ok = not failures
     span = {
@@ -831,173 +879,58 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
     )
 
 
-def _semidirect_ideal_defects(window, gens, s0, s0_big, s1, s1_big, P, ident,
-                              par, dimC):
-    """Brackets of the certified window basis of Lie(J~) with the certified
-    window basis of S land in S's computable window spans."""
-    win = s0.win
-    g0_rows = s0.rows + [(ident, 0)]
-    g1_rows = s1.rows + [(P, 0)]
-    # [g_{-1}, S0] in S_{-1} = J-part (no unit component)
-    for x in window:
-        for M, _pm in s0.rows:
-            v = M.apply_basis(x)
-            if v is None:
-                return ["carrier too small at [g-1, S0]"]
-            if v.get(0):
-                return ["[g-1, S0] has a unit component"]
-    # [g_{-1}, S1] in S0
-    for x in window:
-        for B, _pb in s1.rows:
-            M = B.to_matrix(x, win)
-            if M is None:
-                return ["carrier too small at [g-1, S1]"]
-            if s0_big.reduce(M.window_flat(win, dimC)):
-                return ["[g-1, S1] leaves the S0 span"]
-    # [g0, S_{-1}] in J-part
-    for M, _pm in g0_rows:
-        for x in gens:
-            v = M.apply_basis(x)
-            if v is None:
-                return ["carrier too small at [g0, S-1]"]
-            if v.get(0):
-                return ["[g0, S-1] has a unit component"]
-    # [g0, S0] in S0
-    for M, pm in g0_rows:
-        for N, pn in s0.rows:
-            C = _wop_bracket(M, pm, N, pn)
-            if not win <= C.domain:
-                return ["carrier too small at [g0, S0]"]
-            if s0_big.reduce(C.window_flat(win, dimC)):
-                return ["[g0, S0] leaves the S0 span"]
-    # [g0, S1] in S1
-    for M, pm in g0_rows:
-        for B, pb in s1.rows:
-            C = _tensor_bracket(M, pm, B, pb, par)
-            if not C.has_window(win):
-                return ["carrier too small at [g0, S1]"]
-            if s1_big.reduce(C.window_flat(win, dimC)):
-                return ["[g0, S1] leaves the S1 span"]
-    # [g1, S_{-1}] in S0 and [g1, S0] in S1 ([g1, S1] = 0 by grading)
-    for B, pb in g1_rows:
-        for x in gens:
-            M = B.to_matrix(x, win)
-            if M is None:
-                return ["carrier too small at [g1, S-1]"]
-            if s0_big.reduce(M.window_flat(win, dimC)):
-                return ["[g1, S-1] leaves the S0 span"]
-        for N, pn in s0.rows:
-            C = _tensor_bracket(N, pn, B, pb, par)
-            if not C.has_window(win):
-                return ["carrier too small at [S0, g1]"]
-            if s1_big.reduce(C.window_flat(win, dimC)):
-                return ["[g1, S0] leaves the S1 span"]
+# the ideal check's (G degree, S degrees) blocks, in the order that fixes
+# which failure is reported first
+_IDEAL_BLOCKS = ((-1, (0,)), (-1, (1,)), (0, (-1,)), (0, (0,)), (0, (1,)), (1, (-1, 0)))
+
+
+def _semidirect_ideal_defects(G, S, bracket, s0_big, s1_big):
+    """Brackets of the certified window basis G of Lie(J~) with the certified
+    window basis S of S land in S: no unit component in degree -1, S's
+    computable window spans in degrees 0 and 1."""
+    big = {0: s0_big, 1: s1_big}
+    for dg, ds in _IDEAL_BLOCKS:
+        for u in (u for u in G if u[0] == dg):
+            for v in (v for v in S if v[0] in ds):
+                at = f"[g{dg}, S{v[0]}]"
+                vec = bracket(u, v)
+                if vec is None:
+                    return [f"carrier too small at {at}"]
+                d = dg + v[0]
+                if d == -1 and vec.get(0):
+                    return [f"{at} has a unit component"]
+                if d >= 0 and big[d].reduce(vec):
+                    return [f"{at} leaves the S{d} span"]
     return []
 
 
-def _outer_defects(gens, s0, s1, P, par, dimC):
-    """No computable element of S restricts to ad h, ad e or ad f on the
-    certified window basis of S."""
-    win = s0.win
-    u_basis = (
-        [("x", g) for g in gens]
-        + [("m", i) for i in range(len(s0.rows))]
-        + [("b", i) for i in range(len(s1.rows))]
-    )
+def _outer_defects(S, targets, bracket):
+    """No element of the span of S acts on S as ad t does, for each named
+    target t.  An element's stack is its brackets with S, keyed (position,
+    degree, coordinate)."""
 
-    def stack_of(kind, obj, p_obj):
+    def stack(u):
         st = {}
-        for pos, (ukind, uidx) in enumerate(u_basis):
-            if ukind == "x":
-                val = _bracket_with_vector(kind, obj, uidx, win, dimC)
-            elif ukind == "m":
-                M, pm = s0.rows[uidx]
-                val = _bracket_with_matrix(kind, obj, p_obj, M, pm, win, par, dimC)
-            else:
-                B, pb = s1.rows[uidx]
-                val = _bracket_with_tensor(kind, obj, p_obj, B, pb, win, par, dimC)
-            if val is None:
+        for pos, v in enumerate(S):
+            vec = bracket(u, v)
+            if vec is None:
                 return None
-            for coord, c in val.items():
-                st[(pos,) + coord] = c
+            for k, c in vec.items():
+                st[(pos, u[0] + v[0], k)] = c
         return st
 
-    columns = []
-    for g in gens:
-        columns.append(stack_of("x", {g: Fraction(1)}, par[g]))
-    for M, pm in s0.rows:
-        columns.append(stack_of("m", M, pm))
-    for B, pb in s1.rows:
-        columns.append(stack_of("b", B, pb))
+    columns = [stack(u) for u in S]
     if any(c is None for c in columns):
         return ["carrier too small for the outer-derivation solve"]
-    h = WOp({i: {i: Fraction(-1)} for i in range(dimC)}, frozenset(range(dimC)))
-    targets = [
-        ("h", stack_of("m", h, 0)),
-        ("e", stack_of("x", {0: Fraction(1)}, 0)),
-        ("f", stack_of("b", P, 0)),
-    ]
     inner = CoordSolver(columns)
     defects = []
-    for name, tgt in targets:
+    for name, t in targets:
+        tgt = stack(t)
         if tgt is None:
             return [f"carrier too small for the ad {name} stack"]
         if inner.solve(tgt) is not None:
             defects.append(f"ad {name} restricted to S is inner to S")
     return defects
-
-
-def _bracket_with_vector(kind, obj, x, win, dimC):
-    """[obj, e_x] with type-tagged stack coordinates."""
-    if kind == "x":
-        return {}
-    if kind == "m":
-        v = obj.apply_basis(x)
-        if v is None:
-            return None
-        return {("v", k): c for k, c in v.items()}
-    M = obj.to_matrix(x, win)
-    if M is None:
-        return None
-    return {("m", k): c for k, c in M.window_flat(win, dimC).items()}
-
-
-def _bracket_with_matrix(kind, obj, p_obj, M, pm, win, par, dimC):
-    if kind == "x":
-        (x_idx, cx), = obj.items()
-        v = M.apply_basis(x_idx)
-        if v is None:
-            return None
-        s = -1 if not (par[x_idx] and pm) else 1
-        return {("v", k): cx * c * s for k, c in v.items()}
-    if kind == "m":
-        C = _wop_bracket(obj, p_obj, M, pm)
-        if not win <= C.domain:
-            return None
-        return {("m", k): c for k, c in C.window_flat(win, dimC).items()}
-    C = _tensor_bracket(M, pm, obj, p_obj, par)
-    if not C.has_window(win):
-        return None
-    s = -1 if (p_obj and pm) else 1
-    return {("t", k): -c if s > 0 else c
-            for k, c in C.window_flat(win, dimC).items()}
-
-
-def _bracket_with_tensor(kind, obj, p_obj, B, pb, win, par, dimC):
-    if kind == "x":
-        (x_idx, cx), = obj.items()
-        M = B.to_matrix(x_idx, win)
-        if M is None:
-            return None
-        s = -1 if (par[x_idx] and pb) else 1
-        return {("m", k): (-v if s > 0 else v) * cx
-                for k, v in M.window_flat(win, dimC).items()}
-    if kind == "m":
-        C = _tensor_bracket(obj, p_obj, B, pb, par)
-        if not C.has_window(win):
-            return None
-        return {("t", k): c for k, c in C.window_flat(win, dimC).items()}
-    return {}
 
 
 def check_minimal_table(L: GradedLie) -> Report:

@@ -49,7 +49,16 @@ def test_criterion_7_isomorphisms():
 
 
 def test_criterion_8_semidirect():
-    _run("8 semidirect", acc.criterion_8_semidirect)
+    r = _run("8 semidirect", acc.criterion_8_semidirect)
+    assert r.to_json() == (
+        '{"certifiedSpan":[{"carrierDim":4,"s0Certified":8,"s0ComputableSpan":8,'
+        '"s1Certified":3,"s1ComputableSpan":3,"sMinus1":3,"window":4},'
+        '{"carrierDim":51,"s0Certified":22,"s0ComputableSpan":89,"s1Certified":8,'
+        '"s1ComputableSpan":38,"sMinus1":8,"window":9}],'
+        '"details":{"subStatus":["pass","pass"],'
+        '"subSuites":["semidirect[K]","semidirect[JS|deg3]"]},'
+        '"params":{"seed":0},"status":"pass","suite":"criterion-8-semidirect"}'
+    )
 
 
 def test_criterion_9_determinism():

@@ -3,6 +3,7 @@
 import json
 import os
 
+from jsalg import acceptance
 from jsalg.cli import main
 
 
@@ -167,3 +168,26 @@ def test_verify_hk_fragment(capsys):
 def test_verify_iso_suite(capsys):
     assert run("verify", "iso") == 0
     capsys.readouterr()
+
+
+def test_verify_all_json_goes_to_stdout(tmp_path, capsys, monkeypatch):
+    # two fast criteria stand in for the whole battery
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0][0] in "79"])
+    assert run("verify", "all", "--format", "json") == 0
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)
+    assert [r["suite"] for r in reports] == ["criterion-7-isomorphisms",
+                                             "criterion-9-determinism"]
+    assert [line.split(" (")[0] for line in captured.err.splitlines()] == [
+        "[PASS] criterion 7 isomorphisms", "[PASS] criterion 9 determinism"]
+    # --out keeps the lines on stdout and writes the same JSON to the file
+    path = tmp_path / "battery.json"
+    assert run("verify", "all", "--format", "json", "--out", str(path)) == 0
+    captured = capsys.readouterr()
+    assert json.loads(path.read_text()) == reports
+    assert captured.out.count("[PASS]") == 2 and captured.err == ""
+    # text output is the lines alone
+    assert run("verify", "all") == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("[PASS]") == 2 and "{" not in captured.out

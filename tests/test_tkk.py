@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from jsalg.jordan import (
     witness_jp01_to_gl11,
 )
 from jsalg.linalg import CoordSolver, solve_linear, vec_iadd
+from jsalg import tkk as tk
 from jsalg.tkk import (
     GradedLie,
     Sl2Triple,
@@ -178,6 +180,42 @@ def test_semidirect_kalg_report_is_pinned():
         '"details":{"sDims":[3,8,3],"sSimpleSampled":true},'
         '"params":{"algebra":"K","seed":0},"status":"pass","suite":"tkk-semidirect"}'
     )
+
+
+GOLDEN_SEMIDIRECT = json.loads(
+    (Path(__file__).parent / "golden_semidirect.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SEMIDIRECT))
+def test_semidirect_reports_are_pinned(case):
+    # recorded before the brackets were shared through one memo per call;
+    # the failing carriers keep their first failure
+    J, _, carrier = case.partition(" in ")
+    J = build_js(int(J.removeprefix("JS|deg")))
+    carrier = build_js(int(carrier.removeprefix("JS|deg"))) if carrier else None
+    assert check_semidirect(J, carrier=carrier).to_json() == GOLDEN_SEMIDIRECT[case]
+
+
+@pytest.mark.parametrize("deg, carrier_deg", [(1, 1), (2, 2), (2, 3), (3, 4)])
+def test_semidirect_carrier_too_small_for_degree0_fails(deg, carrier_deg):
+    r = check_semidirect(build_js(deg), carrier=build_js(carrier_deg))
+    assert r.status == "fail"
+    assert r.counterexample["failures"] == ["carrier too small for the degree-0 span"]
+
+
+@pytest.mark.parametrize("pos", [0, 3, 11], ids=["S-1", "S0", "S1"])
+def test_outer_check_catches_an_inner_target(monkeypatch, pos):
+    # an element of S acts on S by an inner derivation: planting it as a
+    # target must be caught, next to the three real targets that pass
+    outer = tk._outer_defects
+
+    def planted(S, targets, bracket):
+        assert [S[p][0] for p in (0, 3, 11)] == [-1, 0, 1]
+        return outer(S, targets + [("planted", S[pos])], bracket)
+
+    monkeypatch.setattr(tk, "_outer_defects", planted)
+    r = check_semidirect(kalg())
+    assert r.counterexample["failures"] == ["ad planted restricted to S is inner to S"]
 
 
 def _table_digest(alg):
