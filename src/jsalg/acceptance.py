@@ -1,7 +1,7 @@
 """The desk-scale acceptance battery: one callable per criterion, each
 returning a Report whose certified span states exactly what was quantified.
 
-Every check is exact rational (or Gauss-rational) arithmetic; "certified
+Every check is exact rational arithmetic; "certified
 span" entries on truncated carriers mean the stated tuple set was verified
 and everything that would have needed an out-of-span product was counted and
 skipped, never silently dropped.

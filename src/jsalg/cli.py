@@ -182,6 +182,8 @@ def main(argv=None) -> int:
         ap.print_help()
         return 2
     try:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise SystemExit2("--workers must be >= 1")
         if args.cmd == "catalog":
             print("family      parameters")
             print("--------    ----------")

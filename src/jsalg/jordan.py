@@ -2,23 +2,23 @@
 families, the KKM double, and the exact identity / simplicity / isomorphism
 checkers.
 
-A FiniteSuperAlgebra stores sparse structure constants over Fraction (or, for
-the quaternion-flavoured double, GaussRational) scalars.  Truncated carriers
-mark basis pairs whose product leaves the spanned degree range as
-out-of-span; every checker skips exactly the tuples that would need such a
-product and reports the certified count, so a pass is always an exact claim
-about a stated finite set.
+A FiniteSuperAlgebra stores sparse structure constants over Fraction
+scalars; every family is built over Q.  Truncated carriers mark basis pairs
+whose product leaves the spanned degree range as out-of-span; every checker
+skips exactly the tuples that would need such a product and reports the
+certified count, so a pass is always an exact claim about a stated finite
+set.
 
 The three table identity checkers (check_jordan, check_relation10 and
 tkk.check_lie_table) read one table oracle, `_scaled_products`: rows[i][j]
-is scale * (e_i o e_j) as a sparse dict, {} for a zero product and None
-for an out-of-span pair, with scale the lcm of the table's denominators
-(1 for a GaussRational table, whose constants are used as they are).  They
-accumulate through one primitive, `_mul_into`, and report through one
-scan loop, `_table_report`, which counts certified and skipped tuples and
-keeps the first failure.  Every identity is homogeneous, so a residual of
-degree d in the structure constants is scale**d times the exact one;
-`_table_report` divides by scale**d when it reports residual coordinates.
+is scale * (e_i o e_j) as a sparse dict of ints, {} for a zero product and
+None for an out-of-span pair, with scale the lcm of the table's
+denominators.  They accumulate through one primitive, `_mul_into`, and
+report through one scan loop, `_table_report`, which counts certified and
+skipped tuples and keeps the first failure.  Every identity is homogeneous,
+so a residual of degree d in the structure constants is scale**d times the
+exact one; `_table_report` divides by scale**d when it reports residual
+coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from fractions import Fraction
 from .brackets import BracketSpec, DerivationD, bracket, d_modified
 from .linalg import Echelon, solve_linear, vec_iadd
 from .report import DetRand, Report
-from .scalars import GaussRational
 from .superpoly import (
     SuperPoly,
     mono_degree,
@@ -140,15 +139,13 @@ class FiniteSuperAlgebra:
                 for k, c in self.table.get((i, j), {}).items():
                     col[(j, k)] = c
             columns.append(col)
-        target = {(j, j): _one_like(self) for j in range(self.dim)}
+        target = {(j, j): Fraction(1) for j in range(self.dim)}
         sol = solve_linear(columns, target)
         if sol is None:
             return None
         return {usable[idx]: c for idx, c in enumerate(sol) if c}
 
     def to_json_dict(self) -> dict:
-        if any(isinstance(c, GaussRational) for vec in self.table.values() for c in vec.values()):
-            raise ValueError("structure constants outside Q cannot be exported")
         basis = [
             {"label": l, "parity": p} for l, p in zip(self.labels, self.parities)
         ]
@@ -223,34 +220,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _one_like(J: FiniteSuperAlgebra):
-    for vec in J.table.values():
-        for c in vec.values():
-            if isinstance(c, GaussRational):
-                return GaussRational(1)
-    return Fraction(1)
-
-
 # -- the table identity engine -------------------------------------------------------
 
 
 def _scaled_products(J: FiniteSuperAlgebra):
     """The table oracle: (rows, scale) with rows[i][j] = scale * (e_i o e_j)
     as a sparse dict with no zero entries, {} for a zero product and None
-    for an out-of-span pair.  A rational table's denominators are cleared to
-    plain ints (scale = their lcm; identities are homogeneous, so scaling
-    preserves zero-tests); a GaussRational table is used as-is, scale 1.
-    The rows are shared and read-only."""
-    rational = not any(isinstance(c, GaussRational)
-                       for vec in J.table.values() for c in vec.values())
-    scale = 1
-    if rational:
-        scale = math.lcm(1, *(c.denominator
-                              for vec in J.table.values() for c in vec.values()))
+    for an out-of-span pair.  The table's denominators are cleared to plain
+    ints (scale = their lcm; identities are homogeneous, so scaling
+    preserves zero-tests).  The rows are shared and read-only."""
+    scale = math.lcm(1, *(c.denominator
+                          for vec in J.table.values() for c in vec.values()))
     rows = [[{}] * J.dim for _ in range(J.dim)]
     for (i, j), vec in J.table.items():
-        rows[i][j] = {k: int(c * scale) if rational else c
-                      for k, c in vec.items()}
+        rows[i][j] = {k: int(c * scale) for k, c in vec.items()}
     for i, j in J.out_of_span:
         rows[i][j] = None
     return rows, scale
@@ -274,9 +257,7 @@ def _mul_into(acc: dict, rows, u: dict, v: dict, s: int = 1) -> bool:
             if p is None:
                 return False
             if p:
-                # a unit factor (the basis-vector side of most calls) skips
-                # the multiply, which is costly on GaussRational
-                c = cj if ci == 1 else ci if cj == 1 else ci * cj
+                c = ci * cj
                 if s < 0:
                     c = -c
                 for k, x in p.items():
@@ -310,7 +291,7 @@ def _table_report(suite, J: FiniteSuperAlgebra, t0, scan, unit, span,
             if residual_degree:
                 den = scale ** residual_degree
                 ce["residualCoords"] = {
-                    str(k): str(v if den == 1 else Fraction(v, den))
+                    str(k): str(Fraction(v, den))
                     for k, v in res.items() if v
                 }
             break
@@ -508,9 +489,6 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> boo
                 v[i] = c
         if v:
             vectors.append(v)
-    one = _one_like(J)
-    if isinstance(one, GaussRational):
-        vectors = [{i: GaussRational(c) for i, c in v.items()} for v in vectors]
     for v in vectors:
         if _closure(J, v).rank != dim:
             return False
@@ -880,6 +858,8 @@ def kkm_double(spec: BracketSpec, D: DerivationD | None = None, deg: int = 3,
     (D = 0) the modified bracket is the bracket itself.  Products whose
     result leaves the span are flagged out-of-span, never dropped.
     """
+    if deg < 0:
+        raise ValueError("deg >= 0")
     m, n = spec.m, spec.n
     if D is None:
         D = spec.derivation()
@@ -960,8 +940,17 @@ _HUNITS = ("1", "i", "j", "k")
 
 def build_jck(deg: int) -> FiniteSuperAlgebra:
     """Degree-truncated double built from polynomials tensored with the
-    degenerate quaternions; the mixed odd-even products carry the adjoined
-    imaginary unit, so structure constants are GaussRational."""
+    degenerate quaternions, over Q.
+
+    The units i, j, k are real quaternion units: (f (x) u) o (g (x) u) =
+    -fg (x) 1 for u != 1, and for u != v, both != 1, with u v = eps w in
+    the quaternions, eta(f (x) u) o (g (x) v) = -eps eta(fg (x) w).  This
+    is the Pauli-type form of the double (u o u = +1, mixed products
+    i eps eta(fg (x) w)) written in the basis e' = i e for every basis
+    vector e whose unit is i, j or k, in both halves, so c'_rc^k =
+    c_rc^k l_r l_c / l_k with l in {1, i}.  Over an algebraically closed
+    field the two tables describe the same algebra, and every constant of
+    this one is an integer."""
     if deg < 1:
         raise ValueError("deg >= 1")
     units = _HUNITS
@@ -970,8 +959,7 @@ def build_jck(deg: int) -> FiniteSuperAlgebra:
     labels = [f"x^{a}(x){u}" for a, u in base] + [f"eta*x^{a}(x){u}" for a, u in base]
     parities = [0] * N + [1] * N
     pos = {b: i for i, b in enumerate(base)}
-    ii = GaussRational(0, 1)
-    one = GaussRational(1)
+    one = Fraction(1)
     table: dict = {}
     oos = set()
 
@@ -995,26 +983,26 @@ def build_jck(deg: int) -> FiniteSuperAlgebra:
             elif v == "1":
                 put(r, c, [(one, a + b, u, False)])
             else:
-                put(r, c, [(one if u == v else GaussRational(0), a + b, "1", False)])
+                put(r, c, [(-one, a + b, "1", False)] if u == v else [])
             # eta f o g
             if v == "1":
                 put(N + r, c, [(one, a + b, u, True)])
             elif u == "1":
-                put(N + r, c, [(GaussRational(b), a + b - 1, v, True)] if b else [])
+                put(N + r, c, [(Fraction(b), a + b - 1, v, True)] if b else [])
             else:
                 s, w = _CROSS.get((u, v), (0, "1"))
-                put(N + r, c, [(ii * s, a + b, w, True)] if s else [])
+                put(N + r, c, [(Fraction(-s), a + b, w, True)] if s else [])
             # f o eta g  (even x odd: equal to eta g o f by commutativity)
             if u == "1":
                 put(r, N + c, [(one, a + b, v, True)])
             elif v == "1":
-                put(r, N + c, [(GaussRational(a), a + b - 1, u, True)] if a else [])
+                put(r, N + c, [(Fraction(a), a + b - 1, u, True)] if a else [])
             else:
                 s, w = _CROSS.get((v, u), (0, "1"))
-                put(r, N + c, [(ii * s, a + b, w, True)] if s else [])
+                put(r, N + c, [(Fraction(-s), a + b, w, True)] if s else [])
             # eta f o eta g
             if u == "1" and v == "1":
-                put(N + r, N + c, [(GaussRational(a - b), a + b - 1, "1", False)]
+                put(N + r, N + c, [(Fraction(a - b), a + b - 1, "1", False)]
                     if a != b else [])
             elif u != "1" and v == "1":
                 put(N + r, N + c, [(one, a + b, u, False)])

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jordan import FiniteSuperAlgebra, _mul_into, _one_like, _table_report, check_simple
+from .jordan import FiniteSuperAlgebra, _mul_into, _table_report, check_simple
 from .linalg import CoordSolver, Echelon, nullspace, vec_iadd
 # solve_linear stays in this namespace: perfbench's tracer patches it here
 from .linalg import solve_linear  # noqa: F401
@@ -727,10 +727,11 @@ def unital_extend(J: FiniteSuperAlgebra):
         return J, True
     labels = ["1"] + list(J.labels)
     parities = [0] + list(J.parities)
-    table = {(0, 0): {0: _one_like(J)}}
+    one = Fraction(1)
+    table = {(0, 0): {0: one}}
     for i in range(J.dim):
-        table[(0, i + 1)] = {i + 1: _one_like(J)}
-        table[(i + 1, 0)] = {i + 1: _one_like(J)}
+        table[(0, i + 1)] = {i + 1: one}
+        table[(i + 1, 0)] = {i + 1: one}
     for (i, j), vec in J.table.items():
         table[(i + 1, j + 1)] = {k + 1: c for k, c in vec.items()}
     oos = frozenset((i + 1, j + 1) for (i, j) in J.out_of_span)
@@ -758,12 +759,12 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
     `carrier`; quantifiers then range over the window spanned by J's own
     basis while containments are tested against the span of everything
     computable inside the carrier, and the report states both sizes.
+    A unital J, and a truncated J without a carrier, raise ValueError.
     """
     t0 = time.perf_counter()
     params = {"algebra": J.name, "seed": seed}
     if J.find_unit() is not None:
-        return Report("tkk-semidirect", params, {}, "error",
-                      {"reason": "precondition: J must be non-unital"})
+        raise ValueError("semidirect split needs a non-unital J")
     if carrier is None:
         if not J.is_total():
             raise ValueError("truncated J needs an explicit larger carrier")

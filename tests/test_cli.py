@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: exit codes, files, determinism."""
 
 import json
-import os
 
 from jsalg import acceptance
 from jsalg.cli import main
@@ -25,7 +24,9 @@ def test_verify_jordan_identity_exit_codes(capsys):
     # bad family arguments are usage errors, not failed checks
     for argv in (("verify", "jordan-identity"),
                  ("build", "--family", "GLplus", "--m", "-1", "--n", "1"),
-                 ("verify", "simple", "--family", "Dt", "--t", "1/0")):
+                 ("verify", "simple", "--family", "Dt", "--t", "1/0"),
+                 ("verify", "jordan-identity", "--family", "JP", "--m", "1",
+                  "--n", "1", "--deg", "-1")):
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -109,10 +110,20 @@ def test_import_counts_no_stored_zero(tmp_path, capsys):
     assert "0 nonzero products" in capsys.readouterr().out
 
 
-def test_jck_export_is_a_usage_error(capsys):
-    assert run("export", "--family", "JCK", "--deg", "1",
-               "--out", os.devnull) == 2
-    capsys.readouterr()
+def test_jck_export_import_roundtrip(tmp_path, capsys):
+    path = tmp_path / "jck.json"
+    assert run("export", "--family", "JCK", "--deg", "1", "--out", str(path)) == 0
+    assert run("import", "--in", str(path)) == 0
+    assert "dim (8|8)" in capsys.readouterr().out
+
+
+def test_bad_worker_counts_are_usage_errors(capsys):
+    # rejected before any check runs, so no pool is started
+    for workers in ("0", "-3"):
+        assert run("verify", "jordan-identity", "--family", "Dt", "--t", "2",
+                   "--workers", workers) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
@@ -158,6 +169,12 @@ def test_verify_tkk_suite(capsys):
 def test_verify_semidirect_kalg(capsys):
     assert run("verify", "semidirect", "--family", "Kalg") == 0
     capsys.readouterr()
+
+
+def test_verify_semidirect_on_unital_j_is_a_usage_error(capsys):
+    assert run("verify", "semidirect", "--family", "Dt", "--t", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_hk_fragment(capsys):
