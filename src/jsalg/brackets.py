@@ -20,9 +20,9 @@ The "custom" evaluation uses
 which reproduces {X_i,X_j} = C_ij on generators (the odd-odd prefactor
 swallows the extra Koszul sign of the squared odd derivatives).
 
-Evaluation.  `bracket`, `bracket_monomials` and `d_modified` work on
-Fractions.  The identity drivers read every value from one pair oracle,
-`_PairCache`, instead:
+Evaluation.  `bracket` and `bracket_monomials` work on Fractions; the
+D-modified bracket is the "dmod" kind.  The identity drivers read every
+value from one pair oracle, `_PairCache`, instead:
 
 * Monomials are interned to dense int ids, the driver's canonical list
   first, so id i is the driver's index i.  The oracle caches the bracket,
@@ -357,15 +357,6 @@ def bracket(spec: BracketSpec, f: SuperPoly, g: SuperPoly, budget=None) -> Super
     res = SuperPoly(spec.m, spec.n)
     res.terms = out
     return res
-
-
-def d_modified(
-    spec: BracketSpec, D: DerivationD, f: SuperPoly, g: SuperPoly, budget=None
-) -> SuperPoly:
-    """{f,g}_D = {f,g} - (f D(g) - D(f) g)/2."""
-    base = bracket(spec, f, g, budget)
-    corr = mul(f, D.apply(g)) - mul(D.apply(f), g)
-    return base - corr.scale(Fraction(1, 2))
 
 
 def gauge_twist(spec: BracketSpec, phi: SuperPoly) -> BracketSpec:

@@ -27,8 +27,8 @@ import math
 import time
 from fractions import Fraction
 
-from .brackets import BracketSpec, DerivationD, bracket, d_modified
-from .linalg import Echelon, solve_linear, vec_iadd
+from .brackets import BracketSpec, bracket
+from .linalg import CoordSolver, Echelon, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
     SuperPoly,
@@ -607,28 +607,38 @@ def _mat_parity(M: dict, mdim: int) -> int:
     return par or 0
 
 
-def _algebra_from_matrices(mats, size, mdim, labels, name) -> FiniteSuperAlgebra:
+def _algebra_from_matrices(mats, mdim, labels, name, lie=False) -> FiniteSuperAlgebra:
     """Close a list of independent parity-homogeneous matrices under the
-    symmetrized product and express the structure constants over them."""
-    from .linalg import CoordSolver
+    symmetrized product (AB + (-1)^{pq} BA)/2, or under the supercommutator
+    AB - (-1)^{pq} BA when lie, and express the structure constants over
+    them.  A matrix (r, c) -> entry is already a sparse vector, so the
+    matrices are the solver's columns as they stand.
 
-    flats = [{r * size + c: v for (r, c), v in M.items()} for M in mats]
-    solver = CoordSolver([dict(f) for f in flats])
+    Only the pairs i <= j are solved: swapping A and B multiplies the
+    symmetrized product by (-1)^{pq} and the supercommutator by -(-1)^{pq}.
+    """
+    if not mats:
+        raise ValueError(f"{name} has an empty basis")
+    solver = CoordSolver(mats)
     parities = [_mat_parity(M, mdim) for M in mats]
+    c_ab = 1 if lie else Fraction(1, 2)
     table = {}
-    half = Fraction(1, 2)
     for i, A in enumerate(mats):
-        for j, B in enumerate(mats):
+        for j in range(i, len(mats)):
+            B = mats[j]
+            # the product of (B, A) is mirror times the product of (A, B)
+            mirror = (-1 if parities[i] and parities[j] else 1) * (-1 if lie else 1)
             prod: dict = {}
-            vec_iadd(prod, _mat_mul(A, B), half)
-            vec_iadd(prod, _mat_mul(B, A),
-                     -half if (parities[i] and parities[j]) else half)
-            sol = solver.solve({r * size + c: v for (r, c), v in prod.items()})
+            vec_iadd(prod, _mat_mul(A, B), c_ab)
+            vec_iadd(prod, _mat_mul(B, A), mirror * c_ab)
+            if not prod:
+                continue
+            sol = solver.solve(prod)
             if sol is None:
-                raise ValueError("product leaves the matrix family span")
+                raise ValueError(f"a product leaves the span of {name}")
             entry = {k: c for k, c in enumerate(sol) if c}
-            if entry:
-                table[(i, j)] = entry
+            table[(i, j)] = entry
+            table[(j, i)] = entry if mirror > 0 else {k: -c for k, c in entry.items()}
     return FiniteSuperAlgebra(labels, parities, table, name=name)
 
 
@@ -641,7 +651,7 @@ def glplus(m: int, n: int) -> FiniteSuperAlgebra:
         for c in range(size):
             mats.append({(r, c): Fraction(1)})
             labels.append(f"E{r+1},{c+1}")
-    alg = _algebra_from_matrices(mats, size, m, labels, f"gl({m},{n})+")
+    alg = _algebra_from_matrices(mats, m, labels, f"gl({m},{n})+")
     ev, od = alg.sdim()
     assert (ev, od) == (m * m + n * n, 2 * m * n)
     return alg
@@ -674,8 +684,8 @@ def ospplus(m: int, n: int) -> FiniteSuperAlgebra:
     def star(M: dict) -> dict:
         return _mat_mul(_mat_mul(Binv, _sup_transpose(M, m)), B)
 
-    mats, labels = _selfadjoint_basis(size, m, star)
-    alg = _algebra_from_matrices(mats, size, m, labels, f"osp({m},{n})+")
+    mats, labels = _selfadjoint_basis(size, star)
+    alg = _algebra_from_matrices(mats, m, labels, f"osp({m},{n})+")
     ev, od = alg.sdim()
     assert (ev, od) == (m * (m + 1) // 2 + n * (n - 1) // 2, m * n)
     return alg
@@ -699,8 +709,8 @@ def pplus(n: int) -> FiniteSuperAlgebra:
                 out[(c - n, r - n)] = v
         return out
 
-    mats, labels = _selfadjoint_basis(size, n, star)
-    alg = _algebra_from_matrices(mats, size, n, labels, f"p({n})+")
+    mats, labels = _selfadjoint_basis(size, star)
+    alg = _algebra_from_matrices(mats, n, labels, f"p({n})+")
     ev, od = alg.sdim()
     assert (ev, od) == (n * n, n * n)
     return alg
@@ -719,14 +729,15 @@ def qplus(n: int) -> FiniteSuperAlgebra:
         for c in range(n):
             mats.append({(r, n + c): Fraction(1), (n + r, c): Fraction(1)})
             labels.append(f"B{r+1},{c+1}")
-    alg = _algebra_from_matrices(mats, size, n, labels, f"q({n})+")
+    alg = _algebra_from_matrices(mats, n, labels, f"q({n})+")
     ev, od = alg.sdim()
     assert (ev, od) == (n * n, n * n)
     return alg
 
 
-def _selfadjoint_basis(size, mdim, star):
-    """Echelon basis of (U + U*)/1 over matrix units U, deduplicated."""
+def _selfadjoint_basis(size, star, prefix="S"):
+    """Echelon basis of U + U* over the matrix units U, deduplicated, for an
+    involution star; labelled by the unit U it came from."""
     ech = Echelon()
     mats = []
     labels = []
@@ -737,12 +748,9 @@ def _selfadjoint_basis(size, mdim, star):
             assert star(Us) == U, "star is not an involution"
             cand: dict = dict(U)
             vec_iadd(cand, Us)
-            if not cand:
-                continue
-            vec = {rr * size + cc: v for (rr, cc), v in cand.items()}
-            if ech.insert(vec) is not None:
+            if cand and ech.insert(cand) is not None:
                 mats.append(cand)
-                labels.append(f"S{r+1},{c+1}")
+                labels.append(f"{prefix}{r+1},{c+1}")
     return mats, labels
 
 
@@ -849,20 +857,56 @@ def falg() -> FiniteSuperAlgebra:
 # -- doubles and polynomial carriers -----------------------------------------------
 
 
-def kkm_double(spec: BracketSpec, D: DerivationD | None = None, deg: int = 3,
-               name: str = "", negate_bracket: bool = False) -> FiniteSuperAlgebra:
-    """The double A + eta A over the degree-<= deg monomial span of the
-    bracket algebra, with eta a o eta b = (-1)^{p(a)} {a, b}_D.
+def _poly_coords(terms: dict, pos: dict, deg: int, offset: int = 0, sign: int = 1,
+                 drop_const: bool = False):
+    """Coordinates of a term dict over the monomial basis `pos`, shifted by
+    offset and multiplied by sign = +-1; None when a term leaves the degree
+    span.  drop_const drops the constant term (a bracket modulo constants)."""
+    vec = {}
+    for mono, c in terms.items():
+        d = mono_degree(mono)
+        if d > deg:
+            return None
+        if d or not drop_const:
+            vec[pos[mono] + offset] = c if sign > 0 else -c
+    return vec
 
-    D defaults to the derivation attached to the spec; for a Poisson spec
-    (D = 0) the modified bracket is the bracket itself.  Products whose
-    result leaves the span are flagged out-of-span, never dropped.
+
+def _poly_table(m, n, monos, deg, prod, parity_shift, name,
+                drop_const=False) -> FiniteSuperAlgebra:
+    """The table on a monomial basis with entry (i, j) the coordinates of
+    the term dict prod(a_i, a_j); a pair is out of span when a term has
+    degree above deg.  Parities are the monomial parities plus
+    parity_shift.  Both orders of every pair are computed: supercommutativity
+    of such a table is a property to check, not an assumption."""
+    pos = {mo: i for i, mo in enumerate(monos)}
+    table = {}
+    oos = set()
+    for i, a in enumerate(monos):
+        for j, b in enumerate(monos):
+            vec = _poly_coords(prod(a, b), pos, deg, drop_const=drop_const)
+            if vec is None:
+                oos.add((i, j))
+            else:
+                table[(i, j)] = vec
+    labels = [render_monomial(mo, m, n) for mo in monos]
+    parities = [(mono_parity(mo) + parity_shift) & 1 for mo in monos]
+    return FiniteSuperAlgebra(labels, parities, table, oos, name=name)
+
+
+def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
+               negate_bracket: bool = False) -> FiniteSuperAlgebra:
+    """The double A + eta A over the degree-<= deg monomial span of the
+    bracket algebra, with eta a o eta b = (-1)^{p(a)} {a, b}_D for D the
+    derivation attached to the spec (the "dmod" bracket kind); for a
+    Poisson spec (D = 0) the modified bracket is the bracket itself.
+    Products whose result leaves the span are flagged out-of-span, never
+    dropped.
     """
     if deg < 0:
         raise ValueError("deg >= 0")
     m, n = spec.m, spec.n
-    if D is None:
-        D = spec.derivation()
+    dspec = BracketSpec.d_modified(spec)
     monos = monomials_total_degree(m, n, deg)
     pos = {mo: i for i, mo in enumerate(monos)}
     N = len(monos)
@@ -875,44 +919,37 @@ def kkm_double(spec: BracketSpec, D: DerivationD | None = None, deg: int = 3,
     table: dict = {}
     oos = set()
 
-    def put(i, j, poly: SuperPoly, eta: bool, sign: int = 1):
-        if any(mono_degree(mo) > deg for mo in poly.terms):
+    def put(i, j, terms: dict, offset: int = 0, sign: int = 1):
+        vec = _poly_coords(terms, pos, deg, offset, sign)
+        if vec is None:
             oos.add((i, j))
-            return
-        vec = {}
-        for mo, c in poly.terms.items():
-            k = pos[mo] + (N if eta else 0)
-            vec[k] = c if sign > 0 else -c
-        if vec:
+        else:
             table[(i, j)] = vec
 
     one = Fraction(1)
     for i, a in enumerate(monos):
-        pa = mono_parity(a)
+        pa = -1 if mono_parity(a) else 1
         fa = SuperPoly(m, n, {a: one})
         for j, b in enumerate(monos):
             fb = SuperPoly(m, n, {b: one})
-            ab = fa * fb
+            ab = (fa * fb).terms
             # a o b = ab
-            put(i, j, ab, eta=False)
+            put(i, j, ab)
             # eta a o b = eta(ab)
-            put(N + i, j, ab, eta=True)
+            put(N + i, j, ab, offset=N)
             # a o eta b = (-1)^{p(a)} eta(ab)
-            put(i, N + j, ab, eta=True, sign=-1 if pa else 1)
+            put(i, N + j, ab, offset=N, sign=pa)
             # eta a o eta b = (-1)^{p(a)} {a,b}_D
-            br = d_modified(spec, D, fa, fb)
-            if negate_bracket:
-                br = -br
-            put(N + i, N + j, br, eta=False, sign=-1 if pa else 1)
-    alg = FiniteSuperAlgebra(labels, parities, table, oos, name=name or f"KKM({m},{n},deg{deg})")
-    return alg
+            put(N + i, N + j, bracket(dspec, fa, fb).terms,
+                sign=-pa if negate_bracket else pa)
+    return FiniteSuperAlgebra(labels, parities, table, oos, name=name or f"KKM({m},{n},deg{deg})")
 
 
 def jp_finite(n: int) -> FiniteSuperAlgebra:
     """The finite double over the full Grassmann algebra on n odd generators
     with the diagonal bracket {xi_j, xi_j} = -1."""
     spec = BracketSpec.diagonal(0, n, odd_sign=-1)
-    alg = kkm_double(spec, DerivationD.zero(0, n), deg=n, name=f"JP(0,{n})")
+    alg = kkm_double(spec, deg=n, name=f"JP(0,{n})")
     assert alg.is_total()
     assert alg.sdim() == (2**n, 2**n)
     return alg
@@ -927,7 +964,7 @@ def jp(m: int, n: int, deg: int = 3) -> FiniteSuperAlgebra:
         spec = BracketSpec.h_type(m // 2, n)
     else:
         spec = BracketSpec.k_type((m - 1) // 2, n)
-    return kkm_double(spec, None, deg=deg, name=f"JP({m},{n})|deg{deg}")
+    return kkm_double(spec, deg=deg, name=f"JP({m},{n})|deg{deg}")
 
 
 _CROSS = {
@@ -1078,12 +1115,6 @@ def build(family: str, m: int = 0, n: int = 0, t=None, deg: int = 3) -> FiniteSu
     if fam == "js":
         return build_js(deg)
     raise ValueError(f"unknown family {family!r}")
-
-
-FAMILIES = [
-    "GLplus", "OSPplus", "FORMplus", "Pplus", "Qplus",
-    "Dt", "Kalg", "Falg", "JPfinite", "JP", "JCK", "JS",
-]
 
 
 def identity_catalog():

@@ -20,9 +20,17 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brackets import BracketSpec, DerivationD, bracket
-from .jordan import FiniteSuperAlgebra, _mat_mul, kkm_double
-from .linalg import CoordSolver, Echelon, nullspace, solve_linear, vec_iadd
+from .brackets import BracketSpec, bracket, bracket_monomials
+from .jordan import (
+    FiniteSuperAlgebra,
+    _algebra_from_matrices,
+    _mat_mul,
+    _poly_coords,
+    _poly_table,
+    _selfadjoint_basis,
+    kkm_double,
+)
+from .linalg import CoordSolver, nullspace, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
     SuperPoly,
@@ -34,7 +42,6 @@ from .superpoly import (
     mul,
     odd_var,
     partial,
-    render_monomial,
 )
 from .tkk import GradedLie
 
@@ -54,37 +61,18 @@ class ClassicalAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coord_solver(self):
-        if not hasattr(self, "_solver"):
-            cols = [
-                {r * self.size + c: v for (r, c), v in M.items()} for M in self.basis
-            ]
-            self._solver = CoordSolver(cols)
-        return self._solver
-
     def to_coords(self, M: dict):
-        flat = {r * self.size + c: v for (r, c), v in M.items()}
-        return self.coord_solver().solve(flat)
+        """Coordinates of a matrix over the basis, or None outside it."""
+        if not hasattr(self, "_solver"):
+            self._solver = CoordSolver(self.basis)
+        return self._solver.solve(M)
 
     def algebra(self) -> FiniteSuperAlgebra:
         """The structure constants as an even table: c[(i, j)] holds the
         coordinates of [X_i, X_j]."""
         if not hasattr(self, "_alg"):
-            sc = {}
-            # [X_j, X_i] = -[X_i, X_j], so only the pairs i < j are solved
-            for i, A in enumerate(self.basis):
-                for j in range(i + 1, self.dim):
-                    C = _comm(A, self.basis[j])
-                    if not C:
-                        continue
-                    coords = self.to_coords(C)
-                    if coords is None:
-                        raise ValueError("bracket leaves the algebra")
-                    vec = {k: c for k, c in enumerate(coords) if c}
-                    sc[(i, j)] = vec
-                    sc[(j, i)] = {k: -c for k, c in vec.items()}
-            self._alg = FiniteSuperAlgebra(self.labels, [0] * self.dim, sc,
-                                           name=f"{self.family}({self.size})")
+            self._alg = _algebra_from_matrices(self.basis, self.size, self.labels,
+                                               f"{self.family}({self.size})", lie=True)
         return self._alg
 
     def structure(self):
@@ -107,12 +95,6 @@ class ClassicalAlgebra:
 
     def bracket_vec(self, u: dict, v: dict) -> dict:
         return self.algebra().mul_vectors(u, v)
-
-
-def _comm(A: dict, B: dict) -> dict:
-    out = _mat_mul(A, B)
-    vec_iadd(out, _mat_mul(B, A), -1)
-    return out
 
 
 def classical(family: str, size: int) -> ClassicalAlgebra:
@@ -156,24 +138,16 @@ def classical(family: str, size: int) -> ClassicalAlgebra:
                 B[(i, r + i)] = Fraction(1)
                 B[(r + i, i)] = Fraction(-1)
             rank = r
-        # every fixed form is a signed permutation matrix, so B^-1 = B^t
+        # every fixed form is a signed permutation matrix, so B^-1 = B^t and
+        # U -> -B^-1 U^t B is an involution; U plus its image is the skew
+        # projection of U for the form
         Binv = {(c, r): v for (r, c), v in B.items()}
-        ech = Echelon()
-        basis = []
-        labels = []
-        for rr in range(n):
-            for cc in range(n):
-                U = {(rr, cc): Fraction(1)}
-                # U - B^{-1} U^t B, the skew projection for the form
-                Ut = {(c2, r2): v for (r2, c2), v in U.items()}
-                cand = dict(U)
-                vec_iadd(cand, _mat_mul(_mat_mul(Binv, Ut), B), -1)
-                if not cand:
-                    continue
-                flat = {a * n + b: v for (a, b), v in cand.items()}
-                if ech.insert(flat) is not None:
-                    basis.append(cand)
-                    labels.append(f"X{rr+1},{cc+1}")
+
+        def star(U: dict) -> dict:
+            Ut = {(c, r): v for (r, c), v in U.items()}
+            return {k: -v for k, v in _mat_mul(_mat_mul(Binv, Ut), B).items()}
+
+        basis, labels = _selfadjoint_basis(n, star, prefix="X")
         alg = ClassicalAlgebra(fam, n, basis, labels, rank)
         expected = (n * (n - 1) // 2) if fam == "so" else (n * (n + 1) // 2)
         assert alg.dim == expected
@@ -424,19 +398,6 @@ def enumerate_short_gradings(L: ClassicalAlgebra, seed: int = 0,
 # -- H/K bracket Lie superalgebras and their triples ----------------------------------
 
 
-def _poly_coords(poly: SuperPoly, pos: dict, deg: int, drop_const: bool):
-    """Coordinates of a polynomial over the monomial basis; None when a term
-    leaves the degree span."""
-    vec = {}
-    for mono, c in poly.terms.items():
-        if drop_const and mono_degree(mono) == 0:
-            continue
-        if mono_degree(mono) > deg:
-            return None
-        vec[pos[mono]] = c
-    return vec
-
-
 def build_hk(kind: str, k: int, n: int, deg: int = 3):
     """The bracket Lie superalgebra fragment on monomials of total degree
     <= deg (the "h" kind is taken modulo constants) with the distinguished
@@ -465,28 +426,14 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
         if not (drop_const and mono_degree(mo) == 0)
     ]
     pos = {mo: i for i, mo in enumerate(monos)}
-    labels = [render_monomial(mo, m, n) for mo in monos]
-    parities = [mono_parity(mo) for mo in monos]
     grading = []
     for mo in monos:
         odds = mo[1]
         grading.append((1 if (n - 2) in odds else 0) - (1 if (n - 1) in odds else 0))
-    table = {}
-    oos = set()
-    one = Fraction(1)
-    for i, a in enumerate(monos):
-        fa = SuperPoly(m, n, {a: one})
-        for j, b in enumerate(monos):
-            fb = SuperPoly(m, n, {b: one})
-            vec = _poly_coords(bracket(spec, fa, fb), pos, deg, drop_const)
-            if vec is None:
-                oos.add((i, j))
-            elif vec:
-                table[(i, j)] = vec
-    alg = FiniteSuperAlgebra(
-        labels, parities, table, oos, name=f"{kind.upper()}({m},{n})|deg{deg}"
-    )
+    alg = _poly_table(m, n, monos, deg, lambda a, b: bracket_monomials(spec, a, b), 0,
+                      f"{kind.upper()}({m},{n})|deg{deg}", drop_const=drop_const)
     lie = GradedLie(alg, grading)
+    one = Fraction(1)
 
     # the triple as polynomials, with the relations checked exactly
     xi = lambda j: SuperPoly.variable(m, n, odd_var(j))
@@ -505,10 +452,10 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
         fmo = SuperPoly(m, n, {mo: one})
         want = fmo.scale(grading[i]) if grading[i] else SuperPoly.zero(m, n)
         if bracket(spec, h_poly, fmo) != want:
-            failures.append(f"grading defect at {labels[i]}")
+            failures.append(f"grading defect at {alg.labels[i]}")
             break
     # bracket respects the grading on certified pairs
-    for (i, j), vec in table.items():
+    for (i, j), vec in alg.table.items():
         g = grading[i] + grading[j]
         for idx in vec:
             if grading[idx] != g:
@@ -517,15 +464,12 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
         else:
             continue
         break
-    triple = {
-        "e": _poly_coords(e_poly, pos, deg, drop_const),
-        "h": _poly_coords(h_poly, pos, deg, drop_const),
-        "f": _poly_coords(f_poly, pos, deg, drop_const),
-    }
+    triple = {name: _poly_coords(poly.terms, pos, deg, drop_const=drop_const)
+              for name, poly in (("e", e_poly), ("h", h_poly), ("f", f_poly))}
     report = Report(
         "hk-fragment",
         {"kind": kind, "m": m, "n": n, "deg": deg},
-        {"monomials": len(monos), "certifiedPairs": len(monos) ** 2 - len(oos)},
+        {"monomials": len(monos), "certifiedPairs": len(monos) ** 2 - len(alg.out_of_span)},
         "pass" if not failures else "fail",
         {"failures": failures} if failures else None,
         elapsed_ms=(time.perf_counter() - t0) * 1000,
@@ -533,30 +477,16 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     return lie, triple, report
 
 
-def h_zero_n_lie(n: int, derived: bool = True) -> FiniteSuperAlgebra:
-    """The full finite bracket Lie superalgebra on the Grassmann monomials
-    modulo constants; derived=True cuts to the span of all brackets."""
+def h_zero_n_lie(n: int) -> FiniteSuperAlgebra:
+    """The derived algebra of the finite bracket Lie superalgebra on the
+    Grassmann monomials modulo constants: the span of all brackets."""
     spec = BracketSpec.h_type(0, n)
     monos = [mo for mo in monomials_total_degree(0, n, n) if mono_degree(mo) > 0]
-    pos = {mo: i for i, mo in enumerate(monos)}
-    one = Fraction(1)
-    dim = len(monos)
-    full = {}
-    for i, a in enumerate(monos):
-        fa = SuperPoly(0, n, {a: one})
-        for j, b in enumerate(monos):
-            fb = SuperPoly(0, n, {b: one})
-            vec = _poly_coords(bracket(spec, fa, fb), pos, n, True)
-            if vec:
-                full[(i, j)] = vec
-    labels = [render_monomial(mo, 0, n) for mo in monos]
-    parities = [mono_parity(mo) for mo in monos]
-    H = FiniteSuperAlgebra(labels, parities, full, name=f"H'(0,{n})")
-    if not derived:
-        return H
+    H = _poly_table(0, n, monos, n, lambda a, b: bracket_monomials(spec, a, b), 0,
+                    f"H'(0,{n})", drop_const=True)
     solver = CoordSolver()
     span_rows = []
-    for (i, j), vec in sorted(full.items()):
+    for (i, j), vec in sorted(H.table.items()):
         if solver.add(vec):
             span_rows.append(dict(vec))
     sdim = len(span_rows)
@@ -601,26 +531,8 @@ def _jordan_from_product(m, n, deg, prod_fn, name):
     """Jordan table on the degree-<= deg monomials with reversed parity,
     from a product function on monomial pairs."""
     monos = monomials_total_degree(m, n, deg)
-    pos = {mo: i for i, mo in enumerate(monos)}
-    labels = [render_monomial(mo, m, n) for mo in monos]
-    parities = [(mono_parity(mo) + 1) & 1 for mo in monos]
-    table = {}
-    oos = set()
-    for i, a in enumerate(monos):
-        for j, b in enumerate(monos):
-            poly = prod_fn(a, b)
-            vec = {}
-            bad = False
-            for mono, c in poly.terms.items():
-                if mono_degree(mono) > deg:
-                    bad = True
-                    break
-                vec[pos[mono]] = c
-            if bad:
-                oos.add((i, j))
-            elif vec:
-                table[(i, j)] = vec
-    return FiniteSuperAlgebra(labels, parities, table, oos, name=name), monos, pos
+    alg = _poly_table(m, n, monos, deg, lambda a, b: prod_fn(a, b).terms, 1, name)
+    return alg, monos, {mo: i for i, mo in enumerate(monos)}
 
 
 def short_subalgebra_jordan_h(k: int, n: int, deg: int = 3):
@@ -648,26 +560,7 @@ def short_subalgebra_jordan_h(k: int, n: int, deg: int = 3):
     return _jordan_from_product(m, n2, deg, prod, f"J(H({2*k},{n}),a)|deg{deg}")
 
 
-def _euler_variant(f: SuperPoly, mode: str) -> SuperPoly:
-    if mode == "standard":
-        return euler(f, include_time=False)
-    if mode == "with_time":
-        return euler(f, include_time=True)
-    if mode == "no_odds":
-        # corrupt variant: count only the even non-t generators
-        terms = {}
-        for mono, c in f.terms.items():
-            d = sum(mono[0]) - (mono[0][0] if f.m else 0)
-            if d:
-                terms[mono] = c * d
-        out = SuperPoly(f.m, f.n)
-        out.terms = terms
-        return out
-    raise ValueError(mode)
-
-
-def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3,
-                              euler_mode: str = "standard"):
+def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3):
     """The contact analogue:
         f o g = (-1)^{p(f)} ( df/dxi_c g + {xi_c f, g} + xi_c (1-E)(f) dg/dt
                               - xi_c df/dt (1-E)(g) )
@@ -687,8 +580,8 @@ def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3,
         xi_c = SuperPoly.variable(m, n2, odd_var(c))
         t1 = mul(partial(fa, odd_var(c)), fb)
         t2 = bracket(rspec, mul(xi_c, fa), fb)
-        one_minus_e_a = fa - _euler_variant(fa, euler_mode)
-        one_minus_e_b = fb - _euler_variant(fb, euler_mode)
+        one_minus_e_a = fa - euler(fa, include_time=False)
+        one_minus_e_b = fb - euler(fb, include_time=False)
         t3 = mul(mul(xi_c, one_minus_e_a), partial(fb, t_ref))
         t4 = mul(mul(xi_c, partial(fa, t_ref)), one_minus_e_b)
         return (t1 + t2 + t3 - t4).scale(sign)
@@ -772,8 +665,7 @@ def example71_iso(k: int, n: int, deg: int = 3, flip_eta: bool = False) -> Repor
         raise ValueError("need n >= 3 (n >= 4 when k = 0)")
     src, monos, _ = short_subalgebra_jordan_h(k, n, deg)
     tgt_spec = BracketSpec.negated(BracketSpec.diagonal(k, n - 3))
-    tgt = kkm_double(tgt_spec, DerivationD.zero(2 * k, n - 3), deg,
-                     name=f"JP({2*k},{n-3})|flip")
+    tgt = kkm_double(tgt_spec, deg, name=f"JP({2*k},{n-3})|flip")
     images, N = _double_factor_map(monos, n - 2, deg, 2 * k, n - 3)
     return _check_double_map(
         src, tgt, images, "iso-h-double",
@@ -782,16 +674,15 @@ def example71_iso(k: int, n: int, deg: int = 3, flip_eta: bool = False) -> Repor
     )
 
 
-def example72_iso(k: int, n: int, deg: int = 3, flip_eta: bool = False,
-                  euler_mode: str = "standard") -> Report:
+def example72_iso(k: int, n: int, deg: int = 3, flip_eta: bool = False) -> Report:
     """The contact analogue: the induced Jordan product of the "k" fragment
     onto the double of the sign-flipped modified contact bracket."""
     if n < 3:
         raise ValueError("need n >= 3")
-    src, monos, _ = short_subalgebra_jordan_k(k, n, deg, euler_mode=euler_mode)
+    src, monos, _ = short_subalgebra_jordan_k(k, n, deg)
     tgt_spec = BracketSpec.diagonal(k, n - 3, has_time=True)
-    tgt = kkm_double(tgt_spec, DerivationD.multiple_of_dt(2 * k + 1, n - 3),
-                     deg, name=f"JP({2*k+1},{n-3})|flip", negate_bracket=True)
+    tgt = kkm_double(tgt_spec, deg, name=f"JP({2*k+1},{n-3})|flip",
+                     negate_bracket=True)
     images, N = _double_factor_map(monos, n - 2, deg, 2 * k + 1, n - 3)
     return _check_double_map(
         src, tgt, images, "iso-k-double",

@@ -106,10 +106,6 @@ class PolyVector:
             pv._add((_factor_key(v),), coeff)
         return pv
 
-    @staticmethod
-    def from_derivation(D: DerivationD) -> "PolyVector":
-        return PolyVector.vector_field(D.m, D.n, D.terms)
-
     def _add(self, key: tuple, poly: SuperPoly):
         cur = self.terms.get(key)
         tot = poly if cur is None else cur + poly

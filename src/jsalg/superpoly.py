@@ -221,11 +221,6 @@ class SuperPoly:
         }
         return out
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return min(sum(ev) + len(od) for (ev, od) in self.terms)
-
     # -- rendering -----------------------------------------------------------
 
     def render(self, names=None) -> str:

@@ -455,14 +455,15 @@ class TKK:
 
     def check_triple(self, t: Sl2Triple | None = None) -> Report:
         """Triple relations plus the ad h eigenvalue of every realized basis
-        element of the three graded pieces."""
+        element of the three graded pieces.  Without t the canonical triple
+        is checked; a J without a unit has none and raises ValueError."""
         t0 = time.perf_counter()
         if t is None:
             t = self.triple()
-        params = {"algebra": self.J.name}
         if t is None:
-            return Report("tkk-triple", params, {}, "fail",
-                          {"reason": "no unit, no canonical triple"})
+            raise ValueError(f"{self.J.name or 'J'} has no unit, so no canonical "
+                             "triple; pass a triple or use verify semidirect")
+        params = {"algebra": self.J.name}
         par = self.J.parities
         d = self.J.dim
         win = self.win
@@ -567,9 +568,6 @@ class TKK:
         )
 
     # -- assembly ------------------------------------------------------------
-
-    def basis_size(self) -> int:
-        return self.J.dim + len(self.g0.rows) + len(self.g1.rows)
 
     def assemble(self) -> tuple:
         """Full structure constants of Lie(J) over the realized basis;

@@ -26,7 +26,12 @@ def test_verify_jordan_identity_exit_codes(capsys):
                  ("build", "--family", "GLplus", "--m", "-1", "--n", "1"),
                  ("verify", "simple", "--family", "Dt", "--t", "1/0"),
                  ("verify", "jordan-identity", "--family", "JP", "--m", "1",
-                  "--n", "1", "--deg", "-1")):
+                  "--n", "1", "--deg", "-1"),
+                 # the matrix families have an empty basis at dimension 0
+                 ("verify", "jordan-identity", "--family", "GLplus", "--m", "0", "--n", "0"),
+                 ("verify", "jordan-identity", "--family", "OSPplus", "--m", "0", "--n", "0"),
+                 ("verify", "jordan-identity", "--family", "Pplus", "--n", "0"),
+                 ("verify", "jordan-identity", "--family", "Qplus", "--n", "0")):
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -175,6 +180,14 @@ def test_verify_semidirect_on_unital_j_is_a_usage_error(capsys):
     assert run("verify", "semidirect", "--family", "Dt", "--t", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_tkk_on_nonunital_j_is_a_usage_error(capsys):
+    # no unit means no canonical triple: a precondition, not a failed check
+    assert run("verify", "tkk", "--family", "Kalg") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_verify_hk_fragment(capsys):

@@ -8,6 +8,13 @@ these builders were moved onto `vec_iadd` and `jordan._mat_mul`.  The JCK
 digest was recorded when the double was built in its Pauli-type form over
 Q(i); the test maps the rational table back to that form through the
 diagonal change of basis stated in `build_jck`.
+
+The "builders" digests pin every table that the matrix-span builder and
+the monomial-product builder make: the whole identity catalog, the
+classical structures of the short-grading battery, H(0,3), the four H/K
+fragments and the induced Jordan products.  Each covers the name, labels,
+parities, constants and sorted out-of-span pairs; they were recorded before
+`lieclass` was moved onto the builders of `jordan`.
 """
 
 import hashlib
@@ -16,13 +23,25 @@ from pathlib import Path
 
 import pytest
 
-from jsalg.jordan import build_jck, falg, glplus, ospplus, pplus, qplus
+from jsalg.acceptance import SHORT_GRADING_TARGETS
+from jsalg.jordan import (
+    build_jck,
+    falg,
+    glplus,
+    identity_catalog,
+    ospplus,
+    pplus,
+    qplus,
+)
 from jsalg.lieclass import (
+    build_hk,
     classical,
     enumerate_short_gradings,
     example71_iso,
     example72_iso,
     h_zero_n_lie,
+    short_subalgebra_jordan_h,
+    short_subalgebra_jordan_k,
 )
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_tables.json").read_text())
@@ -81,3 +100,31 @@ def test_classical_structure_digest(family, size):
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_json(name):
     assert REPORTS[name]().to_json() == GOLDEN["reports"][name]
+
+
+def table_digest(J):
+    """Name, labels, parities, constants and sorted out-of-span pairs."""
+    entries = sorted([i, j, k, str(c)] for (i, j), vec in J.table.items()
+                     for k, c in vec.items())
+    return hashlib.sha256(json.dumps(
+        {"name": J.name, "labels": J.labels, "parities": J.parities,
+         "c": entries, "outOfSpan": sorted(map(list, J.out_of_span))},
+        separators=(",", ":")).encode()).hexdigest()
+
+
+BUILDER_TABLES = {
+    **{f"catalog {name}": thunk for name, thunk in identity_catalog()},
+    **{f"classical {fam}{size}": lambda f=fam, s=size: classical(f, s).algebra()
+       for fam, size in SHORT_GRADING_TARGETS},
+    "H(0,3)": lambda: h_zero_n_lie(3),
+    **{f"build_hk {kind}({k},{n})": lambda a=kind, b=k, c=n: build_hk(a, b, c, 3)[0].algebra
+       for kind, k, n in [("h", 0, 4), ("h", 1, 3), ("k", 0, 3), ("k", 1, 3)]},
+    "jordan_h(0,4,3)": lambda: short_subalgebra_jordan_h(0, 4, 3)[0],
+    "jordan_k(0,3,3)": lambda: short_subalgebra_jordan_k(0, 3, 3)[0],
+    "jordan_k(1,3,2)": lambda: short_subalgebra_jordan_k(1, 3, 2)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_TABLES))
+def test_builder_table_digest(name):
+    assert table_digest(BUILDER_TABLES[name]()) == GOLDEN["builders"][name]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jsalg.brackets import BracketSpec, DerivationD
+from jsalg.brackets import BracketSpec
 from jsalg.jordan import (
     FiniteSuperAlgebra,
     build,
@@ -120,7 +120,7 @@ def test_simplicity_catalog_verdicts():
 
 def test_kkm_product_rules():
     spec = BracketSpec.diagonal(0, 2, odd_sign=-1)
-    J = kkm_double(spec, DerivationD.zero(0, 2), deg=2, name="JP(0,2)")
+    J = kkm_double(spec, deg=2, name="JP(0,2)")
     lbl = J.labels.index
     one = lbl("1")
     xi1 = lbl("xi1")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jsalg import lieclass
 from jsalg.jordan import check_jordan, check_simple
 from jsalg.lieclass import (
     build_hk,
@@ -20,6 +21,7 @@ from jsalg.lieclass import (
     short_subalgebra_jordan_h,
     short_subalgebra_jordan_k,
 )
+from jsalg.superpoly import SuperPoly, euler
 from jsalg.tkk import check_lie_table
 
 
@@ -83,6 +85,13 @@ def test_enumeration_matches_classification(fam, size):
     assert found == set(classified_short_vertices(fam, size))
 
 
+def test_sl1_constructs_but_its_empty_table_is_refused():
+    L = classical("sl", 1)
+    assert L.dim == 0
+    with pytest.raises(ValueError, match="empty basis"):
+        L.algebra()
+
+
 def test_enumeration_without_candidate_vertices_does_not_pass():
     r = enumerate_short_gradings(classical("sl", 1))
     assert r.certified_span["vertices"] == []
@@ -139,14 +148,27 @@ def test_example72_splitting():
         assert r.passed and r.certified_span["certifiedPairs"] > 0
 
 
-def test_example72_negative_control():
-    assert not example72_iso(0, 4, 3, euler_mode="no_odds").passed
+def _euler_without_odds(f, include_time=False):
+    # corrupt Euler operator: count only the even non-t generators
+    out = SuperPoly(f.m, f.n)
+    for mono, c in f.terms.items():
+        d = sum(mono[0]) - (mono[0][0] if f.m else 0)
+        if d:
+            out.terms[mono] = c * d
+    return out
+
+
+def test_example72_negative_control(monkeypatch):
     assert not example72_iso(0, 4, 3, flip_eta=True).passed
+    monkeypatch.setattr(lieclass, "euler", _euler_without_odds)
+    assert not example72_iso(0, 4, 3).passed
 
 
-def test_euler_time_inclusion_is_invisible():
+def test_euler_time_inclusion_is_invisible(monkeypatch):
     # the contact product is invariant under adding the t-term to the Euler
     # operator: the change cancels between the two antisymmetrized terms
     a1, _, _ = short_subalgebra_jordan_k(0, 4, 3)
-    a2, _, _ = short_subalgebra_jordan_k(0, 4, 3, euler_mode="with_time")
+    monkeypatch.setattr(lieclass, "euler",
+                        lambda f, include_time=False: euler(f, include_time=True))
+    a2, _, _ = short_subalgebra_jordan_k(0, 4, 3)
     assert a1.table == a2.table and a1.out_of_span == a2.out_of_span

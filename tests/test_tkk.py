@@ -166,6 +166,11 @@ def test_nonunital_direct_construction_fails_third_condition():
     assert any("[g0, g1]" in f for f in r.counterexample["failures"])
 
 
+def test_canonical_triple_needs_a_unit():
+    with pytest.raises(ValueError, match="no unit"):
+        TKK(kalg()).check_triple()
+
+
 def test_semidirect_kalg():
     r = check_semidirect(kalg())
     assert r.passed
