@@ -101,18 +101,15 @@ def criterion_3_schouten(max_deg: int = 3) -> Report:
 
 
 def _gpb_agreement(pair, spec, max_deg, tag) -> Report:
+    """gpb = {,} on monomial pairs: each kernel's ints times the other's scale."""
     t0 = time.perf_counter()
-    monos = monomials_total_degree(spec.m, spec.n, max_deg)
-    ce = None
-    for m1 in monos:
-        f = SuperPoly(spec.m, spec.n, {m1: Fraction(1)})
-        for m2 in monos:
-            g = SuperPoly(spec.m, spec.n, {m2: Fraction(1)})
-            if sch.gpb_from_ac(pair, f, g) != br.bracket(spec, f, g):
-                ce = {"monomials": [f.render(), g.render()]}
-                break
-        if ce:
-            break
+    m, n = spec.m, spec.n
+    monos = monomials_total_degree(m, n, max_deg)
+    (S, gpb), (S2, builtin) = pair.kernel, br.bracket_kernel(spec)
+    bad = next(((a, b) for a in monos for b in monos
+                if {y: v * S2 for y, v in gpb(a, b).items()}
+                != {y: v * S for y, v in builtin(a, b).items()}), None)
+    ce = bad and {"monomials": [SuperPoly(m, n, {x: 1}).render() for x in bad]}
     return Report(
         f"schouten-gpb-pointwise[{tag}]",
         {"maxDeg": max_deg},
@@ -126,22 +123,13 @@ def _gpb_agreement(pair, spec, max_deg, tag) -> Report:
 def _gpb_jacobi(pair, spec, max_deg, tag) -> Report:
     """Antisymmetry and Jacobi for the biderivation bracket itself, on
     monomial pairs and multisets, through the bracket engine's pair oracle
-    (the identities are multilinear, so this is exhaustive over the span).
-    Its scale is the lcm of the denominators of the pair's coefficients:
-    gpb_from_ac is linear in them, and partial derivatives of monomials add
-    only integer factors."""
+    filled from the pair's compiled kernel (`schouten.ACPair.kernel`; the
+    identities are multilinear, so this is exhaustive over the span)."""
     t0 = time.perf_counter()
-    m, n = spec.m, spec.n
-    monos = monomials_total_degree(m, n, max_deg)
+    monos = monomials_total_degree(spec.m, spec.n, max_deg)
     N = len(monos)
-
-    def gpb(a, b):
-        f = SuperPoly(m, n, {a: Fraction(1)})
-        return sch.gpb_from_ac(pair, f, SuperPoly(m, n, {b: Fraction(1)})).terms
-
-    scale = br.den_lcm(c for co, *_ in pair.a_terms + pair.c_pairs
-                       for c in co.terms.values())
-    identity, idxs = br.first_jacobi_failure(m, n, monos, gpb, scale)
+    scale, kern = pair.kernel
+    identity, idxs = br.first_jacobi_failure(monos, kern, scale)
     return Report(
         f"schouten-gpb-jacobi[{tag}]",
         {"maxDeg": max_deg},

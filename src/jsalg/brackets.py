@@ -20,9 +20,12 @@ The "custom" evaluation uses
 which reproduces {X_i,X_j} = C_ij on generators (the odd-odd prefactor
 swallows the extra Koszul sign of the squared odd derivatives).
 
-Evaluation.  `bracket` and `bracket_monomials` work on Fractions; the
-D-modified bracket is the "dmod" kind.  The identity drivers read every
-value from one pair oracle, `_PairCache`, instead:
+Evaluation.  `bracket_kernel` compiles a non-series spec once into ints:
+S c_ij with S = spec_scale(spec) checked to clear every entry, the odd
+block's outer sign and the time part's integer factors.  It maps a monomial
+pair to the ints of S {a, b}; `bracket_monomials` and `bracket` are thin
+Fraction wrappers over it.  The identity drivers read every value from one
+pair oracle, `_PairCache`:
 
 * Monomials are interned to dense int ids, the driver's canonical list
   first, so id i is the driver's index i.  The oracle caches the bracket,
@@ -30,9 +33,10 @@ value from one pair oracle, `_PairCache`, instead:
   as an id-keyed dict of ints.
 * Every cached value is `scale` times the exact one.  The scale is fixed
   when the oracle is built, from the per-kind denominator bound proved in
-  `spec_scale` (times den(D), and 2 more for kmc's D' = D/2).  Each fill
-  checks that the scale clears every denominator and raises RuntimeError
-  if not: a scale below its bound is an internal error, never a verdict.
+  `spec_scale` (times den(D), and 2 more for kmc's D' = D/2); bracket
+  values are the kernel's ints times scale / S.  A scale that leaves a
+  denominator raises RuntimeError: a scale below its bound is an internal
+  error, never a verdict.
 * The scans accumulate ints.  A tuple fails iff some value is nonzero (for
   the series kind, some value of degree at most the certified degree).
   Only then is the residual mapped back to monomials and Fractions, divided
@@ -47,12 +51,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .report import Report, pmap_chunks, resolve_workers
 from .superpoly import (
     SuperPoly,
     VarRef,
     even_var,
+    merge_odds,
     mono_degree,
     mono_mul,
     mono_parity,
@@ -251,90 +257,133 @@ def _h_odd_block(n: int) -> tuple:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _add_term(acc: dict, mono, c):
-    s = acc.get(mono)
-    if s is None:
-        if c:
-            acc[mono] = c
-    else:
-        s = s + c
-        if s:
-            acc[mono] = s
-        else:
-            del acc[mono]
+def _clear(c, S: int) -> int:
+    """S * c as an int; RuntimeError when S leaves a denominator."""
+    v, r = divmod(c.numerator * S, c.denominator)
+    if r:
+        raise RuntimeError(f"internal error: bracket scale {S} leaves a denominator in {c}")
+    return v
 
 
-def _constant_mono_bracket(spec: BracketSpec, m1, m2, acc: dict):
-    t_off = 1 if spec.has_time else 0
-    for i, j, cij in spec.c_even:
-        d1 = mono_partial(m1, VarRef("even", i + t_off))
-        if d1 is None:
-            continue
-        d2 = mono_partial(m2, VarRef("even", j + t_off))
-        if d2 is None:
-            continue
-        c1, mm1 = d1
-        c2, mm2 = d2
-        r = mono_mul(mm1, mm2)
-        if r is None:
-            continue
-        sign, mono = r
-        _add_term(acc, mono, cij * c1 * c2 * sign)
-    if spec.c_odd:
-        outer = -1 if mono_parity(m1) == 0 else 1  # -(-1)^{p(f)}
-        for i, j, cij in spec.c_odd:
-            d1 = mono_partial(m1, VarRef("odd", i))
-            if d1 is None:
-                continue
-            d2 = mono_partial(m2, VarRef("odd", j))
-            if d2 is None:
-                continue
-            c1, mm1 = d1
-            c2, mm2 = d2
-            r = mono_mul(mm1, mm2)
-            if r is None:
-                continue
-            sign, mono = r
-            _add_term(acc, mono, cij * c1 * c2 * (sign * outer))
+def der_ints(D: DerivationD, S: int) -> tuple:
+    """D compiled at scale S: ((var, ((mono, S * coeff), ...)), ...)."""
+    return tuple((v, tuple((mono, _clear(c, S)) for mono, c in poly.terms.items()))
+                 for poly, v in D.terms)
 
 
-def _time_part(m1, m2, acc: dict):
-    """(2 - E) f dg/dt - df/dt (2 - E) g on monomials; E skips t."""
-    deg1 = mono_degree(m1) - m1[0][0]
-    deg2 = mono_degree(m2) - m2[0][0]
-    d2t = mono_partial(m2, VarRef("even", 0))
-    if d2t is not None:
-        c2, mm2 = d2t
-        r = mono_mul(m1, mm2)
+def der_terms(dterms, mono):
+    """The terms (c, mono') of S D(mono), repeats included, D by der_ints."""
+    for v, coeff in dterms:
+        d = mono_partial(mono, v)
+        if d is not None:
+            k, dm = d
+            for cm, c in coeff:
+                r = mono_mul(cm, dm)
+                if r is not None:
+                    yield c * k * r[0], r[1]
+
+
+def der_defect(dterms, a, b, acc: dict, s: int = 1):
+    """acc += s * S * (a D(b) - D(a) b) on monomials a, b, with D compiled
+    at scale S by der_ints."""
+    for c, y in der_terms(dterms, b):
+        r = mono_mul(a, y)
         if r is not None:
-            _add_term(acc, r[1], Fraction(2 - deg1) * c2 * r[0])
-    d1t = mono_partial(m1, VarRef("even", 0))
-    if d1t is not None:
-        c1, mm1 = d1t
-        r = mono_mul(mm1, m2)
+            acc[r[1]] = acc.get(r[1], 0) + s * c * r[0]
+    for c, y in der_terms(dterms, a):
+        r = mono_mul(y, b)
         if r is not None:
-            _add_term(acc, r[1], -c1 * Fraction(2 - deg2) * r[0])
+            acc[r[1]] = acc.get(r[1], 0) - s * c * r[0]
+
+
+def bracket_kernel(spec: BracketSpec):
+    """(S, kern): kern(a, b) is the dict of nonzero ints S {a, b} on
+    monomials, S = spec_scale(spec); the non-series kinds only.  Compiled
+    once: the entries S c_ij (checked to be integral), and the time part
+    (2 - E) a db/dt - da/dt (2 - E) b by its integer factors times S."""
+    if spec.kind == "dmod":
+        # {a,b}_D = {a,b} - (a D(b) - D(a) b)/2
+        S = spec_scale(spec)
+        Sb, base = bracket_kernel(spec.base)
+        t = _clear(Fraction(1, Sb), S)
+        half = der_ints(spec.base.derivation().scale(Fraction(1, 2)), S)
+
+        def dkern(a, b):
+            acc = {y: v * t for y, v in base(a, b).items()}
+            der_defect(half, a, b, acc, -1)
+            return {y: v for y, v in acc.items() if v}
+
+        return S, dkern
+    if spec.kind not in ("h", "k", "custom"):
+        raise ValueError(f"monomial bracket unsupported for kind {spec.kind}")
+    S = spec_scale(spec)
+    t = 1 if spec.has_time else 0
+
+    def low(*ks):  # the exponent shift of d/dX_k for each k in ks
+        sh = [0] * spec.m
+        for k in ks:
+            sh[k] -= 1
+        return tuple(sh)
+
+    ev = [(i + t, j + t, _clear(c, S), low(i + t, j + t)) for i, j, c in spec.c_even]
+    od = [(i, j, _clear(c, S)) for i, j, c in spec.c_odd]
+    dt = low(0) if t else ()
+
+    def kern(a, b):
+        (e1, o1), (e2, o2) = a, b
+        acc = {}
+        tot = tuple(map(add, e1, e2))
+        r = merge_odds(o1, o2)
+        if r is not None:
+            sg, odds = r
+            for i, j, c, sh in ev:
+                x = e1[i] * e2[j]
+                if x:
+                    y = (tuple(map(add, tot, sh)), odds)
+                    acc[y] = acc.get(y, 0) + sg * c * x
+            if t and (e1[0] or e2[0]):
+                x = e2[0] * (2 - mono_degree(a) + e1[0]) - e1[0] * (2 - mono_degree(b) + e2[0])
+                y = (tuple(map(add, tot, dt)), odds)
+                acc[y] = acc.get(y, 0) + sg * S * x
+        if od:
+            outer = 1 if len(o1) & 1 else -1
+            for i, j, c in od:
+                if i in o1 and j in o2:
+                    p, q = o1.index(i), o2.index(j)
+                    r = merge_odds(o1[:p] + o1[p + 1:], o2[:q] + o2[q + 1:])
+                    if r is not None:
+                        y = (tot, r[1])
+                        x = -c * r[0] if (p + q) & 1 else c * r[0]
+                        acc[y] = acc.get(y, 0) + outer * x
+        return {y: v for y, v in acc.items() if v}
+
+    return S, kern
+
+
+def expand(S: int, kern, f: SuperPoly, g: SuperPoly) -> SuperPoly:
+    """The bilinear extension of a monomial kernel at scale S: the sum of
+    c_a c_b kern(a, b) / S over the terms c_a a of f and c_b b of g, summed
+    on ints with c_a and c_b over their common denominators F and G."""
+    F, G = den_lcm(f.terms.values()), den_lcm(g.terms.values())
+    acc: dict = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            c = _clear(ca, F) * _clear(cb, G)
+            for y, v in kern(a, b).items():
+                acc[y] = acc.get(y, 0) + c * v
+    return SuperPoly(f.m, f.n, {y: Fraction(v, S * F * G) for y, v in acc.items()})
+
+
+def monomial_bracket(spec: BracketSpec):
+    """The bracket (a, b) -> Fraction term dict on monomials, compiled once:
+    the kernel's ints over its scale."""
+    S, kern = bracket_kernel(spec)
+    return lambda a, b: {y: Fraction(v, S) for y, v in kern(a, b).items()}
 
 
 def bracket_monomials(spec: BracketSpec, m1, m2) -> dict:
     """{m1, m2} as a term dict, for the non-series bracket kinds."""
-    if spec.kind in ("h", "k", "custom"):
-        acc: dict = {}
-        _constant_mono_bracket(spec, m1, m2, acc)
-        if spec.has_time:
-            _time_part(m1, m2, acc)
-        return acc
-    if spec.kind == "dmod":
-        base = spec.base
-        acc = bracket_monomials(base, m1, m2)
-        D = base.derivation()
-        f = SuperPoly(spec.m, spec.n, {m1: Fraction(1)})
-        g = SuperPoly(spec.m, spec.n, {m2: Fraction(1)})
-        corr = mul(f, D.apply(g)) - mul(D.apply(f), g)
-        for mono, c in corr.terms.items():
-            _add_term(acc, mono, -c / 2)
-        return acc
-    raise ValueError(f"monomial bracket unsupported for kind {spec.kind}")
+    return monomial_bracket(spec)(m1, m2)
 
 
 def bracket(spec: BracketSpec, f: SuperPoly, g: SuperPoly, budget=None) -> SuperPoly:
@@ -347,16 +396,7 @@ def bracket(spec: BracketSpec, f: SuperPoly, g: SuperPoly, budget=None) -> Super
             raise ValueError("gauge bracket evaluation needs a degree budget")
         u = bracket(spec.base, mul(spec.phi, f), mul(spec.phi, g), budget)
         return mul_by_inverse(spec.phi, u, budget)
-    out: dict = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            part = bracket_monomials(spec, m1, m2)
-            c12 = c1 * c2
-            for mono, c in part.items():
-                _add_term(out, mono, c12 * c)
-    res = SuperPoly(spec.m, spec.n)
-    res.terms = out
-    return res
+    return expand(*bracket_kernel(spec), f, g)
 
 
 def gauge_twist(spec: BracketSpec, phi: SuperPoly) -> BracketSpec:
@@ -394,7 +434,7 @@ def den_lcm(values) -> int:
     """The lcm of the denominators of some rationals (1 for none)."""
     out = 1
     for c in values:
-        out = lcm(out, Fraction(c).denominator)
+        out = lcm(out, c.denominator)
     return out
 
 
@@ -456,23 +496,24 @@ class _PairCache:
     total degree.  Four caches hold `scale` times an exact value as an
     id-keyed dict of nonzero ints, filled on first use:
 
-    * br[i][j], the bracket pair_fn(a_i, a_j);
+    * br[i][j], the bracket {a_i, a_j}, kern(a_i, a_j) times scale / kscale;
     * dm[i][j], the modified bracket {a, b} - a E(b) + E(a) b;
     * ev[i], the derivation value E(a_i);
     * pr[i][j], the product a_i a_j as (sign, id), or 0 when an odd
       generator repeats (not scaled).
 
     E is D for the generalized Leibniz rule and D' = D/2 for kmc, so that
-    dm is {.,.}_D.  Every fill checks that `scale` clears each denominator
-    and raises RuntimeError otherwise: a scale below its stated bound is an
-    internal error, never a verdict.
+    dm is {.,.}_D.  Building the oracle checks that `scale` is a multiple
+    of the kernel's scale and clears every coefficient of E, and raises
+    RuntimeError otherwise: a scale below its stated bound is an internal
+    error, never a verdict.
     """
 
-    def __init__(self, m: int, n: int, monos, pair_fn, scale: int, E=None, keep=None):
-        self.m, self.n = m, n
-        self.pair_fn = pair_fn
+    def __init__(self, monos, kern, kscale: int, scale: int, E=None, keep=None):
+        self.kern = kern  # kscale times the bracket on monomials, as ints
+        self.mult = _clear(Fraction(1, kscale), scale)
         self.scale = scale
-        self.E = E
+        self.E = None if E is None else der_ints(E, scale)
         self.keep = keep  # series kind: only degrees <= keep are certified
         self.size = len(monos)
         self.monos: list = []
@@ -498,28 +539,19 @@ class _PairCache:
             self.pr.append(_Row(self._fill_prod, i))
         return i
 
-    def _ints(self, terms: dict) -> dict:
-        S = self.scale
-        out = {}
-        for mono, c in terms.items():
-            v = c * S
-            if v.denominator != 1:
-                raise RuntimeError(
-                    f"internal error: bracket scale {S} leaves a denominator in {c}")
-            if v:
-                out[self.intern(mono)] = int(v)
-        return out
-
     def _fill_pair(self, i, j):
-        return self._ints(self.pair_fn(self.monos[i], self.monos[j]))
+        t, intern = self.mult, self.intern
+        return {intern(y): v * t for y, v in self.kern(self.monos[i], self.monos[j]).items()}
 
     def _fill_prod(self, i, j):
         r = mono_mul(self.monos[i], self.monos[j])
         return 0 if r is None else (r[0], self.intern(r[1]))
 
     def _fill_der(self, _, i):
-        a = SuperPoly(self.m, self.n, {self.monos[i]: Fraction(1)})
-        return self._ints(self.E.apply(a).terms)
+        acc = {}
+        for c, y in der_terms(self.E, self.monos[i]):
+            acc[y] = acc.get(y, 0) + c
+        return {self.intern(y): v for y, v in acc.items() if v}
 
     def _fill_dmod(self, i, j):
         acc = dict(self.br[i][j])
@@ -573,25 +605,27 @@ def _jacobiator(rows: list, ri, rj, k, ab: dict, s: int) -> dict:
 def _spec_oracle(spec: BracketSpec, monos, max_deg: int, D=None, halve=False):
     """The pair oracle of a bracket spec.  Its scale is spec_scale(spec),
     times den(D) when D is given (the Leibniz term D(a)bc is linear in D),
-    and times 2 more with halve, where E = D/2 (kmc's D')."""
+    and times 2 more with halve, where E = D/2 (kmc's D').  The non-series
+    kinds fill it from their compiled kernel, the series kind from `bracket`."""
     series = _is_series(spec)
     budget = max_deg + GAUGE_SLACK if series else None
     m, n = spec.m, spec.n
-    if series:
-        def pair_fn(a, b):
-            f = SuperPoly(m, n, {a: Fraction(1)})
-            return bracket(spec, f, SuperPoly(m, n, {b: Fraction(1)}), budget).terms
-    else:
-        def pair_fn(a, b):
-            return bracket_monomials(spec, a, b)
     scale = spec_scale(spec, budget)
+    if series:
+        kscale = scale
+
+        def kern(a, b):
+            u = bracket(spec, SuperPoly(m, n, {a: 1}), SuperPoly(m, n, {b: 1}), budget)
+            return {y: _clear(c, kscale) for y, c in u.terms.items()}
+    else:
+        kscale, kern = bracket_kernel(spec)
     E = D
     if D is not None:
         scale *= _derivation_den(D)
         if halve:
             scale *= 2
             E = D.scale(Fraction(1, 2))
-    return _PairCache(m, n, monos, pair_fn, scale, E, max_deg if series else None)
+    return _PairCache(monos, kern, kscale, scale, E, max_deg if series else None)
 
 
 def _jacobi_scan(o: _PairCache, lo: int, hi: int):
@@ -624,11 +658,11 @@ def _jacobi_scan(o: _PairCache, lo: int, hi: int):
     return cnt, None, None, None
 
 
-def first_jacobi_failure(m: int, n: int, monos, pair_fn, scale: int):
+def first_jacobi_failure(monos, kern, scale: int):
     """(identity, indices) of the first failure of super-antisymmetry or the
-    super Jacobi identity of the bracket pair_fn on monomials, or
-    (None, None); scale times every value of pair_fn must be integral."""
-    o = _PairCache(m, n, monos, pair_fn, scale)
+    super Jacobi identity on monomials of the bracket whose values scale
+    times are the ints kern(a, b), or (None, None)."""
+    o = _PairCache(monos, kern, scale, scale)
     return _jacobi_scan(o, 0, o.size)[1:3]
 
 

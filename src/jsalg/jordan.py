@@ -27,7 +27,7 @@ import math
 import time
 from fractions import Fraction
 
-from .brackets import BracketSpec, bracket
+from .brackets import BracketSpec, monomial_bracket
 from .linalg import CoordSolver, Echelon, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
@@ -607,7 +607,8 @@ def _mat_parity(M: dict, mdim: int) -> int:
     return par or 0
 
 
-def _algebra_from_matrices(mats, mdim, labels, name, lie=False) -> FiniteSuperAlgebra:
+def _algebra_from_matrices(mats, mdim, labels, name, lie=False,
+                           solver=None) -> FiniteSuperAlgebra:
     """Close a list of independent parity-homogeneous matrices under the
     symmetrized product (AB + (-1)^{pq} BA)/2, or under the supercommutator
     AB - (-1)^{pq} BA when lie, and express the structure constants over
@@ -619,7 +620,7 @@ def _algebra_from_matrices(mats, mdim, labels, name, lie=False) -> FiniteSuperAl
     """
     if not mats:
         raise ValueError(f"{name} has an empty basis")
-    solver = CoordSolver(mats)
+    solver = solver or CoordSolver(mats)
     parities = [_mat_parity(M, mdim) for M in mats]
     c_ab = 1 if lie else Fraction(1, 2)
     table = {}
@@ -906,7 +907,7 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
     if deg < 0:
         raise ValueError("deg >= 0")
     m, n = spec.m, spec.n
-    dspec = BracketSpec.d_modified(spec)
+    dbracket = monomial_bracket(BracketSpec.d_modified(spec))
     monos = monomials_total_degree(m, n, deg)
     pos = {mo: i for i, mo in enumerate(monos)}
     N = len(monos)
@@ -940,7 +941,7 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
             # a o eta b = (-1)^{p(a)} eta(ab)
             put(i, N + j, ab, offset=N, sign=pa)
             # eta a o eta b = (-1)^{p(a)} {a,b}_D
-            put(N + i, N + j, bracket(dspec, fa, fb).terms,
+            put(N + i, N + j, dbracket(a, b),
                 sign=-pa if negate_bracket else pa)
     return FiniteSuperAlgebra(labels, parities, table, oos, name=name or f"KKM({m},{n},deg{deg})")
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .brackets import BracketSpec, bracket, bracket_monomials
+from .brackets import BracketSpec, bracket, monomial_bracket
 from .jordan import (
     FiniteSuperAlgebra,
     _algebra_from_matrices,
@@ -61,18 +62,22 @@ class ClassicalAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def solver(self) -> CoordSolver:
+        """The one elimination of the basis, for coordinates and structure."""
+        return CoordSolver(self.basis)
+
     def to_coords(self, M: dict):
         """Coordinates of a matrix over the basis, or None outside it."""
-        if not hasattr(self, "_solver"):
-            self._solver = CoordSolver(self.basis)
-        return self._solver.solve(M)
+        return self.solver.solve(M)
 
     def algebra(self) -> FiniteSuperAlgebra:
         """The structure constants as an even table: c[(i, j)] holds the
         coordinates of [X_i, X_j]."""
         if not hasattr(self, "_alg"):
             self._alg = _algebra_from_matrices(self.basis, self.size, self.labels,
-                                               f"{self.family}({self.size})", lie=True)
+                                               f"{self.family}({self.size})", lie=True,
+                                               solver=self.solver)
         return self._alg
 
     def structure(self):
@@ -430,7 +435,7 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     for mo in monos:
         odds = mo[1]
         grading.append((1 if (n - 2) in odds else 0) - (1 if (n - 1) in odds else 0))
-    alg = _poly_table(m, n, monos, deg, lambda a, b: bracket_monomials(spec, a, b), 0,
+    alg = _poly_table(m, n, monos, deg, monomial_bracket(spec), 0,
                       f"{kind.upper()}({m},{n})|deg{deg}", drop_const=drop_const)
     lie = GradedLie(alg, grading)
     one = Fraction(1)
@@ -482,7 +487,7 @@ def h_zero_n_lie(n: int) -> FiniteSuperAlgebra:
     Grassmann monomials modulo constants: the span of all brackets."""
     spec = BracketSpec.h_type(0, n)
     monos = [mo for mo in monomials_total_degree(0, n, n) if mono_degree(mo) > 0]
-    H = _poly_table(0, n, monos, n, lambda a, b: bracket_monomials(spec, a, b), 0,
+    H = _poly_table(0, n, monos, n, monomial_bracket(spec), 0,
                     f"H'(0,{n})", drop_const=True)
     solver = CoordSolver()
     span_rows = []

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .brackets import DerivationD
+from .brackets import DerivationD, den_lcm, der_defect, der_ints, der_terms, expand
 from .report import Report
-from .superpoly import SuperPoly, VarRef, even_var, mul, odd_var, partial
+from .superpoly import (SuperPoly, VarRef, even_var, mono_mul, mono_partial, mul, odd_var,
+                        partial)
 
 # wedge factor key: (0, i) = d/dx_{i+1} (even variable), (1, j) = d/dxi_{j+1}
 FactorKey = tuple
@@ -192,15 +194,10 @@ def wedge(u: PolyVector, v: PolyVector) -> PolyVector:
     """Exterior product (total degree must stay within the cap)."""
     out = PolyVector(u.m, u.n, u.degree + v.degree)
     for k1, f in u.terms.items():
-        p1 = wedge_parity(k1)
         for k2, g in v.terms.items():
             for gp in _homogeneous_parts(g):
-                coeff = mul(f, gp)
-                if not coeff:
-                    continue
-                if p1 and gp.parity():
-                    coeff = -coeff
-                out.add_term(k1 + k2, coeff)
+                for c, W in _wedge_term(u.m, u.n, f, k1, gp, k2):
+                    out.add_term(W, c)
     return out
 
 
@@ -222,13 +219,10 @@ def _term_parity(f: SuperPoly, W: tuple) -> int:
 
 def _wedge_term(m, n, f, W1, g, W2):
     """(f, W1) ^ (g, W2) as a raw term list (coefficients homogeneous)."""
-    out = []
     coeff = mul(f, g)
-    if not coeff:
-        return out
     if wedge_parity(W1) and g.parity():
         coeff = -coeff
-    return [(coeff, W1 + W2)]
+    return [(coeff, W1 + W2)] if coeff else []
 
 
 def _bracket_terms(m, n, f, W1, g, W2) -> list:
@@ -319,6 +313,39 @@ class ACPair:
     a_terms: tuple  # ((SuperPoly, VarRef), ...)
     c_pairs: tuple  # ((SuperPoly, VarRef, VarRef), ...)
 
+    @cached_property
+    def kernel(self):
+        """The bracket of gpb_from_ac compiled once per pair, as (S, kern):
+        kern(x, y) is the dict of nonzero ints S {x, y} on monomials, and S
+        the lcm of the denominators of the coefficients (the bracket is
+        linear in them; partials add integer factors).  The fields are a
+        and, for each homogeneous part co of a coefficient, co d/db_i."""
+        S = den_lcm(c for co, *_ in self.a_terms + self.c_pairs for c in co.terms.values())
+        a = der_ints(self.a_derivation(), S)
+        cs = [(der_ints(DerivationD(self.m, self.n, ((co, bv),)), S), dv,
+               (co.parity() + _der(_factor_key(bv))) & 1)
+              for coeff, bv, dv in self.c_pairs for co in _homogeneous_parts(coeff)]
+
+        def kern(x, y):
+            acc = {}
+            der_defect(a, x, y, acc)
+            px = len(x[1]) & 1
+            for b, dv, pb in cs:
+                # (-1)^{p(x) pb} (b(x) d(y) - (-1)^{pb} d(x) b(y)), d = d/dd_i
+                st = -1 if pb and px else 1
+                dy, dx = mono_partial(y, dv), mono_partial(x, dv)
+                for c, z in der_terms(b, x) if dy else ():
+                    r = mono_mul(z, dy[1])
+                    if r:
+                        acc[r[1]] = acc.get(r[1], 0) + st * c * dy[0] * r[0]
+                for c, z in der_terms(b, y) if dx else ():
+                    r = mono_mul(dx[1], z)
+                    if r:
+                        acc[r[1]] = acc.get(r[1], 0) + (st if pb else -1) * c * dx[0] * r[0]
+            return {z: v for z, v in acc.items() if v}
+
+        return S, kern
+
     def a_derivation(self) -> DerivationD:
         return DerivationD(self.m, self.n, self.a_terms)
 
@@ -343,27 +370,13 @@ class ACPair:
 
 def gpb_from_ac(pair: ACPair, f: SuperPoly, g: SuperPoly) -> SuperPoly:
     """{f,g} = f a(g) - a(f) g
-              + sum_i (-1)^{p(f) p(b_i)} (b_i(f) d_i(g) - (-1)^{p(b_i)} d_i(f) b_i(g))."""
+              + sum_i (-1)^{p(f) p(b_i)} (b_i(f) d_i(g) - (-1)^{p(b_i)} d_i(f) b_i(g)).
+
+    The pair is compiled once (`ACPair.kernel`), and the value expands over
+    the monomial pairs of f and g on ints."""
     if (f.m, f.n) != (pair.m, pair.n) or (g.m, g.n) != (pair.m, pair.n):
         raise ValueError("signature mismatch")
-    a = pair.a_derivation()
-    out = mul(f, a.apply(g)) - mul(a.apply(f), g)
-    for coeff, bv, dv in pair.c_pairs:
-        for co in _homogeneous_parts(coeff):
-            pb = (co.parity() + _der(_factor_key(bv))) & 1
-            for fp in _homogeneous_parts(f):
-                b_f = mul(co, partial(fp, bv))
-                d_f = partial(fp, dv)
-                t = mul(b_f, partial(g, dv))
-                u = mul(d_f, mul(co, partial(g, bv)))
-                if pb:
-                    t = t + u
-                    if fp.parity():
-                        t = -t
-                else:
-                    t = t - u
-                out = out + t
-    return out
+    return expand(*pair.kernel, f, g)
 
 
 def check_s_conditions(pair: ACPair) -> Report:

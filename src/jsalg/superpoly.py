@@ -268,20 +268,19 @@ def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
 
 
 def mono_partial(mono: Monomial, v: VarRef):
-    """Left partial derivative of a monomial: (coefficient, monomial) or None."""
+    """Left partial derivative of a monomial: (int coefficient, monomial) or None."""
     evens, odds = mono
     if v.kind == "even":
         e = evens[v.index]
         if e == 0:
             return None
         new = evens[: v.index] + (e - 1,) + evens[v.index + 1 :]
-        return Fraction(e), (new, odds)
+        return e, (new, odds)
     try:
         pos = odds.index(v.index)
     except ValueError:
         return None
-    c = Fraction(-1) if pos & 1 else Fraction(1)
-    return c, (evens, odds[:pos] + odds[pos + 1 :])
+    return (-1 if pos & 1 else 1), (evens, odds[:pos] + odds[pos + 1 :])
 
 
 def partial(f: SuperPoly, v: VarRef) -> SuperPoly:

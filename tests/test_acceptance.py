@@ -1,6 +1,8 @@
 """The acceptance battery: one test per criterion, exact tolerances (zero
 residual everywhere), one printed pass/fail line each."""
 
+import hashlib
+
 import pytest
 
 from jsalg import acceptance as acc
@@ -23,13 +25,20 @@ def test_criterion_1_jordan_identities():
     assert len(r.details["subSuites"]) == 2 * 67
 
 
+def _sha256(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
 def test_criterion_2_brackets():
     r = _run("2 brackets", acc.criterion_2_brackets)
     assert all(s == "pass" for s in r.details["subStatus"])
+    # the canonical JSON, byte for byte as the Fraction evaluation gave it
+    assert _sha256(r) == "4d7114d4015847b1f02c202eab1a4ecb1b4fdd1c256ec5047ffa28724dae8682"
 
 
 def test_criterion_3_schouten():
-    _run("3 schouten", acc.criterion_3_schouten)
+    r = _run("3 schouten", acc.criterion_3_schouten)
+    assert _sha256(r) == "3cfc150299e6e628afb6e8907570a219fbc43f5208e114d30949528e709d9a4a"
 
 
 def test_criterion_4_tkk():

@@ -1,0 +1,215 @@
+"""The compiled integer kernels against per-term Fraction references.
+
+`bracket_kernel` (behind `bracket_monomials` and `bracket`) and
+`schouten.ACPair.kernel` (behind `gpb_from_ac`) evaluate a compiled
+presentation on ints.  The references below evaluate the same formulas
+term by term on Fractions, straight from the spec or the pair."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jsalg.brackets import (
+    BracketSpec,
+    DerivationD,
+    bracket,
+    bracket_kernel,
+    bracket_monomials,
+    check_gen_leibniz,
+    gauge_twist,
+)
+from jsalg.schouten import (
+    ACPair,
+    _homogeneous_parts,
+    gpb_from_ac,
+    pairing_h_pair,
+    pairing_k_pair,
+)
+from jsalg.superpoly import (
+    SuperPoly,
+    VarRef,
+    even_var,
+    mono_degree,
+    mono_mul,
+    mono_parity,
+    mono_partial,
+    monomials,
+    monomials_total_degree,
+    mul,
+    odd_var,
+    partial,
+)
+
+THIRD = [[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0], [0, 0, Fraction(-1, 3)]]
+
+
+def _add(acc, mono, c):
+    acc[mono] = acc.get(mono, 0) + c
+
+
+def _constant_part(spec, m1, m2, acc):
+    """sum_even C_ij da/dX_i db/dX_j - (-1)^{p(a)} sum_odd C_ij da/dxi_i db/dxi_j."""
+    t_off = 1 if spec.has_time else 0
+    outer = -1 if mono_parity(m1) == 0 else 1
+    for kind, entries, off, sgn in (("even", spec.c_even, t_off, 1),
+                                    ("odd", spec.c_odd, 0, outer)):
+        for i, j, cij in entries:
+            d1 = mono_partial(m1, VarRef(kind, i + off))
+            d2 = mono_partial(m2, VarRef(kind, j + off))
+            if d1 is None or d2 is None:
+                continue
+            r = mono_mul(d1[1], d2[1])
+            if r is not None:
+                _add(acc, r[1], sgn * cij * d1[0] * d2[0] * r[0])
+
+
+def _time_part(m1, m2, acc):
+    """(2 - E) a db/dt - da/dt (2 - E) b on monomials; E skips t."""
+    deg1 = mono_degree(m1) - m1[0][0]
+    deg2 = mono_degree(m2) - m2[0][0]
+    d2t = mono_partial(m2, even_var(0))
+    if d2t is not None:
+        r = mono_mul(m1, d2t[1])
+        if r is not None:
+            _add(acc, r[1], Fraction(2 - deg1) * d2t[0] * r[0])
+    d1t = mono_partial(m1, even_var(0))
+    if d1t is not None:
+        r = mono_mul(d1t[1], m2)
+        if r is not None:
+            _add(acc, r[1], -Fraction(2 - deg2) * d1t[0] * r[0])
+
+
+def ref_bracket_monomials(spec, m1, m2) -> dict:
+    acc = {}
+    if spec.kind == "dmod":
+        acc = ref_bracket_monomials(spec.base, m1, m2)
+        D = spec.base.derivation()
+        f = SuperPoly(spec.m, spec.n, {m1: 1})
+        g = SuperPoly(spec.m, spec.n, {m2: 1})
+        for mono, c in (mul(f, D.apply(g)) - mul(D.apply(f), g)).terms.items():
+            _add(acc, mono, -c / 2)
+    else:
+        _constant_part(spec, m1, m2, acc)
+        if spec.has_time:
+            _time_part(m1, m2, acc)
+    return {mono: Fraction(c) for mono, c in acc.items() if c}
+
+
+def ref_gpb_from_ac(pair, f, g):
+    a = pair.a_derivation()
+    out = mul(f, a.apply(g)) - mul(a.apply(f), g)
+    for coeff, bv, dv in pair.c_pairs:
+        for co in _homogeneous_parts(coeff):
+            pb = (co.parity() + (1 if bv.kind == "odd" else 0)) & 1
+            for fp in _homogeneous_parts(f):
+                t = mul(mul(co, partial(fp, bv)), partial(g, dv))
+                u = mul(partial(fp, dv), mul(co, partial(g, bv)))
+                if pb:
+                    t = t + u
+                    if fp.parity():
+                        t = -t
+                else:
+                    t = t - u
+                out = out + t
+    return out
+
+
+SPECS = {
+    "h(1,2)": BracketSpec.h_type(1, 2),
+    "h(0,4)": BracketSpec.h_type(0, 4),
+    "k(1,1)": BracketSpec.k_type(1, 1),
+    "k(0,3)": BracketSpec.k_type(0, 3),
+    "third+t": BracketSpec.custom(3, 1, THIRD, has_time=True),
+    "third": BracketSpec.custom(2, 1, THIRD),
+    "-k(0,3)": BracketSpec.negated(BracketSpec.k_type(0, 3)),
+    "-third+t": BracketSpec.negated(BracketSpec.custom(3, 1, THIRD, has_time=True)),
+    "dmod k(0,2)": BracketSpec.d_modified(BracketSpec.k_type(0, 2)),
+    "dmod h(1,1)": BracketSpec.d_modified(BracketSpec.h_type(1, 1)),
+    "dmod third+t": BracketSpec.d_modified(BracketSpec.custom(3, 1, THIRD, has_time=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_bracket_kernel_matches_the_reference_on_every_pair(name):
+    spec = SPECS[name]
+    monos = monomials(spec.m, spec.n, 3)
+    S, kern = bracket_kernel(spec)
+    for a in monos:
+        for b in monos:
+            want = ref_bracket_monomials(spec, a, b)
+            assert bracket_monomials(spec, a, b) == want, (a, b)
+            assert kern(a, b) == {y: int(c * S) for y, c in want.items()}, (a, b)
+
+
+def _random_poly(rng, m, n, terms=4, deg=3):
+    monos = monomials_total_degree(m, n, deg)
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(terms)]
+    return SuperPoly(m, n, {rng.choice(monos): c for c in coeffs})
+
+
+def _random_var(rng, m, n):
+    j = rng.randrange(m + n)
+    return even_var(j) if j < m else odd_var(j - m)
+
+
+def test_bracket_of_polynomials_matches_the_reference():
+    rng = random.Random(5)
+    for spec in SPECS.values():
+        for _ in range(10):
+            f, g = (_random_poly(rng, spec.m, spec.n) for _ in range(2))
+            want = {}
+            for a, ca in f.terms.items():
+                for b, cb in g.terms.items():
+                    for y, c in ref_bracket_monomials(spec, a, b).items():
+                        _add(want, y, ca * cb * c)
+            assert bracket(spec, f, g) == SuperPoly(spec.m, spec.n, want)
+
+
+@pytest.mark.parametrize("k, n", [(0, 3), (1, 2), (1, 3)])
+def test_gpb_kernel_matches_the_reference_on_every_pair(k, n):
+    for pair in (pairing_h_pair(k, n), pairing_k_pair(k, n)):
+        monos = monomials_total_degree(pair.m, pair.n, 3)
+        for a in monos:
+            f = SuperPoly(pair.m, pair.n, {a: 1})
+            for b in monos:
+                g = SuperPoly(pair.m, pair.n, {b: 1})
+                assert gpb_from_ac(pair, f, g) == ref_gpb_from_ac(pair, f, g), (a, b)
+
+
+def test_gpb_kernel_matches_the_reference_on_random_polynomials():
+    # random pairs with mixed-parity coefficients, not only the valid ones
+    rng = random.Random(11)
+    pairs = [pairing_h_pair(1, 3), pairing_k_pair(1, 2)]
+    for m, n in ((2, 2), (1, 3), (3, 1)):
+        for _ in range(3):
+            a_terms = tuple((_random_poly(rng, m, n, 2, 1), _random_var(rng, m, n))
+                            for _ in range(2))
+            c_pairs = tuple((_random_poly(rng, m, n, 3, 2), _random_var(rng, m, n),
+                             _random_var(rng, m, n)) for _ in range(3))
+            pairs.append(ACPair(m, n, a_terms, c_pairs))
+    for pair in pairs:
+        for _ in range(25):
+            f, g = (_random_poly(rng, pair.m, pair.n) for _ in range(2))
+            assert gpb_from_ac(pair, f, g) == ref_gpb_from_ac(pair, f, g)
+
+
+def test_compiling_checks_the_scale(monkeypatch):
+    import jsalg.brackets as br
+
+    spec = BracketSpec.custom(3, 1, THIRD, has_time=True)
+    monkeypatch.setattr(br, "spec_scale", lambda spec, budget=None: 2)
+    with pytest.raises(RuntimeError, match="scale"):
+        bracket_kernel(spec)
+    # an oracle scale that is not a multiple of its kernel's scale
+    with pytest.raises(RuntimeError, match="scale"):
+        br._PairCache(monomials(1, 0, 1), lambda a, b: {}, 3, 4)
+
+
+def test_series_oracle_values_are_scaled_once():
+    # D = (1/3) d/dt triples the oracle's scale over the series kernel's
+    tw = gauge_twist(BracketSpec.k_type(0, 1),
+                     SuperPoly.one(1, 1) + SuperPoly.variable(1, 1, even_var(0)))
+    r = check_gen_leibniz(tw, DerivationD.multiple_of_dt(1, 1, c=Fraction(1, 3)), 2)
+    assert r.counterexample == {"identity": "generalized-leibniz", "indices": [1, 0, 0],
+                                "monomials": ["xi1", "1", "1"], "residual": "1 xi1"}

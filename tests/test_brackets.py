@@ -275,6 +275,7 @@ def test_gauge_with_nonunit_constant_term():
     tw = gauge_twist(spec, SuperPoly.const(2, 0, 2) + xv(2, 0, 0))
     assert check_jacobi(tw, 2).passed
     assert check_gen_leibniz(tw, tw.derivation(), 2).passed
+    assert check_kmc(tw, tw.derivation(), 2).passed
 
 
 def test_scale_below_its_bound_raises(monkeypatch):
