@@ -20,12 +20,16 @@ The "custom" evaluation uses
 which reproduces {X_i,X_j} = C_ij on generators (the odd-odd prefactor
 swallows the extra Koszul sign of the squared odd derivatives).
 
-Evaluation.  `bracket_kernel` compiles a non-series spec once into ints:
-S c_ij with S = spec_scale(spec) checked to clear every entry, the odd
-block's outer sign and the time part's integer factors.  It maps a monomial
-pair to the ints of S {a, b}; `bracket_monomials` and `bracket` are thin
-Fraction wrappers over it.  The identity drivers read every value from one
-pair oracle, `_PairCache`:
+Evaluation.  `bracket_kernel(spec, budget)` is the one compile step of every
+kind; it maps a monomial pair to the ints of S {a, b}, S = spec_scale(spec,
+budget).  h/k/custom compile to S c_ij (checked to clear every entry), the
+odd block's outer sign and the time part's integer factors; dmod compiles
+over its base's kernel and D once; gauge evaluates phi^{-1} {phi a, phi b}
+over its base's kernel, truncated at the budget.  A spec instance compiles
+once and keeps its kernel (`BracketSpec.kernel`); the series kind compiles
+per budget.  `bracket` is `expand` over the kernel, `bracket_monomials` its
+value on one pair, and the identity drivers read every value from one pair
+oracle, `_PairCache`:
 
 * Monomials are interned to dense int ids, the driver's canonical list
   first, so id i is the driver's index i.  The oracle caches the bracket,
@@ -50,6 +54,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add
 
@@ -199,8 +204,15 @@ class BracketSpec:
 
     # -- structure -----------------------------------------------------------
 
-    def signature(self):
-        return (self.m, self.n)
+    @cached_property
+    def kernel(self):
+        """bracket_kernel(self) of a non-series spec, compiled on first use
+        and kept on this instance: an equal spec compiles its own."""
+        return _compile(self, None)
+
+    def __getstate__(self):
+        # a compiled kernel is a closure, which does not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "kernel"}
 
     def is_superskew(self) -> bool:
         ev = {(i, j): c for i, j, c in self.c_even}
@@ -296,15 +308,38 @@ def der_defect(dterms, a, b, acc: dict, s: int = 1):
             acc[r[1]] = acc.get(r[1], 0) - s * c * r[0]
 
 
-def bracket_kernel(spec: BracketSpec):
+def bracket_kernel(spec: BracketSpec, budget=None):
     """(S, kern): kern(a, b) is the dict of nonzero ints S {a, b} on
-    monomials, S = spec_scale(spec); the non-series kinds only.  Compiled
-    once: the entries S c_ij (checked to be integral), and the time part
-    (2 - E) a db/dt - da/dt (2 - E) b by its integer factors times S."""
+    monomials, S = spec_scale(spec, budget).  This is the one compile step
+    of every kind.  A spec compiles once per instance and keeps its kernel
+    (`BracketSpec.kernel`); the series kind compiles per budget, over its
+    base's kept kernel."""
+    if not _is_series(spec):
+        return spec.kernel
+    if budget is None:
+        raise ValueError("gauge bracket evaluation needs a degree budget")
+    return _compile(spec, budget)
+
+
+def _compile(spec: BracketSpec, budget):
+    """The kernel of bracket_kernel: the entries S c_ij (checked to be
+    integral) and the time part (2 - E) a db/dt - da/dt (2 - E) b by its
+    integer factors times S; dmod and gauge over the base's kernel."""
+    S = spec_scale(spec, budget)
+    if spec.kind == "gauge":
+        Sb, base = bracket_kernel(spec.base, budget)
+        phi, m, n = spec.phi, spec.m, spec.n
+
+        def gkern(a, b):
+            # phi^{-1} {phi a, phi b}, truncated at the budget
+            u = expand(Sb, base, mul(phi, SuperPoly(m, n, {a: 1})),
+                       mul(phi, SuperPoly(m, n, {b: 1})))
+            return {y: _clear(c, S) for y, c in mul_by_inverse(phi, u, budget).terms.items()}
+
+        return S, gkern
     if spec.kind == "dmod":
         # {a,b}_D = {a,b} - (a D(b) - D(a) b)/2
-        S = spec_scale(spec)
-        Sb, base = bracket_kernel(spec.base)
+        Sb, base = bracket_kernel(spec.base, budget)
         t = _clear(Fraction(1, Sb), S)
         half = der_ints(spec.base.derivation().scale(Fraction(1, 2)), S)
 
@@ -314,9 +349,6 @@ def bracket_kernel(spec: BracketSpec):
             return {y: v for y, v in acc.items() if v}
 
         return S, dkern
-    if spec.kind not in ("h", "k", "custom"):
-        raise ValueError(f"monomial bracket unsupported for kind {spec.kind}")
-    S = spec_scale(spec)
     t = 1 if spec.has_time else 0
 
     def low(*ks):  # the exponent shift of d/dX_k for each k in ks
@@ -374,16 +406,10 @@ def expand(S: int, kern, f: SuperPoly, g: SuperPoly) -> SuperPoly:
     return SuperPoly(f.m, f.n, {y: Fraction(v, S * F * G) for y, v in acc.items()})
 
 
-def monomial_bracket(spec: BracketSpec):
-    """The bracket (a, b) -> Fraction term dict on monomials, compiled once:
-    the kernel's ints over its scale."""
-    S, kern = bracket_kernel(spec)
-    return lambda a, b: {y: Fraction(v, S) for y, v in kern(a, b).items()}
-
-
 def bracket_monomials(spec: BracketSpec, m1, m2) -> dict:
     """{m1, m2} as a term dict, for the non-series bracket kinds."""
-    return monomial_bracket(spec)(m1, m2)
+    S, kern = bracket_kernel(spec)
+    return {y: Fraction(v, S) for y, v in kern(m1, m2).items()}
 
 
 def bracket(spec: BracketSpec, f: SuperPoly, g: SuperPoly, budget=None) -> SuperPoly:
@@ -391,12 +417,7 @@ def bracket(spec: BracketSpec, f: SuperPoly, g: SuperPoly, budget=None) -> Super
     and returns the truncation to total degree <= budget."""
     if (f.m, f.n) != (spec.m, spec.n) or (g.m, g.n) != (spec.m, spec.n):
         raise ValueError("signature mismatch between spec and arguments")
-    if spec.kind == "gauge":
-        if budget is None:
-            raise ValueError("gauge bracket evaluation needs a degree budget")
-        u = bracket(spec.base, mul(spec.phi, f), mul(spec.phi, g), budget)
-        return mul_by_inverse(spec.phi, u, budget)
-    return expand(*bracket_kernel(spec), f, g)
+    return expand(*bracket_kernel(spec, budget), f, g)
 
 
 def gauge_twist(spec: BracketSpec, phi: SuperPoly) -> BracketSpec:
@@ -605,20 +626,13 @@ def _jacobiator(rows: list, ri, rj, k, ab: dict, s: int) -> dict:
 def _spec_oracle(spec: BracketSpec, monos, max_deg: int, D=None, halve=False):
     """The pair oracle of a bracket spec.  Its scale is spec_scale(spec),
     times den(D) when D is given (the Leibniz term D(a)bc is linear in D),
-    and times 2 more with halve, where E = D/2 (kmc's D').  The non-series
-    kinds fill it from their compiled kernel, the series kind from `bracket`."""
+    and times 2 more with halve, where E = D/2 (kmc's D').  It is filled
+    from the spec's kernel, compiled at the budget max_deg + GAUGE_SLACK for
+    the series kind."""
     series = _is_series(spec)
     budget = max_deg + GAUGE_SLACK if series else None
-    m, n = spec.m, spec.n
+    kscale, kern = bracket_kernel(spec, budget)
     scale = spec_scale(spec, budget)
-    if series:
-        kscale = scale
-
-        def kern(a, b):
-            u = bracket(spec, SuperPoly(m, n, {a: 1}), SuperPoly(m, n, {b: 1}), budget)
-            return {y: _clear(c, kscale) for y, c in u.terms.items()}
-    else:
-        kscale, kern = bracket_kernel(spec)
     E = D
     if D is not None:
         scale *= _derivation_den(D)

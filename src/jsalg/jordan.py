@@ -27,7 +27,7 @@ import math
 import time
 from fractions import Fraction
 
-from .brackets import BracketSpec, monomial_bracket
+from .brackets import BracketSpec, bracket_monomials
 from .linalg import CoordSolver, Echelon, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
@@ -907,7 +907,7 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
     if deg < 0:
         raise ValueError("deg >= 0")
     m, n = spec.m, spec.n
-    dbracket = monomial_bracket(BracketSpec.d_modified(spec))
+    dspec = BracketSpec.d_modified(spec)
     monos = monomials_total_degree(m, n, deg)
     pos = {mo: i for i, mo in enumerate(monos)}
     N = len(monos)
@@ -941,7 +941,7 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
             # a o eta b = (-1)^{p(a)} eta(ab)
             put(i, N + j, ab, offset=N, sign=pa)
             # eta a o eta b = (-1)^{p(a)} {a,b}_D
-            put(N + i, N + j, dbracket(a, b),
+            put(N + i, N + j, bracket_monomials(dspec, a, b),
                 sign=-pa if negate_bracket else pa)
     return FiniteSuperAlgebra(labels, parities, table, oos, name=name or f"KKM({m},{n},deg{deg})")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .brackets import BracketSpec, bracket, monomial_bracket
+from .brackets import BracketSpec, bracket, bracket_monomials
 from .jordan import (
     FiniteSuperAlgebra,
     _algebra_from_matrices,
@@ -120,6 +120,8 @@ def classical(family: str, size: int) -> ClassicalAlgebra:
         return ClassicalAlgebra("sl", n, basis, labels, n - 1)
     if fam in ("so", "sp"):
         n = size
+        if fam == "so" and n < 5:
+            raise ValueError("so(n) needs n >= 5")
         if fam == "so" and n % 2:
             r = n // 2
             B = {(0, 0): Fraction(1)}
@@ -435,7 +437,7 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     for mo in monos:
         odds = mo[1]
         grading.append((1 if (n - 2) in odds else 0) - (1 if (n - 1) in odds else 0))
-    alg = _poly_table(m, n, monos, deg, monomial_bracket(spec), 0,
+    alg = _poly_table(m, n, monos, deg, lambda a, b: bracket_monomials(spec, a, b), 0,
                       f"{kind.upper()}({m},{n})|deg{deg}", drop_const=drop_const)
     lie = GradedLie(alg, grading)
     one = Fraction(1)
@@ -487,7 +489,7 @@ def h_zero_n_lie(n: int) -> FiniteSuperAlgebra:
     Grassmann monomials modulo constants: the span of all brackets."""
     spec = BracketSpec.h_type(0, n)
     monos = [mo for mo in monomials_total_degree(0, n, n) if mono_degree(mo) > 0]
-    H = _poly_table(0, n, monos, n, monomial_bracket(spec), 0,
+    H = _poly_table(0, n, monos, n, lambda a, b: bracket_monomials(spec, a, b), 0,
                     f"H'(0,{n})", drop_const=True)
     solver = CoordSolver()
     span_rows = []

@@ -93,10 +93,6 @@ class PolyVector:
                     self.terms[key] = poly
 
     @staticmethod
-    def zero(m: int, n: int, degree: int) -> "PolyVector":
-        return PolyVector(m, n, degree)
-
-    @staticmethod
     def function(f: SuperPoly) -> "PolyVector":
         return PolyVector(f.m, f.n, 0, {(): f})
 

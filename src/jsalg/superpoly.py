@@ -99,19 +99,6 @@ class SuperPoly:
         return SuperPoly.const(m, n, 1)
 
     @staticmethod
-    def monomial(m: int, n: int, mono: Monomial, c=1) -> "SuperPoly":
-        evens, odds = mono
-        evens = tuple(evens)
-        if len(evens) < m:
-            evens = evens + (0,) * (m - len(evens))
-        if len(evens) != m or any(e < 0 for e in evens):
-            raise ValueError(f"bad even exponents {evens} for signature ({m},{n})")
-        odds = tuple(odds)
-        if list(odds) != sorted(set(odds)) or any(not 0 <= j < n for j in odds):
-            raise ValueError(f"bad odd index set {odds} for signature ({m},{n})")
-        return SuperPoly(m, n, {(evens, odds): Fraction(c)})
-
-    @staticmethod
     def variable(m: int, n: int, v: VarRef) -> "SuperPoly":
         if v.kind == "even":
             if not 0 <= v.index < m:
@@ -123,9 +110,6 @@ class SuperPoly:
         return SuperPoly(m, n, {((0,) * m, (v.index,)): Fraction(1)})
 
     # -- basic structure ----------------------------------------------------
-
-    def signature(self):
-        return (self.m, self.n)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -157,9 +141,6 @@ class SuperPoly:
         if not self.terms:
             return -1
         return max(sum(ev) + len(od) for (ev, od) in self.terms)
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((((0,) * self.m), ()), Fraction(0))

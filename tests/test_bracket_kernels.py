@@ -213,3 +213,33 @@ def test_series_oracle_values_are_scaled_once():
     r = check_gen_leibniz(tw, DerivationD.multiple_of_dt(1, 1, c=Fraction(1, 3)), 2)
     assert r.counterexample == {"identity": "generalized-leibniz", "indices": [1, 0, 0],
                                 "monomials": ["xi1", "1", "1"], "residual": "1 xi1"}
+
+
+def test_a_spec_instance_compiles_once(monkeypatch):
+    import pickle
+
+    import jsalg.brackets as br
+
+    kinds = []
+    compile_ = br._compile
+    monkeypatch.setattr(br, "_compile",
+                        lambda spec, budget: kinds.append(spec.kind) or compile_(spec, budget))
+    spec = BracketSpec.d_modified(BracketSpec.k_type(1, 1))
+    f = SuperPoly.variable(3, 1, even_var(0)) + SuperPoly.variable(3, 1, odd_var(0))
+    a, b = f.terms
+    for _ in range(3):
+        bracket(spec, f, f)
+        bracket_monomials(spec, a, b)
+    assert kinds == ["dmod", "k"]
+    # an equal instance compiles its own kernel; pickling drops a kept one
+    bracket_monomials(BracketSpec.d_modified(BracketSpec.k_type(1, 1)), a, b)
+    assert kinds == ["dmod", "k"] * 2
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec and "kernel" not in vars(clone) and "kernel" in vars(spec)
+    # the series kind compiles per evaluation, over its base's kept kernel
+    tw = gauge_twist(BracketSpec.k_type(1, 1),
+                     SuperPoly.one(3, 1) + SuperPoly.variable(3, 1, even_var(1)))
+    kinds.clear()
+    bracket(tw, f, f, 3)
+    bracket(tw, f, f, 3)
+    assert kinds == ["gauge", "k", "gauge"]

@@ -305,3 +305,18 @@ def test_antisymmetry_failure_in_a_later_chunk_is_reported_first(monkeypatch):
                   lambda N: {})
     assert r.counterexample["identity"] == "antisymmetry"
     assert r.counterexample["indices"] == [3, 3]
+
+
+def test_jacobi_scan_covers_the_multisets_with_a_repeated_last_slot():
+    # on [1, xi1, xi1 xi2, xi2]: {1, xi1} = -xi2, {xi1, 1} = xi2 and
+    # {xi1, xi2} = {xi2, xi1} = -xi1 xi2, every other pair 0.  This passes
+    # antisymmetry and fails Jacobi only at (1, xi1, xi1), so a scan whose
+    # last slot starts after the middle one misses it
+    from jsalg.brackets import first_jacobi_failure
+
+    monos = monomials(0, 2, 0)
+    one, x1, x12, x2 = monos
+    table = {(one, x1): {x2: -1}, (x1, one): {x2: 1},
+             (x1, x2): {x12: -1}, (x2, x1): {x12: -1}}
+    kern = lambda a, b: table.get((a, b), {})
+    assert first_jacobi_failure(monos, kern, 1) == ("jacobi", (0, 1, 1))

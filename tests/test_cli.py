@@ -52,6 +52,10 @@ def test_short_gradings_cli(capsys):
     assert run("verify", "short-gradings", "--type", "sl", "--rank", "-1") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # so(n) below n = 5 is outside the classical realizations
+    assert run("verify", "short-gradings", "--type", "so", "--rank", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_polynomial_parameters_are_usage_errors(capsys):

@@ -92,6 +92,13 @@ def test_sl1_constructs_but_its_empty_table_is_refused():
         L.algebra()
 
 
+def test_so_below_five_is_refused():
+    # so(4) would list candidate vertex 1 twice, and so(3) is sl(2)
+    for n in range(5):
+        with pytest.raises(ValueError, match="so"):
+            classical("so", n)
+
+
 def test_enumeration_without_candidate_vertices_does_not_pass():
     r = enumerate_short_gradings(classical("sl", 1))
     assert r.certified_span["vertices"] == []

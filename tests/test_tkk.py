@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from jsalg.jordan import (
+    FiniteSuperAlgebra,
+    check_jordan,
     dt,
     falg,
     formplus,
@@ -164,6 +166,17 @@ def test_nonunital_direct_construction_fails_third_condition():
     r = real.check_minimal()
     assert not r.passed
     assert any("[g0, g1]" in f for f in r.counterexample["failures"])
+
+
+def test_minimal_check_reports_a_g1_bracket_that_leaves_g1():
+    # b c = c, c c = a: supercommutative but not Jordan, and [g0, g1] is not
+    # inside the realized g1
+    one = Fraction(1)
+    table = {(1, 2): {2: one}, (2, 1): {2: one}, (2, 2): {0: one}}
+    J = FiniteSuperAlgebra(["a", "b", "c"], [0, 0, 0], table, name="not-jordan")
+    assert not check_jordan(J).passed
+    r = TKK(J).check_minimal()
+    assert r.counterexample == {"failures": ["[g0, g1] leaves g1"]}
 
 
 def test_canonical_triple_needs_a_unit():
