@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 
 from .brackets import BracketSpec, bracket_monomials
-from .linalg import CoordSolver, Echelon, solve_linear, vec_iadd
+from .linalg import CoordSolver, Echelon, scaled_ints, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
     SuperPoly,
@@ -440,31 +440,35 @@ def ideal_closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
     seed_vec (= the ideal it generates, for (anti)commutative tables)."""
     if not J.is_total():
         raise ValueError("ideal closure needs a total product table")
-    return _closure(J, seed_vec)
+    return _closure(_scaled_products(J)[0], seed_vec)
 
 
-def _closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
-    """The ideal closure loop; a product that leaves a truncated table's
-    span is skipped.  It stops once the span is the whole algebra, whose
-    RREF basis no further product can change."""
+def _closure(rows, seed_vec: dict) -> Echelon:
+    """The ideal closure loop over the table oracle rows; a product that
+    leaves a truncated table's span is skipped.  A span does not change
+    when its vectors are scaled, so the frontier holds primitive int
+    vectors.  It stops once the span is the whole algebra, whose RREF basis
+    no further product can change."""
+    dim = len(rows)
     ech = Echelon()
     frontier = []
-    if ech.insert(dict(seed_vec)) is not None:
-        frontier.append(dict(seed_vec))
-    table, oos = J.table, J.out_of_span
+    if ech.insert(seed_vec) is not None:
+        frontier.append(scaled_ints(seed_vec)[0])
     while frontier:
         new_frontier = []
         for w in frontier:
-            for i in range(J.dim):
+            for row in rows:
                 prod: dict = {}
                 for j, cj in w.items():
-                    p = table.get((i, j))
-                    if p and (i, j) not in oos:
+                    p = row[j]
+                    if p:
                         vec_iadd(prod, p, cj)
                 if prod and ech.insert(prod) is not None:
-                    if ech.rank == J.dim:
+                    if ech.rank == dim:
                         return ech
-                    new_frontier.append(prod)
+                    g = math.gcd(*prod.values())
+                    new_frontier.append({k: x // g for k, x in prod.items()}
+                                        if g != 1 else prod)
         frontier = new_frontier
     return ech
 
@@ -489,8 +493,9 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> boo
                 v[i] = c
         if v:
             vectors.append(v)
+    rows, _ = _scaled_products(J)
     for v in vectors:
-        if _closure(J, v).rank != dim:
+        if _closure(rows, v).rank != dim:
             return False
     return True
 

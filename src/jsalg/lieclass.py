@@ -165,19 +165,31 @@ def classical(family: str, size: int) -> ClassicalAlgebra:
 # -- Killing form and short-grading data ---------------------------------------------
 
 
+def killing_row(L: ClassicalAlgebra, h: dict) -> dict:
+    """{i: kappa(X_i, h)} for a coordinate vector h, without zero entries.
+
+    With [X_i, X_k] = sum_j c_ik^j X_j, kappa(X_i, h) = tr(ad X_i ad h) is
+    the sum over the structure constants c_ik^j of c_ik^j (ad h)_kj, so the
+    row costs one pass over the table and one ad h.  kappa is bilinear, so
+    kappa(X, h) = sum_i X_i kappa(X_i, h): every further pairing with h is
+    a dot product with this row."""
+    adh = L.ad(h)  # adh[j][k] = (ad h)_kj
+    row: dict = {}
+    for (i, k), vec in L.structure().items():
+        for j, c in vec.items():
+            x = adh.get(j, {}).get(k)
+            if x:
+                row[i] = row.get(i, 0) + c * x
+    return {i: x for i, x in row.items() if x}
+
+
 def killing_pairing(L: ClassicalAlgebra, X: dict, Y: dict) -> Fraction:
     """tr(ad X ad Y) for coordinate vectors, computed exactly."""
-    adX = L.ad(X)
-    adY = L.ad(Y)
-    total = Fraction(0)
-    for j, col in adY.items():
-        for k, v in col.items():
-            back = adX.get(k)
-            if back:
-                w = back.get(j)
-                if w:
-                    total += v * w
-    return total
+    return _dot(X, killing_row(L, Y))
+
+
+def _dot(u: dict, row: dict) -> Fraction:
+    return sum((c * row.get(i, 0) for i, c in u.items()), Fraction(0))
 
 
 def candidate_vertices(L: ClassicalAlgebra):
@@ -314,6 +326,11 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
     minus = eig[-1]
     plus = eig[1]
     zero = eig[0]
+    # kappa(z, h) for each degree-0 basis vector z: by bilinearity, a
+    # centralizer vector pairs with h as its coordinates on zero dotted
+    # with these
+    kh = killing_row(L, h)
+    kappa_zero = {idx: _dot(z, kh) for idx, z in enumerate(zero)}
     for _ in range(samples):
         e: dict = {}
         for v in minus:
@@ -322,16 +339,13 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
             records.append({"solvable": False, "condition17": False})
             continue
         cols = [L.bracket_vec(e, u) for u in plus]
-        sol = solve_linear([dict(c) for c in cols], h)
+        sol = solve_linear(cols, h)
         solvable = sol is not None
         # centralizer of e inside the 0-eigenspace
         cent_cols = [L.bracket_vec(z, e) for z in zero]
         cond17 = True
-        for kerc in nullspace([dict(c) for c in cent_cols]):
-            z: dict = {}
-            for idx, c in kerc.items():
-                vec_iadd(z, zero[idx], c)
-            if killing_pairing(L, z, h):
+        for kerc in nullspace(cent_cols):
+            if _dot(kerc, kappa_zero):
                 cond17 = False
                 break
         records.append({"solvable": solvable, "condition17": cond17})

@@ -2,24 +2,46 @@
 (`vec_iadd`), one reduced row echelon span with deterministic pivoting, and
 the membership tests, coordinate solves and kernels built on it.
 
-Vectors are dicts coordinate -> Fraction (zero entries absent).  Pivots are
-the smallest coordinate of each row, rows are normalized to pivot 1 and kept
-fully reduced against each other, so the final row set is the canonical RREF
-basis of the span no matter the insertion order.
+Vectors are dicts coordinate -> rational (Fraction or int, zero entries
+absent).  Pivots are the smallest coordinate of each row, and rows are kept
+fully reduced against each other, so the span has one canonical RREF basis
+no matter the insertion order.
+
+Elimination is fraction-free (Bareiss, Math. Comp. 1968).  An input vector
+is scaled by the lcm of its denominators to ints, and each row is stored as
+the primitive integer multiple of its RREF row with a positive pivot: the
+gcd of its entries is 1.  A residual is taken by cross-multiplying: vec
+times the least m that makes every pivot entry of m * vec divisible by that
+row's pivot, minus the integer multiples of the rows.  A new row is made
+primitive and back-substituted into the other rows the same way.
+Fractions are made only at the public boundary: `basis`, the residual of
+`reduce`, `solve`, `CoordSolver.solve` and the kernels of `nullspace`.
+
+Why the outputs are exactly those of Fraction elimination: given the
+insertion order, the RREF row of each pivot is unique, and so is its
+primitive integer multiple with a positive pivot.  The rows are fully
+reduced, so the residual of v is v - sum over pivots p of v[p] times the
+RREF row of p, which is unique too; the integer residual is a positive
+multiple of it, built by the same steps in the same order, so even its key
+order matches.  Coordinates and kernel vectors are read off unique
+residuals.
 
 Coordinate solves and kernels track columns with marker coordinates: column
-j enters the elimination carrying an extra entry 1 at the key (-1, j).
-Markers are never chosen as pivots, so each row is eliminated on its own
-coordinates while its markers record which combination of columns it is.
-A target that reduces to markers alone lies in the span and its negated
-markers are its coefficients; a column that reduces to markers alone
-depends on the earlier columns and its markers are a kernel vector.  A
+j enters the elimination carrying an extra entry at the key (-1, j), the
+column's own integer scale, so every marker entry of a row shares the scale
+of its coordinates.  Markers are never chosen as pivots, so each row is
+eliminated on its own coordinates while its markers record which
+combination of columns it is.  A target that reduces to markers alone lies
+in the span and its negated markers, over the residual's scale, are its
+coefficients; a column that reduces to markers alone depends on the earlier
+columns and its markers, over its own marker, are a kernel vector.  A
 column's own coordinates must not be pairs (-1, j).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def vec_iadd(out: dict, v: dict, c=1) -> None:
@@ -42,13 +64,23 @@ def vec_iadd(out: dict, v: dict, c=1) -> None:
                 del out[k]
 
 
+def scaled_ints(vec: dict):
+    """(v, s) with v = s * vec as a fresh dict of ints and s > 0 the lcm of
+    the denominators of vec's entries."""
+    s = lcm(*[x.denominator for x in vec.values()])
+    if s == 1:
+        return {k: x.numerator for k, x in vec.items()}, 1
+    return {k: x.numerator * (s // x.denominator) for k, x in vec.items()}, s
+
+
 class Echelon:
-    """A growing RREF span."""
+    """A growing RREF span, stored as primitive integer rows."""
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: dict = {}  # pivot -> row dict (row[pivot] == 1)
+        # pivot -> primitive int row dict with row[pivot] > 0
+        self.rows: dict = {}
 
     @property
     def rank(self) -> int:
@@ -58,43 +90,73 @@ class Echelon:
         return sorted(self.rows)
 
     def basis(self):
-        """Rows in pivot order: the canonical basis of the span."""
-        return [self.rows[p] for p in sorted(self.rows)]
+        """Rows in pivot order: the canonical RREF basis of the span."""
+        out = []
+        for p in sorted(self.rows):
+            row = self.rows[p]
+            b = row[p]
+            out.append({k: Fraction(x, b) for k, x in row.items()})
+        return out
+
+    def _reduce(self, v: dict):
+        """(w, m): w = m * (v modulo the span) as a fresh int dict, m > 0,
+        for an int vector v."""
+        rows = self.rows
+        hits = [k for k in v if k in rows]
+        if not hits:
+            return dict(v), 1
+        m = 1
+        for p in hits:
+            b = rows[p][p]
+            m = lcm(m, b // gcd(b, v[p]))
+        w = {k: m * x for k, x in v.items()} if m != 1 else dict(v)
+        # a row is zero at every other pivot, so w[p] is still m * v[p]
+        for p in hits:
+            row = rows[p]
+            vec_iadd(w, row, -(w[p] // row[p]))
+        return w, m
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the span (fresh dict)."""
-        out = dict(vec)
-        rows = self.rows
-        while True:
-            hit = None
-            for k in out:
-                if k in rows:
-                    hit = k
-                    break
-            if hit is None:
-                return out
-            vec_iadd(out, rows[hit], -out[hit])
+        v, s = scaled_ints(vec)
+        w, m = self._reduce(v)
+        d = s * m
+        return {k: Fraction(x, d) for k, x in w.items()}
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce(scaled_ints(vec)[0])[0]
 
     def insert(self, vec: dict):
         """Insert vec; returns the new pivot, or None if dependent."""
-        res = self.reduce(vec)
-        if not res:
+        w, _ = self._reduce(scaled_ints(vec)[0])
+        if not w:
             return None
-        return self._place(res, min(res))
+        return self._place(w, min(w))
 
-    def _place(self, res: dict, piv):
-        """Keep the reduced vector res as the row of pivot piv: normalize it
-        and back-substitute it into the other rows, which keeps RREF."""
-        inv = Fraction(1) / res[piv]
-        row = {k: inv * x for k, x in res.items()}
+    def _place(self, w: dict, piv):
+        """Keep the reduced int vector w as the row of pivot piv: make it
+        primitive with a positive pivot and back-substitute it into the
+        other rows, which keeps them reduced and primitive."""
+        g = gcd(*w.values())
+        if w[piv] < 0:
+            g = -g
+        if g != 1:
+            w = {k: x // g for k, x in w.items()}
+        a = w[piv]
         for r in self.rows.values():
             c = r.get(piv)
             if c:
-                vec_iadd(r, row, -c)
-        self.rows[piv] = row
+                g = gcd(a, c)
+                if a != g:
+                    f = a // g
+                    for k in r:
+                        r[k] *= f
+                vec_iadd(r, w, -(c // g))
+                g = gcd(*r.values())
+                if g != 1:
+                    for k in r:
+                        r[k] //= g
+        self.rows[piv] = w
         return piv
 
     def solve(self, vec: dict):
@@ -102,7 +164,7 @@ class Echelon:
 
         The rows are fully reduced, so the coordinate on a row is the entry
         of vec at that row's pivot."""
-        if self.reduce(vec):
+        if not self.contains(vec):
             return None
         return [vec.get(p, Fraction(0)) for p in sorted(self.rows)]
 
@@ -131,20 +193,23 @@ class CoordSolver:
         return True
 
     def _place(self, col: dict, j: int):
-        res = self.ech.reduce(col)
-        piv = _main_pivot(res)
+        v, s = scaled_ints(col)
+        w, m = self.ech._reduce(v)
+        piv = _main_pivot(w)
         if piv is not None:
-            res[(-1, j)] = Fraction(1)
-            self.ech._place(res, piv)
+            w[(-1, j)] = s * m
+            self.ech._place(w, piv)
         return piv
 
     def solve(self, target: dict):
-        res = self.ech.reduce(target)
-        if _main_pivot(res) is not None:
+        v, s = scaled_ints(target)
+        w, m = self.ech._reduce(v)
+        if _main_pivot(w) is not None:
             return None
+        d = -s * m
         coeffs = [Fraction(0)] * self.ncols
-        for k, x in res.items():
-            coeffs[k[1]] = -x
+        for k, x in w.items():
+            coeffs[k[1]] = Fraction(x, d)
         return coeffs
 
 
@@ -159,14 +224,15 @@ def nullspace(columns: list[dict]):
     ech = Echelon()
     kernels = []
     for j, col in enumerate(columns):
-        v = dict(col)
-        v[(-1, j)] = Fraction(1)
-        res = ech.reduce(v)
-        piv = _main_pivot(res)
+        v, s = scaled_ints(col)
+        v[(-1, j)] = s
+        w, _ = ech._reduce(v)
+        piv = _main_pivot(w)
         if piv is None:
-            kernels.append({k[1]: x for k, x in res.items()})
+            d = w[(-1, j)]
+            kernels.append({k[1]: Fraction(x, d) for k, x in w.items()})
         else:
-            ech._place(res, piv)
+            ech._place(w, piv)
     return kernels
 
 

@@ -832,9 +832,9 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
             if B.has_window(win):
                 s1_big.insert(B.window_flat(win, dimC))
         # a-part separation against the big spans
-        if not s0_big.reduce(ident.window_flat(win, dimC)):
+        if s0_big.contains(ident.window_flat(win, dimC)):
             failures.append("-L_1 lies in the S0 span")
-        if not s1_big.reduce(P.window_flat(win, dimC)):
+        if s1_big.contains(P.window_flat(win, dimC)):
             failures.append("P lies in the S1 span")
 
     # the certified window bases of Lie(J~) (with +L_1 and P) and of S
@@ -898,7 +898,7 @@ def _semidirect_ideal_defects(G, S, bracket, s0_big, s1_big):
                 d = dg + v[0]
                 if d == -1 and vec.get(0):
                     return [f"{at} has a unit component"]
-                if d >= 0 and big[d].reduce(vec):
+                if d >= 0 and not big[d].contains(vec):
                     return [f"{at} leaves the S{d} span"]
     return []
 

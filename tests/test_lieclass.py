@@ -18,6 +18,7 @@ from jsalg.lieclass import (
     find_short_triple,
     h_zero_n_lie,
     killing_pairing,
+    killing_row,
     short_subalgebra_jordan_h,
     short_subalgebra_jordan_k,
 )
@@ -46,6 +47,47 @@ def test_killing_symmetry_and_invariance():
     assert killing_pairing(L, L.bracket_vec(u, v), w) + killing_pairing(
         L, v, L.bracket_vec(u, w)
     ) == 0
+
+
+def _trace_ad_ad(L, X, Y):
+    """tr(ad X ad Y) from the two ad matrices, entry by entry."""
+    adX, adY = L.ad(X), L.ad(Y)
+    return sum((v * adX.get(k, {}).get(j, 0)
+                for j, col in adY.items() for k, v in col.items()), Fraction(0))
+
+
+def _trace_form(A, B):
+    """tr(AB) for sparse matrices (r, c) -> entry."""
+    return sum((v * B.get((c, r), 0) for (r, c), v in A.items()), Fraction(0))
+
+
+# kappa = c * tr on the matrix realizations: 2n on sl(n), n - 2 on so(n),
+# n + 2 on sp(n)
+KILLING_TRACE = {"sl": lambda n: 2 * n, "so": lambda n: n - 2, "sp": lambda n: n + 2}
+
+
+@pytest.mark.parametrize("fam,size", [("sl", 3), ("sl", 4), ("sl", 5), ("so", 5),
+                                      ("so", 6), ("so", 7), ("so", 8), ("sp", 4),
+                                      ("sp", 6)])
+def test_killing_form_is_the_trace_form_times_the_closed_form_constant(fam, size):
+    L = classical(fam, size)
+    c = KILLING_TRACE[fam](size)
+    for j, Xj in enumerate(L.basis):
+        assert killing_row(L, {j: Fraction(1)}) == {
+            i: c * t for i, Xi in enumerate(L.basis) if (t := _trace_form(Xi, Xj))}
+
+
+@pytest.mark.parametrize("fam,size", [("sl", 4), ("so", 6), ("sp", 6)])
+def test_killing_row_matches_the_ad_trace_and_the_pairing(fam, size):
+    L = classical(fam, size)
+    for vertex in candidate_vertices(L):
+        h = _coords(L, coweight_h(L, vertex))
+        row = killing_row(L, h)
+        for i in range(L.dim):
+            e_i = {i: Fraction(1)}
+            assert row.get(i, 0) == _trace_ad_ad(L, e_i, h) == killing_pairing(L, e_i, h)
+        X = {i: Fraction(i - 3, 2) for i in range(0, L.dim, 3)}
+        assert killing_pairing(L, X, h) == _trace_ad_ad(L, X, h)
 
 
 def test_classical_dimensions():

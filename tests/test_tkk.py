@@ -62,6 +62,14 @@ def test_lie_gl11_is_small_quotient():
     assert TKK(jp_finite(1)).dims() == (6, 8)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_lie_of_glplus_has_the_closed_form_dimension(m, n):
+    """Lie(gl(m,n)+) is (p)sl(2m|2n): dimension 4(m+n)^2 - 1, less one more
+    for the centre quotient when m = n."""
+    L, _ = tkk(glplus(m, n))
+    assert L.algebra.dim == 4 * (m + n) ** 2 - 1 - (m == n)
+
+
 def test_lie_form12_matches_lie_d1():
     # the two sides of the shipped witness have matching graded dimensions
     a = TKK(formplus(1, 2))
