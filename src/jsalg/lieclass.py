@@ -173,7 +173,11 @@ def killing_row(L: ClassicalAlgebra, h: dict) -> dict:
     row costs one pass over the table and one ad h.  kappa is bilinear, so
     kappa(X, h) = sum_i X_i kappa(X_i, h): every further pairing with h is
     a dot product with this row."""
-    adh = L.ad(h)  # adh[j][k] = (ad h)_kj
+    return _killing_row(L, L.ad(h))
+
+
+def _killing_row(L: ClassicalAlgebra, adh: dict) -> dict:
+    """killing_row from ad h as a coordinate colmap: adh[j][k] = (ad h)_kj."""
     row: dict = {}
     for (i, k), vec in L.structure().items():
         for j, c in vec.items():
@@ -329,7 +333,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
     # kappa(z, h) for each degree-0 basis vector z: by bilinearity, a
     # centralizer vector pairs with h as its coordinates on zero dotted
     # with these
-    kh = killing_row(L, h)
+    kh = _killing_row(L, adh)
     kappa_zero = {idx: _dot(z, kh) for idx, z in enumerate(zero)}
     for _ in range(samples):
         e: dict = {}

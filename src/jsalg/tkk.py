@@ -9,10 +9,23 @@ set where it is defined, and every application is domain-checked, so on a
 degree-truncated carrier a result certifies the stated window exactly.  For
 a total J the carrier is J and the window is its whole basis: that is TKK.
 
-Each graded piece keeps its rows in order of acceptance and one span object
-(`linalg.CoordSolver`) over their restrictions to the window, which accepts
-independent rows and answers coordinates, so bases and structure constants
-are reproducible.
+The realization runs on ints.  L_a and P are read off the one table oracle
+of `jordan._scaled_products`: rows[i][j] = s * (e_i o e_j) as a dict of
+ints, with s the lcm of the table's denominators.  Every operator and
+tensor stores int entries and an integer `scale`, and stands for its
+entries divided by that scale: L_a and P have scale s, a bracket's scale
+is the product of its arguments' scales, and a degree -1 basis vector has
+scale 1.  Each graded piece keeps its rows in order of acceptance and one
+span object (`linalg.CoordSolver`) over their window restrictions at one
+integer scale, s**2, the scale of the [L_a, L_b] and [L_a, P]; a row of
+scale s enters it multiplied by s.  A span, its rank and membership in it
+do not change when vectors are scaled, so only coordinates read the
+scales: the int flat of a target of scale t has coordinates c on the
+piece's columns, and the target has c * (piece scale) / t.  `Fraction`s
+are made only at that boundary (`_Piece.solve` and `coords`), in
+`_assemble`'s structure constants and the triple's coordinates, and in
+reports; bases and structure constants are reproducible and equal to
+those of exact rational arithmetic.
 
 Bracket rules between the realized pieces, implemented once by `_bracket`
 (every other order follows from [v, u] = -(-1)^{p(u)p(v)} [u, v]):
@@ -21,6 +34,12 @@ Bracket rules between the realized pieces, implemented once by `_bracket`
     [M, B] = M box B - (-1)^{p(M)p(B)} B box M
     (M box B)(x,y) = M(B(x,y))
     (B box M)(x,y) = B(M(x), y) + (-1)^{p(x)p(y)} B(M(y), x)
+
+On supersymmetric tensors, which every row of degree 1 is (P because J is
+supercommutative, and the action keeps supersymmetry), these rules are the
+action of gl(J) on J, End(J) and bilinear maps, so the super Jacobi
+identity holds among the realized elements.  `TKK.check_minimal` uses it
+to test [g0, g1] on the generators L_a alone.
 
 `check_semidirect` computes each bracket once per call: its ideal check,
 its assembly of S and its outer-derivation check read one memo.
@@ -36,8 +55,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jordan import FiniteSuperAlgebra, _mul_into, _table_report, check_simple
-from .linalg import CoordSolver, Echelon, nullspace, vec_iadd
+from .jordan import (FiniteSuperAlgebra, _mul_into, _scaled_products, _table_report,
+                     check_simple)
+from .linalg import CoordSolver, Echelon, nullspace, scaled_ints, vec_iadd
 # solve_linear stays in this namespace: perfbench's tracer patches it here
 from .linalg import solve_linear  # noqa: F401
 from .report import Report
@@ -77,18 +97,20 @@ def identity_matrix(dim: int, one=Fraction(1)) -> dict:
     return {i: {i: one} for i in range(dim)}
 
 
-# -- the operator layer: operators and tensors on a carrier's basis ----------------
+# -- the operator layer: int operators and tensors on a carrier's basis -------------
 
 
 class WOp:
-    """An operator with an explicit domain of columns: cols[x] is M(e_x),
-    stored when nonzero, for x in the domain."""
+    """An operator with an explicit domain of columns, as ints over a
+    scale: cols[x] / scale is M(e_x), stored when nonzero, for x in the
+    domain."""
 
-    __slots__ = ("cols", "domain")
+    __slots__ = ("cols", "domain", "scale")
 
-    def __init__(self, cols: dict, domain: frozenset):
+    def __init__(self, cols: dict, domain: frozenset, scale: int):
         self.cols = cols
         self.domain = domain
+        self.scale = scale
 
     def apply_basis(self, x: int):
         if x not in self.domain:
@@ -106,14 +128,16 @@ class WOp:
 
 
 class WTensor:
-    """A bilinear map on a carrier's basis pairs: vals[(x, y)] is
-    B(e_x, e_y), stored when nonzero; pairs in `undefined` have no value."""
+    """A bilinear map on a carrier's basis pairs, as ints over a scale:
+    vals[(x, y)] / scale is B(e_x, e_y), stored when nonzero; pairs in
+    `undefined` have no value."""
 
-    __slots__ = ("vals", "undefined")
+    __slots__ = ("vals", "undefined", "scale")
 
-    def __init__(self, vals: dict, undefined: frozenset):
+    def __init__(self, vals: dict, undefined: frozenset, scale: int):
         self.vals = vals
         self.undefined = undefined
+        self.scale = scale
 
     def at(self, x: int, y: int):
         if (x, y) in self.undefined:
@@ -137,20 +161,21 @@ class WTensor:
                 return None
             if vec:
                 out[y] = dict(vec)
-        return WOp(out, win)
+        return WOp(out, win, self.scale)
 
 
-def _wop_from_left_mul(carrier: FiniteSuperAlgebra, a: int) -> WOp:
+def _wop_from_left_mul(rows, scale: int, a: int) -> WOp:
+    """L_a from the table oracle rows of `jordan._scaled_products` (shared,
+    read-only) and their scale."""
     cols = {}
     domain = set()
-    for x in range(carrier.dim):
-        v = carrier.product(a, x)
+    for x, v in enumerate(rows[a]):
         if v is None:
             continue
         domain.add(x)
         if v:
-            cols[x] = dict(v)
-    return WOp(cols, frozenset(domain))
+            cols[x] = v
+    return WOp(cols, frozenset(domain), scale)
 
 
 def _wop_bracket(M: WOp, pm: int, N: WOp, pn: int) -> WOp:
@@ -170,17 +195,21 @@ def _wop_bracket(M: WOp, pm: int, N: WOp, pn: int) -> WOp:
             vec_iadd(col, b, -s)
         if col:
             cols[x] = col
-    return WOp(cols, frozenset(domain))
+    return WOp(cols, frozenset(domain), M.scale * N.scale)
 
 
-def _product_tensor(carrier: FiniteSuperAlgebra) -> WTensor:
+def _product_tensor(rows, scale: int) -> WTensor:
+    """P from the table oracle rows (shared, read-only) and their scale;
+    the out-of-span pairs are its undefined pairs."""
     vals = {}
-    for x in range(carrier.dim):
-        for y in range(carrier.dim):
-            v = carrier.product(x, y)
-            if v:
-                vals[(x, y)] = dict(v)
-    return WTensor(vals, carrier.out_of_span)
+    undefined = set()
+    for x, row in enumerate(rows):
+        for y, v in enumerate(row):
+            if v is None:
+                undefined.add((x, y))
+            elif v:
+                vals[(x, y)] = v
+    return WTensor(vals, frozenset(undefined), scale)
 
 
 def _tensor_bracket(M: WOp, pm: int, B: WTensor, pb: int, parities) -> WTensor:
@@ -236,7 +265,7 @@ def _tensor_bracket(M: WOp, pm: int, B: WTensor, pb: int, parities) -> WTensor:
                 undefined.add((y, x))
     if undefined:
         out = {k: v for k, v in out.items() if k not in undefined}
-    return WTensor(out, frozenset(undefined))
+    return WTensor(out, frozenset(undefined), M.scale * B.scale)
 
 
 def _swapped(vec, pu: int, pv: int):
@@ -251,9 +280,10 @@ def _swapped(vec, pu: int, pv: int):
 def _bracket(u, v, win, par, dim: int):
     """[u, v] of realized elements (degree, object, parity), where the object
     is a carrier basis index in degree -1, a WOp in degree 0 and a WTensor in
-    degree 1.  Returns the carrier vector in degree -1 and the window flat in
-    degrees 0 and 1; {} when the degrees sum outside -1..1 and None when the
-    result is undefined on the window."""
+    degree 1.  Returns the int carrier vector in degree -1 and the int window
+    flat in degrees 0 and 1, at the scale _scale(u) * _scale(v); {} when the
+    degrees sum outside -1..1 and None when the result is undefined on the
+    window."""
     (du, a, pu), (dv, b, pv) = u, v
     if not -1 <= du + dv <= 1:
         return {}
@@ -271,46 +301,61 @@ def _bracket(u, v, win, par, dim: int):
     return C.window_flat(win, dim) if C.has_window(win) else None
 
 
+def _scale(u) -> int:
+    """The scale of a realized element: 1 for a degree -1 basis index."""
+    return 1 if u[0] == -1 else u[1].scale
+
+
+def _times(vec: dict, c: int) -> dict:
+    return {k: c * x for k, x in vec.items()}
+
+
 # -- graded pieces and their structure constants --------------------------------------
 
 
 class _Piece:
     """One graded piece: its rows (operator or tensor, parity) in order of
-    acceptance and one span of their window restrictions, which accepts
-    independent rows and answers coordinates."""
+    acceptance and one span of their window restrictions at the piece's
+    integer scale, which accepts independent rows and answers coordinates.
+    Every row's scale divides the piece's."""
 
-    __slots__ = ("rows", "span", "win", "dim")
+    __slots__ = ("rows", "span", "win", "dim", "scale")
 
-    def __init__(self, win, dim: int):
+    def __init__(self, win, dim: int, scale: int):
         self.rows = []
         self.span = CoordSolver()
         self.win = win
         self.dim = dim
+        self.scale = scale
 
     def add(self, op, parity: int) -> None:
-        if self.span.add(op.window_flat(self.win, self.dim)):
+        flat = op.window_flat(self.win, self.dim)
+        if op.scale != self.scale:
+            flat = _times(flat, self.scale // op.scale)
+        if self.span.add(flat):
             self.rows.append((op, parity))
 
     def coords(self, op, offset: int = 0):
         """Coordinates of op's window restriction on the rows, numbered from
         offset; None when it leaves the span."""
-        return self.solve(op.window_flat(self.win, self.dim), offset)
+        return self.solve(op.window_flat(self.win, self.dim), op.scale, offset)
 
-    def solve(self, flat: dict, offset: int = 0):
-        """Coordinates of a window flat on the rows, numbered from offset;
-        None when it leaves the span."""
+    def solve(self, flat: dict, scale: int, offset: int = 0):
+        """Coordinates of the window flat / scale, for an int window flat,
+        on the rows, numbered from offset; None when it leaves the span."""
         if not flat:
             return {}
         sol = self.span.solve(flat)
         if sol is None:
             return None
-        return {offset + i: c for i, c in enumerate(sol) if c}
+        f = Fraction(self.scale, scale)
+        return {offset + i: c * f for i, c in enumerate(sol) if c}
 
 
 def _cover_defects(piece: _Piece, flats, what: str, name: str) -> list:
     """[] when the window flats span exactly the piece's span.  Spanning a
     subspace of it is decided on the cover's canonical basis, one coordinate
-    solve per basis row."""
+    solve per basis row.  Spans ignore scales, so the flats may have any."""
     cover = Echelon()
     for flat in flats:
         cover.insert(flat)
@@ -321,10 +366,10 @@ def _cover_defects(piece: _Piece, flats, what: str, name: str) -> list:
     return []
 
 
-def _degree0(L, gens, par, win, dim: int) -> _Piece:
+def _degree0(L, gens, par, win, dim: int, scale: int) -> _Piece:
     """The span of L_a for a in gens and of the supercommutators of the
-    accepted L_a that are defined on the whole window."""
-    g0 = _Piece(win, dim)
+    accepted L_a that are defined on the whole window, at the given scale."""
+    g0 = _Piece(win, dim, scale)
     for a in gens:
         g0.add(L[a], par[a])
     base = list(g0.rows)
@@ -361,15 +406,17 @@ def _assemble(carrier: FiniteSuperAlgebra, gens, g0: _Piece, g1: _Piece,
     table = {}
     oos = set()
     for i, u in enumerate(elems):
+        su = _scale(u)
         for j, v in enumerate(elems[:i + 1]):
             vec = bracket(u, v)
             deg = u[0] + v[0]
+            sc = su * _scale(v)
             if vec and deg == -1:
                 vec = (None if any(k not in gen_pos for k in vec)
-                       else {gen_pos[k]: c for k, c in vec.items()})
+                       else {gen_pos[k]: Fraction(c, sc) for k, c in vec.items()})
             elif vec:
                 piece, offset = pieces[deg]
-                vec = piece.solve(vec, offset)
+                vec = piece.solve(vec, sc, offset)
             if vec is None:
                 oos.add((i, j))
                 oos.add((j, i))
@@ -415,10 +462,11 @@ class TKK:
         d = J.dim
         par = J.parities
         self.win = frozenset(range(d))
-        self.L = [_wop_from_left_mul(J, a) for a in range(d)]
-        self.P = _product_tensor(J)
-        self.g0 = _degree0(self.L, range(d), par, self.win, d)
-        self.g1 = _Piece(self.win, d)
+        self.rows, s = _scaled_products(J)
+        self.L = [_wop_from_left_mul(self.rows, s, a) for a in range(d)]
+        self.P = _product_tensor(self.rows, s)
+        self.g0 = _degree0(self.L, range(d), par, self.win, d, s * s)
+        self.g1 = _Piece(self.win, d, s * s)
         self.g1.add(self.P, 0)
         for a in range(d):
             self.g1.add(_tensor_bracket(self.L[a], par[a], self.P, 0, par), par[a])
@@ -444,19 +492,31 @@ class TKK:
         }
 
     def triple(self) -> Sl2Triple | None:
+        """(e, -L_e, P): e the unit, h of scale q * s for q the lcm of the
+        unit's denominators."""
         if self.unit is None:
             return None
+        e, q = scaled_ints(self.unit)
         h = {}
-        for a, c in self.unit.items():
+        for a, c in e.items():
             h = matrix_add(h, self.L[a].cols, -c)
-        return Sl2Triple(e=dict(self.unit), h=WOp(h, self.win), f=self.P)
+        return Sl2Triple(e=dict(self.unit), h=WOp(h, self.win, q * self.P.scale),
+                         f=self.P)
 
     # -- checks --------------------------------------------------------------
 
     def check_triple(self, t: Sl2Triple | None = None) -> Report:
         """Triple relations plus the ad h eigenvalue of every realized basis
         element of the three graded pieces.  Without t the canonical triple
-        is checked; a J without a unit has none and raises ValueError."""
+        is checked; a J without a unit has none and raises ValueError.
+
+        Each relation is compared on ints: both sides are brought to one
+        scale.  Once ad h is -1 on every basis vector of degree -1, h is -id
+        on the window and commutes with every operator, so the degree-0 loop
+        cannot fail after the degree -1 loop passed: it only adds its
+        failure line after a degree -1 failure.  The degree-1 loop is not
+        implied: on a bilinear map B, [-id, B](x, y) = (-1)^{p(x)p(y)} B(y, x),
+        which is B(x, y) only when B is supersymmetric."""
         t0 = time.perf_counter()
         if t is None:
             t = self.triple()
@@ -468,22 +528,27 @@ class TKK:
         d = self.J.dim
         win = self.win
         h = (0, t.h, 0)
+        sh = t.h.scale
+        e, q = scaled_ints(t.e)
         failures = []
         # [h, e] = -e
-        if t.h.apply(t.e) != {k: -v for k, v in t.e.items()}:
+        if t.h.apply(e) != _times(e, -sh):
             failures.append("[h,e] != -e")
         # [h, f] = f
-        if _bracket(h, (1, t.f, 0), win, par, d) != t.f.window_flat(win, d):
+        if _bracket(h, (1, t.f, 0), win, par, d) != _times(t.f.window_flat(win, d), sh):
             failures.append("[h,f] != f")
-        # [e, f] = h: [e, B] = -(-1)^{p e p B}[B, e] with everything even
+        # [e, f] = h: [e, B] = -(-1)^{p e p B}[B, e] with everything even;
+        # ef has scale q * scale(f)
         ef = {}
-        for x, c in t.e.items():
+        for x, c in e.items():
             ef = matrix_add(ef, t.f.to_matrix(x, win).cols, -c)
-        if ef != t.h.cols:
+        sef = q * t.f.scale
+        if ({x: _times(col, sh) for x, col in ef.items()}
+                != {x: _times(col, sef) for x, col in t.h.cols.items()}):
             failures.append("[e,f] != h")
         # eigenvalues of ad h
         for x in range(d):
-            if _bracket(h, (-1, x, par[x]), win, par, d) != {x: Fraction(-1)}:
+            if _bracket(h, (-1, x, par[x]), win, par, d) != {x: -sh}:
                 failures.append(f"ad h on degree -1 basis {x}")
                 break
         for M, pm in self.g0.rows:
@@ -491,7 +556,7 @@ class TKK:
                 failures.append("ad h nonzero on degree 0")
                 break
         for B, pb in self.g1.rows:
-            if _bracket(h, (1, B, pb), win, par, d) != B.window_flat(win, d):
+            if _bracket(h, (1, B, pb), win, par, d) != _times(B.window_flat(win, d), sh):
                 failures.append("ad h != 1 on degree 1")
                 break
         ok = not failures
@@ -506,12 +571,26 @@ class TKK:
 
     def check_minimal(self) -> Report:
         """[g_-1, g_1] = g_0 and [g_0, g_1] = g_1, by exact rank computations
-        on the realized spans.  Transitivity holds by construction for this
-        operator realization: g_0 and g_1 are kept as their action on
-        g_-1 = J, and a row enters a span only when that action is
-        independent of the rows before it, so no nonzero element acts as
-        zero on g_-1.  `check_minimal_table` tests transitivity on an
-        assembled table."""
+        on the realized spans.
+
+        [g0, g1] is tested on the generators: the d * |g1| brackets
+        [L_a, B] with the rows B of g1, not all |g0| * |g1|.  The lemma: g0
+        is spanned by the L_a and their supercommutators, and on the rows
+        of g1 the realized bracket is the action of gl(J) (see the module
+        docstring), so the super Jacobi identity
+        [[L_a, L_b], B] = [L_a, [L_b, B]] - (-1)^{p(a)p(b)} [L_b, [L_a, B]]
+        holds.  If every [L_a, B] lies in g1, each [L_b, B] is a combination
+        of rows of g1, so [[L_a, L_b], B] lies in the span of the generator
+        brackets: [g0, g1] is inside g1 and spans exactly what they span.
+        If some [L_a, B] leaves g1, so does [g0, g1], since L_a lies in g0.
+        Either way the generator cover reports what the full cover would:
+        the same "leaves" line or the same rank.
+
+        Transitivity holds by construction for this operator realization:
+        g_0 and g_1 are kept as their action on g_-1 = J, and a row enters
+        a span only when that action is independent of the rows before it,
+        so no nonzero element acts as zero on g_-1.  `check_minimal_table`
+        tests transitivity on an assembled table."""
         t0 = time.perf_counter()
         d = self.J.dim
         par = self.J.parities
@@ -522,9 +601,9 @@ class TKK:
                  for B, pb in g1.rows for x in range(d)),
             "[g-1, g1]", "g0")
         if not failures:
-            failures += _cover_defects(
-                g1, (_bracket((0, M, pm), (1, B, pb), win, par, d)
-                     for M, pm in g0.rows for B, pb in g1.rows),
+            failures = _cover_defects(
+                g1, (_bracket((0, La, pa), (1, B, pb), win, par, d)
+                     for La, pa in zip(self.L, par) for B, pb in g1.rows),
                 "[g0, g1]", "g1")
         ok = not failures
         return Report(
@@ -542,7 +621,8 @@ class TKK:
 
     def round_trip(self) -> Report:
         """Recover the Jordan product as [[f, x], y] with f = P and compare
-        with the input table exactly; also certify [f, x] in g0."""
+        with the input table's int oracle exactly; also certify [f, x] in
+        g0."""
         t0 = time.perf_counter()
         d = self.J.dim
         bad = None
@@ -552,7 +632,7 @@ class TKK:
                 bad = {"reason": "[f,x] outside g0", "x": self.J.labels[x]}
                 break
             for y in range(d):
-                if M.apply_basis(y) != self.J.product(x, y):
+                if M.apply_basis(y) != self.rows[x][y]:
                     bad = {"indices": [x, y],
                            "labels": [self.J.labels[x], self.J.labels[y]]}
                     break
@@ -786,9 +866,10 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
     for w in range(1, dimC):
         if all((w, x) not in carrier_t.out_of_span for x in window):
             span_gens.append(w)
-    L = {w: _wop_from_left_mul(carrier_t, w) for w in span_gens}
-    ident = WOp(identity_matrix(dimC), frozenset(range(dimC)))
-    P = _product_tensor(carrier_t)
+    rows, sc = _scaled_products(carrier_t)
+    L = {w: _wop_from_left_mul(rows, sc, w) for w in span_gens}
+    ident = WOp(identity_matrix(dimC, 1), frozenset(range(dimC)), 1)
+    P = _product_tensor(rows, sc)
     memo = {}
 
     def bracket(u, v):
@@ -801,14 +882,14 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
         out = memo[(u, v)] = _bracket(u, v, win, par, dimC)
         return out
 
-    s0, s1 = _Piece(win, dimC), _Piece(win, dimC)
+    s0, s1 = _Piece(win, dimC, sc * sc), _Piece(win, dimC, sc * sc)
     s0_big, s1_big = Echelon(), Echelon()
     failures = []
     if not L.keys() >= set(gens):
         failures.append("carrier too small for the degree-0 span")
     else:
         # small certified rows (window generators only)
-        s0 = _degree0(L, gens, par, win, dimC)
+        s0 = _degree0(L, gens, par, win, dimC, sc * sc)
         # big span of everything computable, for containment tests
         for w in span_gens:
             s0_big.insert(L[w].window_flat(win, dimC))
@@ -906,7 +987,10 @@ def _semidirect_ideal_defects(G, S, bracket, s0_big, s1_big):
 def _outer_defects(S, targets, bracket):
     """No element of the span of S acts on S as ad t does, for each named
     target t.  An element's stack is its brackets with S, keyed (position,
-    degree, coordinate)."""
+    degree, coordinate).  Its block at v has scale _scale(u) * _scale(v):
+    the factor _scale(v) scales that block of every stack alike and
+    _scale(u) scales one whole stack, so neither changes which stacks lie
+    in the span of others."""
 
     def stack(u):
         st = {}

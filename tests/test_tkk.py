@@ -6,9 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsalg.jordan import (
     FiniteSuperAlgebra,
+    _scaled_products,
     check_jordan,
     dt,
     falg,
@@ -29,6 +32,8 @@ from jsalg.tkk import (
     TKK,
     WOp,
     WTensor,
+    _bracket,
+    _cover_defects,
     _product_tensor,
     _tensor_bracket,
     _wop_bracket,
@@ -170,10 +175,11 @@ def test_unital_extend():
 def test_nonunital_direct_construction_fails_third_condition():
     # the degree-1 piece contains the product tensor, which is not spanned
     # by its brackets with multiplications for the non-unital table
+    # (recorded before [g0, g1] was tested on the generators alone)
     real = TKK(kalg())
     r = real.check_minimal()
     assert not r.passed
-    assert any("[g0, g1]" in f for f in r.counterexample["failures"])
+    assert r.counterexample == {"failures": ["[g0, g1] spans only 3 of 4 in g1"]}
 
 
 def test_minimal_check_reports_a_g1_bracket_that_leaves_g1():
@@ -185,6 +191,30 @@ def test_minimal_check_reports_a_g1_bracket_that_leaves_g1():
     assert not check_jordan(J).passed
     r = TKK(J).check_minimal()
     assert r.counterexample == {"failures": ["[g0, g1] leaves g1"]}
+
+
+def test_minimal_check_brackets_only_the_generators_with_g1(monkeypatch):
+    real = TKK(glplus(1, 1))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _tensor_bracket(*args)
+
+    monkeypatch.setattr(tk, "_tensor_bracket", counted)
+    assert real.check_minimal().passed
+    d, n0, n1 = real.J.dim, len(real.g0.rows), len(real.g1.rows)
+    assert len(calls) == d * n1 < n0 * n1
+
+
+def test_triple_check_catches_a_g1_row_that_is_not_supersymmetric():
+    # B(e0, e1) = e0 and every other value 0: ad h = ad(-id) sends B to
+    # (x, y) -> (-1)^{p(x)p(y)} B(y, x), which is not B (recorded before
+    # the realization ran on ints)
+    real = TKK(dt(2))
+    real.g1.rows.append((WTensor({(0, 1): {0: 1}}, frozenset(), 1), 0))
+    r = real.check_triple()
+    assert r.counterexample == {"failures": ["ad h != 1 on degree 1"]}
 
 
 def test_canonical_triple_needs_a_unit():
@@ -257,7 +287,10 @@ def _table_digest(alg):
      ({0: 1, 1: 1}, {4: -1, 5: -1}, {13: 1})),
     (glplus(1, 1), "4ef6f834b67ff81c1fc43fd589988038a70b865983abcfbee4f968b448c4d01c",
      ({0: 1, 3: 1}, {4: -1, 7: -1}, {10: 1})),
-], ids=["D_t(2)", "gl(1,1)+"])
+    # table scale 16, recorded before the realization ran on ints
+    (falg(), "4e6fd13ab43acd3b1d2284c80116053f6367e5eb07f4d8fbed685fe7e439f53e",
+     ({0: 1}, {10: -1}, {30: 1})),
+], ids=["D_t(2)", "gl(1,1)+", "F"])
 def test_assembled_tables_are_pinned(J, digest, triple):
     L, t = tkk(J)
     assert _table_digest(L.algebra) == digest
@@ -319,11 +352,11 @@ def test_functoriality_of_the_shipped_witness():
     for i in range(d):
         images.append(dict(phi[i]))
     for M, _p in A.g0.rows:
-        coords = B.g0.coords(WOp(conj(M.cols), B.win), d)
+        coords = B.g0.coords(WOp(conj(M.cols), B.win, M.scale), d)
         assert coords is not None
         images.append(coords)
     for Bt, _p in A.g1.rows:
-        coords = B.g1.coords(WTensor(transport(Bt.vals), frozenset()),
+        coords = B.g1.coords(WTensor(transport(Bt.vals), frozenset(), Bt.scale),
                              d + len(B.g0.rows))
         assert coords is not None
         images.append(coords)
@@ -392,8 +425,9 @@ def _per_pair_bracket(M, pm, B, pb, par):
 def test_grouped_tensor_bracket_keeps_the_per_pair_rule(J):
     C, _ = unital_extend(J)
     par = C.parities
-    L = [_wop_from_left_mul(C, w) for w in range(C.dim)]
-    P = _product_tensor(C)
+    rows, scale = _scaled_products(C)
+    L = [_wop_from_left_mul(rows, scale, w) for w in range(C.dim)]
+    P = _product_tensor(rows, scale)
     cases = [(L[a], par[a], P, 0) for a in range(C.dim)]
     cases += [(_wop_bracket(L[a], par[a], L[b], par[b]), (par[a] + par[b]) & 1, P, 0)
               for a in range(C.dim) for b in range(a, C.dim, 3)]
@@ -406,3 +440,274 @@ def test_grouped_tensor_bracket_keeps_the_per_pair_rule(J):
         assert (T.vals, set(T.undefined)) == _per_pair_bracket(M, pm, B, pb, par)
         partial |= bool(T.undefined)
     assert partial == (not J.is_total())
+
+
+# -- the Fraction realization, kept as the reference of the int one ------------------
+#
+# The realization of Lie(J) on Fraction entries, as it was before it moved to
+# the int table oracle: operators and tensors hold the exact values.  The int
+# realization, divided by its scales, must agree with it entry for entry,
+# with the same domains and undefined pairs.
+
+
+class RefOp:
+    def __init__(self, cols, domain):
+        self.cols = cols
+        self.domain = domain
+
+    def apply_basis(self, x):
+        if x not in self.domain:
+            return None
+        return self.cols.get(x, {})
+
+    def apply(self, vec):
+        if not self.domain.issuperset(vec):
+            return None
+        return matrix_apply(self.cols, vec)
+
+    def window_flat(self, win, dim):
+        return {x * dim + r: v for x, col in self.cols.items() if x in win
+                for r, v in col.items()}
+
+
+class RefTensor:
+    def __init__(self, vals, undefined):
+        self.vals = vals
+        self.undefined = undefined
+
+    def at(self, x, y):
+        if (x, y) in self.undefined:
+            return None
+        return self.vals.get((x, y), {})
+
+    def has_window(self, win):
+        return all(x not in win or y not in win for x, y in self.undefined)
+
+    def window_flat(self, win, dim):
+        return {(x * dim + y) * dim + k: v for (x, y), vec in self.vals.items()
+                if x in win and y in win for k, v in vec.items()}
+
+    def to_matrix(self, x, win):
+        out = {}
+        for y in win:
+            vec = self.at(x, y)
+            if vec is None:
+                return None
+            if vec:
+                out[y] = dict(vec)
+        return RefOp(out, win)
+
+
+def ref_left_mul(carrier, a):
+    cols, domain = {}, set()
+    for x in range(carrier.dim):
+        v = carrier.product(a, x)
+        if v is None:
+            continue
+        domain.add(x)
+        if v:
+            cols[x] = dict(v)
+    return RefOp(cols, frozenset(domain))
+
+
+def ref_wop_bracket(M, pm, N, pn):
+    s = -1 if (pm and pn) else 1
+    cols, domain = {}, set()
+    for x in N.domain & M.domain:
+        a = M.apply(N.cols.get(x, {}))
+        b = N.apply(M.cols.get(x, {}))
+        if a is None or b is None:
+            continue
+        domain.add(x)
+        col = dict(a) if a else {}
+        if b:
+            vec_iadd(col, b, -s)
+        if col:
+            cols[x] = col
+    return RefOp(cols, frozenset(domain))
+
+
+def ref_product_tensor(carrier):
+    vals = {}
+    for x in range(carrier.dim):
+        for y in range(carrier.dim):
+            v = carrier.product(x, y)
+            if v:
+                vals[(x, y)] = dict(v)
+    return RefTensor(vals, carrier.out_of_span)
+
+
+def ref_tensor_bracket(M, pm, B, pb, parities):
+    s = 1 if (pm and pb) else -1
+    out = {}
+    for key, vec in B.vals.items():
+        v = matrix_apply(M.cols, vec)
+        if v:
+            out[key] = v
+    by_first = {}
+    for (z, y), vec in B.vals.items():
+        by_first.setdefault(z, []).append((y, vec))
+    for x, col in M.cols.items():
+        for z, cz in col.items():
+            c = cz if s > 0 else -cz
+            for y, vec in by_first.get(z, ()):
+                acc = out.setdefault((x, y), {})
+                vec_iadd(acc, vec, c)
+                if not acc:
+                    del out[(x, y)]
+    for y, col in M.cols.items():
+        py = parities[y]
+        for z, cz in col.items():
+            c = cz if s > 0 else -cz
+            for x, vec in by_first.get(z, ()):
+                acc = out.setdefault((x, y), {})
+                vec_iadd(acc, vec, -c if (parities[x] and py) else c)
+                if not acc:
+                    del out[(x, y)]
+    undefined = set(B.undefined)
+    n = len(parities)
+    outside = {x for x in range(n) if x not in M.domain}
+    if outside:
+        for x in outside:
+            for y in range(n):
+                undefined.add((x, y))
+                undefined.add((y, x))
+        for key, vec in B.vals.items():
+            if not outside.isdisjoint(vec):
+                undefined.add(key)
+    holes = {}
+    for z, y in B.undefined:
+        holes.setdefault(y, set()).add(z)
+    for y, zs in holes.items():
+        for x, col in M.cols.items():
+            if not zs.isdisjoint(col):
+                undefined.add((x, y))
+                undefined.add((y, x))
+    if undefined:
+        out = {k: v for k, v in out.items() if k not in undefined}
+    return RefTensor(out, frozenset(undefined))
+
+
+def ref_swapped(vec, pu, pv):
+    if vec is None:
+        return None
+    if pu and pv:
+        return dict(vec)
+    return {k: -c for k, c in vec.items()}
+
+
+def ref_bracket(u, v, win, par, dim):
+    (du, a, pu), (dv, b, pv) = u, v
+    if not -1 <= du + dv <= 1:
+        return {}
+    if du == -1 or (du, dv) == (1, 0):
+        return ref_swapped(ref_bracket(v, u, win, par, dim), pv, pu)
+    if dv == -1:
+        if du == 0:
+            return a.apply_basis(b)
+        C = a.to_matrix(b, win)
+        return None if C is None else C.window_flat(win, dim)
+    if dv == 0:
+        C = ref_wop_bracket(a, pu, b, pv)
+        return C.window_flat(win, dim) if win <= C.domain else None
+    C = ref_tensor_bracket(a, pu, b, pv, par)
+    return C.window_flat(win, dim) if C.has_window(win) else None
+
+
+def _over(vec, scale):
+    return None if vec is None else {k: Fraction(c, scale) for k, c in vec.items()}
+
+
+def _same_op(op, ref):
+    assert op.domain == ref.domain
+    assert {x: _over(col, op.scale) for x, col in op.cols.items()} == ref.cols
+
+
+def _same_tensor(B, ref):
+    assert B.undefined == ref.undefined
+    assert {k: _over(vec, B.scale) for k, vec in B.vals.items()} == ref.vals
+
+
+@st.composite
+def supercommutative_tables(draw, total=None):
+    """A random supercommutative table on 2-4 basis vectors: e_i o e_j has
+    parity p(i) + p(j), coefficients n/q with |n| <= 3 and q <= 7, e_j o e_i
+    = (-1)^{p(i)p(j)} e_i o e_j; some unordered pairs are out of span
+    unless total."""
+    dim = draw(st.integers(2, 4))
+    par = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    if total is None:
+        total = draw(st.booleans())
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 7))
+    table, oos = {}, set()
+    for i in range(dim):
+        for j in range(i, dim):
+            if not total and draw(st.integers(0, 4)) == 0:
+                oos |= {(i, j), (j, i)}
+                continue
+            if i == j and par[i]:
+                continue  # e_i o e_i = -e_i o e_i for odd e_i
+            p = (par[i] + par[j]) & 1
+            vec = {k: c for k in range(dim) if par[k] == p and (c := draw(coeff))}
+            table[(i, j)] = vec
+            table[(j, i)] = vec if not (par[i] and par[j]) else {
+                k: -c for k, c in vec.items()}
+    return FiniteSuperAlgebra([f"e{i}" for i in range(dim)], par, table, oos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(supercommutative_tables(), st.data())
+def test_int_realization_matches_the_fraction_reference(J, data):
+    rows, scale = _scaled_products(J)
+    par, n = J.parities, J.dim
+    L = [_wop_from_left_mul(rows, scale, a) for a in range(n)]
+    R = [ref_left_mul(J, a) for a in range(n)]
+    P, RP = _product_tensor(rows, scale), ref_product_tensor(J)
+    _same_tensor(P, RP)
+    ops = [(L[a], R[a], par[a]) for a in range(n)]
+    for a in range(n):
+        _same_op(*ops[a][:2])
+        for b in range(a, n):
+            ops.append((_wop_bracket(L[a], par[a], L[b], par[b]),
+                        ref_wop_bracket(R[a], par[a], R[b], par[b]),
+                        (par[a] + par[b]) & 1))
+            _same_op(*ops[-1][:2])
+    tensors = [(P, RP, 0)]
+    for M, RM, pm in ops:
+        tensors.append((_tensor_bracket(M, pm, P, 0, par),
+                        ref_tensor_bracket(RM, pm, RP, 0, par), pm))
+        _same_tensor(*tensors[-1][:2])
+    M, RM, pm = data.draw(st.sampled_from(ops))
+    B, RB, pb = data.draw(st.sampled_from(tensors[1:]))
+    C, RC = _tensor_bracket(M, pm, B, pb, par), ref_tensor_bracket(RM, pm, RB, pb, par)
+    _same_tensor(C, RC)
+    assert C.scale == M.scale * B.scale
+    # the one bracket of realized elements, on a window
+    win = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    elems = ([((-1, x, par[x]),) * 2 for x in range(n)]
+             + [((0, M, pm), (0, RM, pm)) for M, RM, pm in ops]
+             + [((1, B, pb), (1, RB, pb)) for B, RB, pb in tensors])
+    for _ in range(12):
+        (u, ru), (v, rv) = data.draw(st.sampled_from(elems)), data.draw(st.sampled_from(elems))
+        sc = (1 if u[0] == -1 else u[1].scale) * (1 if v[0] == -1 else v[1].scale)
+        assert _over(_bracket(u, v, win, par, n), sc) == ref_bracket(ru, rv, win, par, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(supercommutative_tables(total=True))
+def test_generator_cover_reports_what_the_full_cover_reports(J):
+    # TKK.check_minimal brackets only the generators L_a with g1; the lemma
+    # in its docstring says the full [g0, g1] cover gives the same report,
+    # on Jordan and non-Jordan tables alike
+    real = TKK(J)
+    par, d, win = J.parities, J.dim, real.win
+    failures = _cover_defects(
+        real.g0, (_bracket((1, B, pb), (-1, x, par[x]), win, par, d)
+                  for B, pb in real.g1.rows for x in range(d)), "[g-1, g1]", "g0")
+    if not failures:
+        failures = _cover_defects(
+            real.g1, (_bracket((0, M, pm), (1, B, pb), win, par, d)
+                      for M, pm in real.g0.rows for B, pb in real.g1.rows),
+            "[g0, g1]", "g1")
+    r = real.check_minimal()
+    assert (r.counterexample or {}).get("failures", []) == failures
