@@ -47,6 +47,16 @@ oracle, `_PairCache`:
   by scale for the linear identities (antisymmetry, generalized Leibniz,
   kmc-product) and by scale^2 for the ones that nest two values (Jacobi,
   kmc-jacobi).
+
+Orbit quantifiers.  The product-rule scans (generalized Leibniz,
+kmc-product) visit one ordered triple (a, b, c) per orbit of swapping b and
+c, and the Jacobi and kmc-jacobi scans one multiset a <= b <= c, after a
+super-antisymmetry prepass on the pairs.  The certified span is still every
+ordered triple, each proved from its representative by the lemmas at
+`_product_rule`, `check_jacobi` and `_kmc_worker`.  The lex-least failing
+triple of a set closed under those permutations is its own representative,
+so a scan stops at the same triple as a scan of every ordered triple and
+reports the same residual.
 """
 
 from __future__ import annotations
@@ -78,7 +88,9 @@ from .superpoly import (
 
 @dataclass(frozen=True)
 class DerivationD:
-    """An even formal vector field sum coeff_v * d/dv."""
+    """A formal vector field sum coeff_v * d/dv.  It is even when every
+    coeff_v is homogeneous of the parity of v; the identity drivers take
+    only even fields, `schouten.ACPair` also builds odd ones."""
 
     m: int
     n: int
@@ -109,6 +121,10 @@ class DerivationD:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def is_even(self) -> bool:
+        return all(mono_parity(mono) == (v.kind == "odd")
+                   for poly, v in self.terms for mono in poly.terms)
 
     def apply(self, f: SuperPoly) -> SuperPoly:
         out = SuperPoly.zero(self.m, self.n)
@@ -642,23 +658,35 @@ def _spec_oracle(spec: BracketSpec, monos, max_deg: int, D=None, halve=False):
     return _PairCache(monos, kern, kscale, scale, E, max_deg if series else None)
 
 
+def _antisymmetry_scan(o: _PairCache, rows: list, lo: int, hi: int):
+    """Super-antisymmetry of the bracket read from rows (the bracket or the
+    modified bracket cache) on the pairs (i, j >= i), for i in [lo, hi).
+    Returns (count, identity, tuple, residual) as the scans do."""
+    N, par = o.size, o.par
+    cnt = 0
+    for i in range(lo, hi):
+        ri = rows[i]
+        for j in range(i, N):
+            acc = dict(ri[j])
+            s = -1 if par[i] and par[j] else 1
+            for y, v in rows[j][i].items():
+                acc[y] = acc.get(y, 0) + s * v
+            cnt += 1
+            if any(acc.values()) and o.certified(acc):
+                return cnt, "antisymmetry", (i, j), o.residual(acc, 1)
+    return cnt, None, None, None
+
+
 def _jacobi_scan(o: _PairCache, lo: int, hi: int):
     """Super-antisymmetry on the pairs (i, j >= i), then the super Jacobi
     identity on the multisets (i, j >= i, k >= j), for i in [lo, hi).
     Returns (count, identity, tuple, residual) at the first failure, else
     (count, None, None, None)."""
     N, par, br = o.size, o.par, o.br
-    cnt = 0
-    for i in range(lo, hi):
-        bi = br[i]
-        for j in range(i, N):
-            acc = dict(bi[j])
-            s = -1 if par[i] and par[j] else 1
-            for y, v in br[j][i].items():
-                acc[y] = acc.get(y, 0) + s * v
-            cnt += 1
-            if any(acc.values()) and o.certified(acc):
-                return cnt, "antisymmetry", (i, j), o.residual(acc, 1)
+    first = _antisymmetry_scan(o, br, lo, hi)
+    if first[1]:
+        return first
+    cnt = first[0]
     for i in range(lo, hi):
         bi = br[i]
         for j in range(i, N):
@@ -681,9 +709,18 @@ def first_jacobi_failure(monos, kern, scale: int):
 
 
 def _product_rule(pr: list, ri, ea: dict, j, k, ab: dict, s: int) -> dict:
-    """{a,bc} - {a,b}c - s b{a,c} - E(a)bc on the ids (i, j, k), with {.,.}
-    read from ri, the row of a in the bracket or the modified bracket cache,
-    ab = {a,b} and ea = E(a)."""
+    """L(a, b, c) = {a,bc} - {a,b}c - s b{a,c} - E(a)bc on the ids (i, j, k),
+    s = (-1)^{p(a)p(b)}, with {.,.} read from ri, the row of a in the bracket
+    or the modified bracket cache, ab = {a,b} and ea = E(a).
+
+    Lemma: L(a, c, b) = (-1)^{p(b)p(c)} L(a, b, c) when the product is
+    supercommutative and {.,.} is even.  Write e = (-1)^{p(b)p(c)}; then
+    cb = e bc, so {a,cb} = e {a,bc} and E(a)cb = e E(a)bc; {a,c}b =
+    (-1)^{p(b)(p(a)+p(c))} b{a,c} and c{a,b} = (-1)^{p(c)(p(a)+p(b))} {a,b}c
+    turn the two middle terms of L(a, c, b) into e times those of L(a, b, c).
+    So a scan of the triples with k >= j sees a failure at (i, k, j) at
+    (i, j, k) with the same residual up to sign.  Every bracket of this
+    module is even, and the modified bracket is when D is."""
     acc = {}
     bc = pr[j][k]
     if bc:
@@ -715,6 +752,9 @@ def _jacobi_worker(args):
 
 
 def _leibniz_worker(args):
+    """The generalized Leibniz rule on the triples (i, j, k >= j), for i in
+    [lo, hi): by the lemma at `_product_rule` they decide every ordered
+    triple."""
     spec, D, monos, lo, hi, max_deg = args
     o = _spec_oracle(spec, monos, max_deg, D)
     N, par, br, ev, pr = o.size, o.par, o.br, o.ev, o.pr
@@ -724,7 +764,7 @@ def _leibniz_worker(args):
         for j in range(N):
             s = -1 if par[i] and par[j] else 1
             ab = bi[j]
-            for k in range(N):
+            for k in range(j, N):
                 acc = _product_rule(pr, bi, ea, j, k, ab, s)
                 cnt += 1
                 if any(acc.values()) and o.certified(acc):
@@ -732,23 +772,64 @@ def _leibniz_worker(args):
     return cnt, None, None, None
 
 
+def _root_is_superskew(spec: BracketSpec) -> bool:
+    """Whether the constant matrix under a dmod or gauge spec is superskew."""
+    while spec.base is not None:
+        spec = spec.base
+    return spec.is_superskew()
+
+
 def _kmc_worker(args):
+    """The kmc identities of [f, g] = {f, g}_D, E = D' = D/2, for f = a_i,
+    i in [lo, hi): super-antisymmetry of [.,.] on the pairs (i, j >= i),
+    kmc-product on the triples (i, j, k >= j) (the lemma at `_product_rule`)
+    and kmc-jacobi on the multisets i <= j <= k.
+
+    kmc-jacobi at (f, g, h) is K = Jac(f, g, h) + E(f)[g,h]
+    + (-1)^{p(f)(p(g)+p(h))} E(g)[h,f] + (-1)^{p(h)(p(f)+p(g))} E(h)[f,g],
+    Jac(f, g, h) = [f,[g,h]] - [[f,g],h] - (-1)^{p(f)p(g)} [g,[f,h]].
+    Lemma: if [.,.] is super-antisymmetric on all monomials and E is even,
+    K is super-alternating: K(f, h, g) = -(-1)^{p(g)p(h)} K(f, g, h) and
+    K(g, h, f) = (-1)^{p(f)(p(g)+p(h))} K(f, g, h), so an ordered triple
+    fails exactly when its sorted multiset does.  Proof: write C for the
+    cyclic sum of (-1)^{p(f)p(h)} [f,[g,h]] and T for that of
+    (-1)^{p(f)p(h)} E(f)[g,h].  Antisymmetry gives Jac = (-1)^{p(f)p(h)} C,
+    and the E-terms are (-1)^{p(f)p(h)} T by their signs alone; C and T are
+    invariant under the cycle (f, g, h) -> (g, h, f), which gives the second
+    relation.  For the first, antisymmetry takes Jac(f, h, g) to
+    -(-1)^{p(g)p(h)} Jac(f, g, h) as in the super Jacobi identity, and each
+    E-term of K(f, h, g) to -(-1)^{p(g)p(h)} times the same E-term of
+    K(f, g, h), E(f) having the parity of f.
+
+    The hypothesis holds when the constant matrix under the spec is
+    superskew: the contact term and the correction of an even D are
+    super-antisymmetric, and a gauge twist or a D-modification keeps a
+    super-antisymmetric bracket so.  Otherwise kmc-jacobi runs on every
+    ordered triple, after the pair prepass (which fails at a pair of
+    listed generators once max_deg >= 1)."""
     spec, D, monos, lo, hi, max_deg = args
     o = _spec_oracle(spec, monos, max_deg, D, halve=True)
     N, par, dm, ev, pr = o.size, o.par, o.dm, o.ev, o.pr
-    cnt = 0
+    first = _antisymmetry_scan(o, dm, lo, hi)
+    if first[1]:
+        return first
+    cnt = first[0]
+    skew = _root_is_superskew(spec)
     for i in range(lo, hi):
         pf, ef, di = par[i], ev[i], dm[i]
         for j in range(N):
             pg, eg, dj = par[j], ev[j], dm[j]
             fg = di[j]
             s_fg = -1 if (pf and pg) else 1
-            for k in range(N):
-                # product rule for the modified bracket
-                acc = _product_rule(pr, di, ef, j, k, fg, s_fg)
-                cnt += 1
-                if any(acc.values()) and o.certified(acc):
-                    return cnt, "kmc-product", (i, j, k), o.residual(acc, 1)
+            for k in range(j if skew else 0, N):
+                if k >= j:
+                    # product rule for the modified bracket
+                    acc = _product_rule(pr, di, ef, j, k, fg, s_fg)
+                    cnt += 1
+                    if any(acc.values()) and o.certified(acc):
+                        return cnt, "kmc-product", (i, j, k), o.residual(acc, 1)
+                if skew and j < i:
+                    continue
                 # double-bracket rule for the modified bracket
                 ph = par[k]
                 acc = _jacobiator(dm, di, dj, k, fg, s_fg)
@@ -758,6 +839,7 @@ def _kmc_worker(args):
                     _mul_into(acc, pr, eg, dm[k][i], -1 if (pf and (pg ^ ph)) else 1)
                 if ev[k]:
                     _mul_into(acc, pr, ev[k], fg, -1 if (ph and (pf ^ pg)) else 1)
+                cnt += 1
                 if any(acc.values()) and o.certified(acc):
                     return cnt, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
     return cnt, None, None, None
@@ -784,7 +866,7 @@ def _ranges(n: int, workers) -> list:
 def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span_counts):
     """Run a scan worker over row chunks and report the first failure in
     canonical order: an antisymmetry failure in any chunk comes before every
-    Jacobi failure, since the multiset Jacobi scan presumes antisymmetry."""
+    other failure, since the multiset scans presume antisymmetry."""
     t0 = time.perf_counter()
     series = _is_series(spec)
     monos = monomials(spec.m, spec.n, max_deg)
@@ -819,16 +901,31 @@ def check_jacobi(spec: BracketSpec, max_deg: int, workers=None) -> Report:
                              "tripleMultisets": N * (N + 1) * (N + 2) // 6})
 
 
+def _require_even(D: DerivationD) -> None:
+    if not D.is_even():
+        raise ValueError("D must be an even derivation: each coefficient of d/dv "
+                         "homogeneous of the parity of v")
+
+
 def check_gen_leibniz(
     spec: BracketSpec, D: DerivationD, max_deg: int, workers=None
 ) -> Report:
-    """{a,bc} = {a,b}c + (-1)^{p(a)p(b)} b{a,c} + D(a)bc on ordered triples."""
+    """{a,bc} = {a,b}c + (-1)^{p(a)p(b)} b{a,c} + D(a)bc on ordered triples,
+    scanned on the triples with c >= b (the lemma at `_product_rule`).  D
+    must be even (ValueError otherwise)."""
+    _require_even(D)
     return _check("bracket-leibniz", _leibniz_worker, spec, D, max_deg, workers,
                   lambda N: {"orderedTriples": N**3})
 
 
 def check_kmc(spec: BracketSpec, D: DerivationD, max_deg: int, workers=None) -> Report:
     """Both compatibility identities of the modified bracket {.,.}_D with
-    D' = D/2, on ordered monomial triples."""
+    D' = D/2, on ordered monomial triples.  The scan proves them from
+    orbit representatives (`_kmc_worker`): super-antisymmetry of {.,.}_D
+    on pairs (reported as "antisymmetry", ahead of any other failure),
+    kmc-product on the triples with c >= b, and kmc-jacobi on multisets,
+    which super-antisymmetry makes sufficient.  D must be even (ValueError
+    otherwise): {.,.}_D is even and super-antisymmetric only then."""
+    _require_even(D)
     return _check("bracket-kmc", _kmc_worker, spec, D, max_deg, workers,
                   lambda N: {"orderedTriples": N**3})

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -175,9 +176,21 @@ class SystemExit2(Exception):
     pass
 
 
+def _glue_negative_t(argv: list) -> list:
+    """argparse reads a value like -3/7 as an option, so `--t -3/7` becomes
+    `--t=-3/7` (-1 and -0.5 already parse as values)."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--t" and re.fullmatch(r"-\d+/\d+", tok):
+            out[-1] = f"--t={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_negative_t(sys.argv[1:] if argv is None else list(argv)))
     if not args.cmd:
         ap.print_help()
         return 2

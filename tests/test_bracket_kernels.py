@@ -1,15 +1,19 @@
-"""The compiled integer kernels against per-term Fraction references.
+"""The compiled integer kernels against per-term Fraction references, and
+the orbit-reduced identity scans against scans of every ordered triple.
 
 `bracket_kernel` (behind `bracket_monomials` and `bracket`) and
 `schouten.ACPair.kernel` (behind `gpb_from_ac`) evaluate a compiled
 presentation on ints.  The references below evaluate the same formulas
-term by term on Fractions, straight from the spec or the pair."""
+term by term on Fractions, straight from the spec or the pair.  The
+Leibniz and kmc workers visit one triple per orbit; the reference workers
+below visit every ordered triple."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import jsalg.brackets as br
 from jsalg.brackets import (
     BracketSpec,
     DerivationD,
@@ -17,6 +21,7 @@ from jsalg.brackets import (
     bracket_kernel,
     bracket_monomials,
     check_gen_leibniz,
+    check_kmc,
     gauge_twist,
 )
 from jsalg.schouten import (
@@ -243,3 +248,170 @@ def test_a_spec_instance_compiles_once(monkeypatch):
     bracket(tw, f, f, 3)
     bracket(tw, f, f, 3)
     assert kinds == ["gauge", "k", "gauge"]
+
+
+# -- the orbit-reduced scans against every ordered triple -------------------------
+
+
+def ref_leibniz_worker(args):
+    """The generalized Leibniz rule on every ordered triple."""
+    spec, D, monos, lo, hi, max_deg = args
+    o = br._spec_oracle(spec, monos, max_deg, D)
+    N, par, rows, ev, pr = o.size, o.par, o.br, o.ev, o.pr
+    cnt = 0
+    for i in range(lo, hi):
+        ea, bi = ev[i], rows[i]
+        for j in range(N):
+            s = -1 if par[i] and par[j] else 1
+            ab = bi[j]
+            for k in range(N):
+                acc = br._product_rule(pr, bi, ea, j, k, ab, s)
+                cnt += 1
+                if any(acc.values()) and o.certified(acc):
+                    return cnt, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
+    return cnt, None, None, None
+
+
+def ref_kmc_worker(args):
+    """Both kmc identities on every ordered triple, product rule first."""
+    spec, D, monos, lo, hi, max_deg = args
+    o = br._spec_oracle(spec, monos, max_deg, D, halve=True)
+    N, par, dm, ev, pr = o.size, o.par, o.dm, o.ev, o.pr
+    cnt = 0
+    for i in range(lo, hi):
+        pf, ef, di = par[i], ev[i], dm[i]
+        for j in range(N):
+            pg, eg, dj = par[j], ev[j], dm[j]
+            fg = di[j]
+            s_fg = -1 if (pf and pg) else 1
+            for k in range(N):
+                acc = br._product_rule(pr, di, ef, j, k, fg, s_fg)
+                cnt += 1
+                if any(acc.values()) and o.certified(acc):
+                    return cnt, "kmc-product", (i, j, k), o.residual(acc, 1)
+                ph = par[k]
+                acc = br._jacobiator(dm, di, dj, k, fg, s_fg)
+                if ef:
+                    br._mul_into(acc, pr, ef, dj[k])
+                if eg:
+                    br._mul_into(acc, pr, eg, dm[k][i], -1 if (pf and (pg ^ ph)) else 1)
+                if ev[k]:
+                    br._mul_into(acc, pr, ev[k], fg, -1 if (ph and (pf ^ pg)) else 1)
+                if any(acc.values()) and o.certified(acc):
+                    return cnt, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
+    return cnt, None, None, None
+
+
+def ref_check(name, spec, D, max_deg, workers):
+    suite, worker = {"leibniz": ("bracket-leibniz", ref_leibniz_worker),
+                     "kmc": ("bracket-kmc", ref_kmc_worker)}[name]
+    return br._check(suite, worker, spec, D, max_deg, workers,
+                     lambda N: {"orderedTriples": N**3})
+
+
+def _random_superskew(rng, mp, n):
+    C = [[0] * (mp + n) for _ in range(mp + n)]
+    for i in range(mp):
+        for j in range(i + 1, mp):
+            C[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            C[j][i] = -C[i][j]
+    for i in range(n):
+        for j in range(i, n):
+            C[mp + i][mp + j] = C[mp + j][mp + i] = Fraction(rng.randint(-2, 2),
+                                                             rng.randint(1, 2))
+    return C
+
+
+def _derivations(spec):
+    """D = 0, d/dt, 3 d/dt, d/dt / 2 and x d/dt (x the last even variable)."""
+    m, n = spec.m, spec.n
+    out = [DerivationD.zero(m, n)]
+    if m:
+        out += [DerivationD.multiple_of_dt(m, n, c) for c in (1, 3, Fraction(1, 2))]
+        out.append(DerivationD(m, n, ((SuperPoly.variable(m, n, even_var(m - 1)),
+                                       even_var(0)),)))
+    return out
+
+
+def _scan_cases():
+    rng = random.Random(3)
+    specs = [BracketSpec.h_type(1, 1), BracketSpec.h_type(0, 3), BracketSpec.k_type(0, 2),
+             BracketSpec.k_type(1, 1), BracketSpec.d_modified(BracketSpec.k_type(0, 2)),
+             BracketSpec.d_modified(BracketSpec.h_type(1, 1))]
+    for mp, n, t in ((2, 1, False), (0, 3, True), (2, 2, True)):
+        specs.append(BracketSpec.custom(mp + t, n, _random_superskew(rng, mp, n), has_time=t))
+    cases = [(spec, D, 2) for spec in specs for D in _derivations(spec)]
+    phi = SuperPoly.one(1, 1) + SuperPoly.variable(1, 1, even_var(0))
+    tw = gauge_twist(BracketSpec.k_type(0, 1), phi)
+    cases += [(tw, tw.derivation(), 2), (tw, DerivationD.multiple_of_dt(1, 1), 2)]
+    return cases
+
+
+SCAN_CASES = _scan_cases()
+
+
+@pytest.mark.parametrize("name, identities", [
+    ("leibniz", {"generalized-leibniz"}), ("kmc", {"kmc-product", "kmc-jacobi"})])
+def test_orbit_scans_match_the_ordered_triple_scans(name, identities):
+    check = {"leibniz": check_gen_leibniz, "kmc": check_kmc}[name]
+    seen, passed = set(), 0
+    for spec, D, deg in SCAN_CASES:
+        r = check(spec, D, deg, workers=1)
+        assert r.to_json() == ref_check(name, spec, D, deg, 1).to_json(), (spec, D)
+        if r.passed:
+            passed += 1
+        else:
+            seen.add(r.counterexample["identity"])
+    # both verdicts occur, and every identity of the scan fails somewhere
+    assert seen == identities and 0 < passed < len(SCAN_CASES)
+
+
+@pytest.mark.parametrize("name", ["leibniz", "kmc"])
+def test_orbit_scans_match_the_ordered_triple_scans_on_two_workers(name):
+    check = {"leibniz": check_gen_leibniz, "kmc": check_kmc}[name]
+    # k_type(1,1) with x d/dt and the dmod cases: kmc-jacobi failures deep in
+    # the scan, a Leibniz pass and a pass of both
+    for spec, D, deg in SCAN_CASES[15:22]:
+        got = check(spec, D, deg, workers=2).to_json()
+        assert got == ref_check(name, spec, D, deg, 2).to_json() == check(
+            spec, D, deg, workers=1).to_json()
+
+
+def test_kmc_jacobi_fails_at_a_multiset_with_a_repeated_odd_slot():
+    # K(a, a, b) vanishes for an even a, not for an odd one: the first failure
+    # here is (xi1, xi1, x1), which a scan of the multisets i < j <= k misses
+    spec = BracketSpec.d_modified(BracketSpec.custom(1, 2, [[-1, -1], [-1, 0]],
+                                                     has_time=True))
+    D = DerivationD.multiple_of_dt(1, 2, -1)
+    r = check_kmc(spec, D, 1)
+    assert r.counterexample["identity"] == "kmc-jacobi"
+    assert r.counterexample["monomials"] == ["xi1", "xi1", "x1"]
+    assert r.to_json() == ref_check("kmc", spec, D, 1, 1).to_json()
+
+
+def test_orbit_scan_visit_counts():
+    # a passing scan: N^2 (N + 1) / 2 product triples; kmc adds the pairs of
+    # its antisymmetry prepass and the multisets of kmc-jacobi
+    spec = BracketSpec.k_type(0, 2)
+    D = spec.derivation()
+    monos = monomials(spec.m, spec.n, 2)
+    N = len(monos)
+    args = (spec, D, monos, 0, N, 2)
+    assert check_kmc(spec, D, 2).passed
+    assert br._leibniz_worker(args) == (N * N * (N + 1) // 2, None, None, None)
+    assert br._kmc_worker(args) == (N * (N + 1) // 2 + N * N * (N + 1) // 2
+                                    + N * (N + 1) * (N + 2) // 6, None, None, None)
+    assert ref_kmc_worker(args)[0] == ref_leibniz_worker(args)[0] == N**3
+
+
+def test_a_root_matrix_that_is_not_superskew_scans_every_ordered_triple():
+    # at max_deg 0 the list lacks the even generators, so the pair prepass
+    # passes on a symmetric even block; kmc-jacobi then runs on all N^3
+    spec = BracketSpec.custom(2, 2, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    D = DerivationD.zero(2, 2)
+    monos = monomials(2, 2, 0)
+    N = len(monos)
+    assert not spec.is_superskew() and check_kmc(spec, D, 0).passed
+    assert br._kmc_worker((spec, D, monos, 0, N, 0)) == (
+        N * (N + 1) // 2 + N * N * (N + 1) // 2 + N**3, None, None, None)
+    assert check_kmc(spec, D, 0).to_json() == ref_check("kmc", spec, D, 0, 1).to_json()

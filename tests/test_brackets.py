@@ -269,6 +269,46 @@ def test_failing_report_bytes_do_not_depend_on_workers():
     assert run(2).to_json() == want
 
 
+def test_kmc_prepass_reports_antisymmetry():
+    # {.,.}_D must be super-antisymmetric before the multiset kmc-jacobi scan
+    # may stand for every ordered triple
+    r = check_kmc(BracketSpec.custom(2, 0, [[0, 1], [1, 0]]), DerivationD.zero(2, 0), 2)
+    assert r.to_json() == (
+        '{"certifiedSpan":{"kind":"custom","maxEvenDegree":2,"monomials":6,'
+        '"orderedTriples":216,"signature":[2,0]},"counterexample":{"identity":"antisymmetry",'
+        '"indices":[1,3],"monomials":["x2","x1"],"residual":"2"},"params":{"kind":"custom",'
+        '"m":2,"maxDeg":2,"n":0},"status":"fail","suite":"bracket-kmc"}')
+
+
+def test_kmc_antisymmetry_failure_in_a_later_chunk_is_reported_first():
+    # {x1, x1} = 1 fails antisymmetry only at x1 (id 3, the second chunk of
+    # two), while D = d/dx2 fails kmc in the first chunk
+    import jsalg.brackets as br
+
+    spec = BracketSpec.custom(2, 0, [[1, 0], [0, 0]])
+    D = DerivationD(2, 0, ((SuperPoly.one(2, 0), even_var(1)),))
+    monos = monomials(2, 0, 2)
+    assert br._kmc_worker((spec, D, monos, 0, 3, 2))[1] in ("kmc-product", "kmc-jacobi")
+    assert br._kmc_worker((spec, D, monos, 3, 6, 2))[1:3] == ("antisymmetry", (3, 3))
+    for w in (1, 2):
+        ce = check_kmc(spec, D, 2, workers=w).counterexample
+        assert ce["identity"] == "antisymmetry" and ce["indices"] == [3, 3]
+
+
+def test_drivers_reject_an_odd_derivation():
+    # a coefficient of d/dv must be homogeneous of the parity of v
+    x, xi = xv(1, 1, 0), xiv(1, 1, 0)
+    even = [DerivationD.multiple_of_dt(1, 1), DerivationD(1, 1, ((mul(x, xi), odd_var(0)),))]
+    odd = [DerivationD(1, 1, ((SuperPoly.one(1, 1), odd_var(0)),)),
+           DerivationD(1, 1, ((x + xi, even_var(0)),))]
+    assert all(D.is_even() for D in even) and not any(D.is_even() for D in odd)
+    spec = BracketSpec.k_type(0, 1)
+    for D in odd:
+        for check in (check_gen_leibniz, check_kmc):
+            with pytest.raises(ValueError, match="even"):
+                check(spec, D, 1)
+
+
 def test_gauge_with_nonunit_constant_term():
     # phi = 2 + x1: the scale carries the constant term's numerator
     spec = BracketSpec.h_type(1, 0)

@@ -37,6 +37,18 @@ def test_verify_jordan_identity_exit_codes(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_negative_rational_t_parses(capsys):
+    # argparse reads "-3/7" as an option unless it is glued to --t
+    for argv in (("--t", "-3/7"), ("--t=-3/7",)):
+        assert run("verify", "simple", "--family", "Dt", *argv, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["params"]["algebra"] == "D_t(-3/7)"
+    assert run("build", "--family", "Dt", "--t", "-1") == 0
+    assert "D_t(-1)" in capsys.readouterr().out
+    assert run("verify", "simple", "--family", "Dt", "--t", "-3/0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert run("verify", "jordan-identity", "--family", "Nope") == 2
     assert run("verify", "short-gradings") == 2
