@@ -47,6 +47,9 @@ oracle, `_PairCache`:
   by scale for the linear identities (antisymmetry, generalized Leibniz,
   kmc-product) and by scale^2 for the ones that nest two values (Jacobi,
   kmc-jacobi).
+* Each scan is a chunk worker of the identity engine `report.scan` and
+  builds its oracle from the payload (spec, D, monos, max_deg).  A product
+  is one signed id, (sign, id), not a multi-term row as in the table oracle.
 
 Orbit quantifiers.  The product-rule scans (generalized Leibniz,
 kmc-product) visit one ordered triple (a, b, c) per orbit of swapping b and
@@ -68,7 +71,7 @@ from functools import cached_property
 from math import lcm
 from operator import add
 
-from .report import Report, pmap_chunks, resolve_workers
+from .report import Report, scan
 from .superpoly import (
     SuperPoly,
     VarRef,
@@ -661,7 +664,7 @@ def _spec_oracle(spec: BracketSpec, monos, max_deg: int, D=None, halve=False):
 def _antisymmetry_scan(o: _PairCache, rows: list, lo: int, hi: int):
     """Super-antisymmetry of the bracket read from rows (the bracket or the
     modified bracket cache) on the pairs (i, j >= i), for i in [lo, hi).
-    Returns (count, identity, tuple, residual) as the scans do."""
+    Returns (certified, 0, identity, tuple, residual) as the scans do."""
     N, par = o.size, o.par
     cnt = 0
     for i in range(lo, hi):
@@ -673,18 +676,18 @@ def _antisymmetry_scan(o: _PairCache, rows: list, lo: int, hi: int):
                 acc[y] = acc.get(y, 0) + s * v
             cnt += 1
             if any(acc.values()) and o.certified(acc):
-                return cnt, "antisymmetry", (i, j), o.residual(acc, 1)
-    return cnt, None, None, None
+                return cnt, 0, "antisymmetry", (i, j), o.residual(acc, 1)
+    return cnt, 0, None, None, None
 
 
 def _jacobi_scan(o: _PairCache, lo: int, hi: int):
     """Super-antisymmetry on the pairs (i, j >= i), then the super Jacobi
     identity on the multisets (i, j >= i, k >= j), for i in [lo, hi).
-    Returns (count, identity, tuple, residual) at the first failure, else
-    (count, None, None, None)."""
+    Returns (certified, 0, identity, tuple, residual) at the first failure,
+    else (certified, 0, None, None, None): nothing is skipped."""
     N, par, br = o.size, o.par, o.br
     first = _antisymmetry_scan(o, br, lo, hi)
-    if first[1]:
+    if first[2]:
         return first
     cnt = first[0]
     for i in range(lo, hi):
@@ -696,8 +699,8 @@ def _jacobi_scan(o: _PairCache, lo: int, hi: int):
                 acc = _jacobiator(br, bi, bj, k, ab, s)
                 cnt += 1
                 if any(acc.values()) and o.certified(acc):
-                    return cnt, "jacobi", (i, j, k), o.residual(acc, 2)
-    return cnt, None, None, None
+                    return cnt, 0, "jacobi", (i, j, k), o.residual(acc, 2)
+    return cnt, 0, None, None, None
 
 
 def first_jacobi_failure(monos, kern, scale: int):
@@ -705,7 +708,7 @@ def first_jacobi_failure(monos, kern, scale: int):
     super Jacobi identity on monomials of the bracket whose values scale
     times are the ints kern(a, b), or (None, None)."""
     o = _PairCache(monos, kern, scale, scale)
-    return _jacobi_scan(o, 0, o.size)[1:3]
+    return _jacobi_scan(o, 0, o.size)[2:4]
 
 
 def _product_rule(pr: list, ri, ea: dict, j, k, ab: dict, s: int) -> dict:
@@ -747,7 +750,7 @@ def _product_rule(pr: list, ri, ea: dict, j, k, ab: dict, s: int) -> dict:
 
 
 def _jacobi_worker(args):
-    spec, _D, monos, lo, hi, max_deg = args
+    (spec, _D, monos, max_deg), lo, hi = args
     return _jacobi_scan(_spec_oracle(spec, monos, max_deg), lo, hi)
 
 
@@ -755,7 +758,7 @@ def _leibniz_worker(args):
     """The generalized Leibniz rule on the triples (i, j, k >= j), for i in
     [lo, hi): by the lemma at `_product_rule` they decide every ordered
     triple."""
-    spec, D, monos, lo, hi, max_deg = args
+    (spec, D, monos, max_deg), lo, hi = args
     o = _spec_oracle(spec, monos, max_deg, D)
     N, par, br, ev, pr = o.size, o.par, o.br, o.ev, o.pr
     cnt = 0
@@ -768,8 +771,8 @@ def _leibniz_worker(args):
                 acc = _product_rule(pr, bi, ea, j, k, ab, s)
                 cnt += 1
                 if any(acc.values()) and o.certified(acc):
-                    return cnt, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
-    return cnt, None, None, None
+                    return cnt, 0, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
+    return cnt, 0, None, None, None
 
 
 def _root_is_superskew(spec: BracketSpec) -> bool:
@@ -807,11 +810,11 @@ def _kmc_worker(args):
     super-antisymmetric bracket so.  Otherwise kmc-jacobi runs on every
     ordered triple, after the pair prepass (which fails at a pair of
     listed generators once max_deg >= 1)."""
-    spec, D, monos, lo, hi, max_deg = args
+    (spec, D, monos, max_deg), lo, hi = args
     o = _spec_oracle(spec, monos, max_deg, D, halve=True)
     N, par, dm, ev, pr = o.size, o.par, o.dm, o.ev, o.pr
     first = _antisymmetry_scan(o, dm, lo, hi)
-    if first[1]:
+    if first[2]:
         return first
     cnt = first[0]
     skew = _root_is_superskew(spec)
@@ -827,7 +830,7 @@ def _kmc_worker(args):
                     acc = _product_rule(pr, di, ef, j, k, fg, s_fg)
                     cnt += 1
                     if any(acc.values()) and o.certified(acc):
-                        return cnt, "kmc-product", (i, j, k), o.residual(acc, 1)
+                        return cnt, 0, "kmc-product", (i, j, k), o.residual(acc, 1)
                 if skew and j < i:
                     continue
                 # double-bracket rule for the modified bracket
@@ -841,43 +844,24 @@ def _kmc_worker(args):
                     _mul_into(acc, pr, ev[k], fg, -1 if (ph and (pf ^ pg)) else 1)
                 cnt += 1
                 if any(acc.values()) and o.certified(acc):
-                    return cnt, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
-    return cnt, None, None, None
-
-
-def _counterexample(spec, monos, idxs, residual: dict, identity: str) -> dict:
-    res = SuperPoly(spec.m, spec.n)
-    res.terms = dict(residual)
-    return {
-        "identity": identity,
-        "indices": list(idxs),
-        "monomials": [render_monomial(monos[i], spec.m, spec.n) for i in idxs],
-        "residual": res.render(),
-    }
-
-
-def _ranges(n: int, workers) -> list:
-    w = resolve_workers(workers)
-    w = min(w, max(1, n))
-    size = (n + w - 1) // w
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+                    return cnt, 0, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
+    return cnt, 0, None, None, None
 
 
 def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span_counts):
-    """Run a scan worker over row chunks and report the first failure in
-    canonical order: an antisymmetry failure in any chunk comes before every
-    other failure, since the multiset scans presume antisymmetry."""
+    """Run a scan worker on the identity engine (`report.scan`) over the
+    first monomial index and report its failure."""
     t0 = time.perf_counter()
     series = _is_series(spec)
     monos = monomials(spec.m, spec.n, max_deg)
     N = len(monos)
-    chunks = [(spec, D, monos, lo, hi, max_deg) for lo, hi in _ranges(N, workers)]
-    fails = [r for r in pmap_chunks(worker, chunks, workers) if r[1]]
-    fails.sort(key=lambda r: r[1] != "antisymmetry")  # stable: chunk order within
+    _certified, _skipped, fail = scan(worker, (spec, D, monos, max_deg), N, workers)
     ce = None
-    if fails:
-        _cnt, identity, idxs, res = fails[0]
-        ce = _counterexample(spec, monos, idxs, res, identity)
+    if fail is not None:
+        identity, idxs, res = fail
+        ce = {"identity": identity, "indices": list(idxs),
+              "monomials": [render_monomial(monos[i], spec.m, spec.n) for i in idxs],
+              "residual": SuperPoly(spec.m, spec.n, res).render()}
     span = {"signature": [spec.m, spec.n], "kind": spec.kind,
             "maxEvenDegree": max_deg, "monomials": N, **span_counts(N)}
     if series:

@@ -1,7 +1,7 @@
 """Command-line driver: build catalog algebras, run verification suites,
 emit deterministic JSON or text reports, import/export structure constants.
 
-Exit codes: 0 all checks passed, 1 at least one failure, 2 usage error.
+Exit codes: 0 all passed, 1 at least one failure, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crashed pool worker, a scale below its bound
+        msg = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 3
     return 2
 
 

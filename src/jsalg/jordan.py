@@ -13,12 +13,12 @@ The three table identity checkers (check_jordan, check_relation10 and
 tkk.check_lie_table) read one table oracle, `_scaled_products`: rows[i][j]
 is scale * (e_i o e_j) as a sparse dict of ints, {} for a zero product and
 None for an out-of-span pair, with scale the lcm of the table's
-denominators.  They accumulate through one primitive, `_mul_into`, and
-report through one scan loop, `_table_report`, which counts certified and
-skipped tuples and keeps the first failure.  Every identity is homogeneous,
-so a residual of degree d in the structure constants is scale**d times the
-exact one; `_table_report` divides by scale**d when it reports residual
-coordinates.
+denominators.  They accumulate through one primitive, `_mul_into`, in
+chunk workers of the identity engine `report.scan`, which count certified
+and skipped tuples up to their first failure; `_table_report` builds the
+report.  Every identity is homogeneous, so a residual of degree d in the
+structure constants is scale**d times the exact one; `_table_report`
+divides by scale**d when it reports residual coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .brackets import BracketSpec, bracket_monomials
 from .linalg import CoordSolver, Echelon, scaled_ints, solve_linear, vec_iadd
-from .report import DetRand, Report
+from .report import DetRand, Report, scan
 from .superpoly import (
     SuperPoly,
     mono_degree,
@@ -268,34 +268,29 @@ def _mul_into(acc: dict, rows, u: dict, v: dict, s: int = 1) -> bool:
     return True
 
 
-def _table_report(suite, J: FiniteSuperAlgebra, t0, scan, unit, span,
+def _table_report(suite, J: FiniteSuperAlgebra, t0, worker, workers, unit, span,
                   residual_degree=0) -> Report:
     """Run one identity scan over J's table oracle and build its report.
 
-    scan(rows, parities, dim) yields (indices, residual) for each certified
-    tuple in canonical order and (n, None) for n skipped ones.  The first
-    nonzero residual is the counterexample; with residual_degree d its
-    coordinates are reported exactly, divided by scale**d.  A scan that
-    certifies no tuple fails: a pass must be a claim about a nonempty set.
+    worker is a chunk worker of `report.scan` on the payload (rows,
+    parities, dim).  The first nonzero residual is the counterexample; with
+    residual_degree d its coordinates are reported exactly, divided by
+    scale**d.  A scan that certifies no tuple fails: a pass must be a claim
+    about a nonempty set.
     """
     rows, scale = _scaled_products(J)
-    certified = skipped = 0
+    certified, skipped, fail = scan(worker, (rows, J.parities, J.dim), J.dim, workers)
     ce = None
-    for idx, res in scan(rows, J.parities, J.dim):
-        if res is None:
-            skipped += idx
-            continue
-        certified += 1
-        if any(res.values()):
-            ce = {"indices": list(idx), "labels": [J.labels[t] for t in idx]}
-            if residual_degree:
-                den = scale ** residual_degree
-                ce["residualCoords"] = {
-                    str(k): str(Fraction(v, den))
-                    for k, v in res.items() if v
-                }
-            break
-    if ce is None and certified == 0:
+    if fail is not None:
+        _identity, idx, res = fail
+        ce = {"indices": list(idx), "labels": [J.labels[t] for t in idx]}
+        if residual_degree:
+            den = scale ** residual_degree
+            ce["residualCoords"] = {
+                str(k): str(Fraction(v, den))
+                for k, v in res.items() if v
+            }
+    elif certified == 0:
         ce = {"reason": f"no {unit} could be certified"}
     units = unit.capitalize() + "s"
     return Report(
@@ -337,23 +332,26 @@ def check_jordan(J: FiniteSuperAlgebra, workers=None) -> Report:
             elapsed_ms=(time.perf_counter() - t0) * 1000,
         )
     return _table_report(
-        "jordan-identity", J, t0, _jordan_scan, "quadruple",
+        "jordan-identity", J, t0, _jordan_scan, workers, "quadruple",
         {"dim": J.dim, "quantifier": "multisets a<=b<=c times all x"},
         residual_degree=3,
     )
 
 
-def _jordan_scan(rows, par, dim):
+def _jordan_scan(args):
     """sum over the cyclic terms (u, w) of (ab, c), (bc, a), (ca, b) of
     s (u o (w o x)) - s s' (w o (u o x)), s the Koszul sign of the cyclic
-    shift and s' = (-1)^{p(u)p(w)}, on multisets a <= b <= c times all x."""
+    shift and s' = (-1)^{p(u)p(w)}, on multisets a <= b <= c times all x,
+    for a in [lo, hi)."""
+    (rows, par, dim), lo, hi = args
     unit = [{i: 1} for i in range(dim)]
-    for a in range(dim):
+    certified = skipped = 0
+    for a in range(lo, hi):
         for b in range(a, dim):
             for c in range(b, dim):
                 ab, bc, ca = rows[a][b], rows[b][c], rows[c][a]
                 if ab is None or bc is None or ca is None:
-                    yield dim, None
+                    skipped += dim
                     continue
                 terms = []
                 for u, w, odd, pu in ((ab, c, par[a] and par[c], par[a] + par[b]),
@@ -376,24 +374,32 @@ def _jordan_scan(rows, par, dim):
                                 or ux and not _mul_into(res, rows, unit[w], ux, -t)):
                             res = None
                             break
-                    yield ((a, b, c, x), res) if res is not None else (1, None)
+                    if res is None:
+                        skipped += 1
+                        continue
+                    certified += 1
+                    if any(res.values()):
+                        return certified, skipped, "jordan-identity", (a, b, c, x), res
+    return certified, skipped, None, None, None
 
 
 def check_relation10(J: FiniteSuperAlgebra, workers=None) -> Report:
     """[[L_a, L_b], L_c] = (-1)^{p(b)p(c)} L_{a o (c o b) - (a o c) o b} on all
     ordered basis triples applied to every basis element in span."""
     return _table_report(
-        "jordan-relation10", J, time.perf_counter(), _relation10_scan,
+        "jordan-relation10", J, time.perf_counter(), _relation10_scan, workers,
         "quadruple", {"dim": J.dim, "quantifier": "ordered triples times all x"},
     )
 
 
-def _relation10_scan(rows, par, dim):
+def _relation10_scan(args):
     """K(c o x) - (-1)^{(p(a)+p(b))p(c)} c o K(x) - (-1)^{p(b)p(c)} v o x with
     K(x) = a o (b o x) - (-1)^{p(a)p(b)} b o (a o x), precomputed per (a, b),
-    and v = a o (c o b) - (a o c) o b."""
+    and v = a o (c o b) - (a o c) o b, for a in [lo, hi)."""
+    (rows, par, dim), lo, hi = args
     unit = [{i: 1} for i in range(dim)]
-    for a in range(dim):
+    certified = skipped = 0
+    for a in range(lo, hi):
         ra = rows[a]
         for b in range(dim):
             rb = rows[b]
@@ -415,7 +421,7 @@ def _relation10_scan(rows, par, dim):
                 if (cb is None or ac is None
                         or cb and not _mul_into(v, rows, unit[a], cb)
                         or ac and not _mul_into(v, rows, ac, unit[b], -1)):
-                    yield dim, None
+                    skipped += dim
                     continue
                 s_rhs = -1 if (par[b] and par[c]) else 1
                 s_kc = -1 if (((par[a] + par[b]) & 1) and par[c]) else 1
@@ -427,9 +433,12 @@ def _relation10_scan(rows, par, dim):
                             or cx and not _mul_into(lhs, K_row, unit[0], cx)
                             or kx and not _mul_into(lhs, rows, unit[c], kx, -s_kc)
                             or v and not _mul_into(lhs, rows, v, unit[x], -s_rhs)):
-                        yield 1, None
-                    else:
-                        yield (a, b, c, x), lhs
+                        skipped += 1
+                        continue
+                    certified += 1
+                    if any(lhs.values()):
+                        return certified, skipped, "relation10", (a, b, c, x), lhs
+    return certified, skipped, None, None, None
 
 
 # -- simplicity and isomorphism ---------------------------------------------------

@@ -1,5 +1,5 @@
-"""Verification reports, deterministic JSON serialization, worker pools and
-the seeded generator used by all sampled checks.
+"""Verification reports, deterministic JSON serialization, the identity
+engine (`scan`) on worker pools and the seeded generator of sampled checks.
 
 Reports are byte-identical across runs and worker counts: canonical JSON is
 dumped with sorted keys and compact separators, rationals render as "num/den",
@@ -142,3 +142,24 @@ def pmap_chunks(fn, chunks: list, workers=None):
     ctx = get_context("fork")
     with ctx.Pool(min(workers, len(chunks))) as pool:
         return pool.map(fn, chunks)
+
+
+def scan(worker, payload, n: int, workers=None):
+    """The identity engine: run worker((payload, lo, hi)) on contiguous
+    chunks of range(n), one per worker, serially at one worker.  A worker
+    scans the tuples whose first index is in [lo, hi) and returns
+    (certified, skipped, identity, tuple, residual), identity None if none
+    failed.  Returns (certified, skipped, (identity, tuple, residual) or
+    None) for the first failure in chunk order, or the first "antisymmetry"
+    failure (the multiset scans presume antisymmetry), with the counts
+    summed over the chunks up to it."""
+    w = min(resolve_workers(workers), max(1, n))
+    size = max(1, -(-n // w))
+    results = pmap_chunks(worker, [(payload, lo, min(lo + size, n))
+                                   for lo in range(0, n, size)], workers)
+    fails = [k for k, r in enumerate(results) if r[2]]
+    last = min(fails, key=lambda k: (results[k][2] != "antisymmetry", k),
+               default=len(results) - 1)
+    done = results[:last + 1]
+    return (sum(r[0] for r in done), sum(r[1] for r in done),
+            results[last][2:] if fails else None)

@@ -42,7 +42,8 @@ identity holds among the realized elements.  `TKK.check_minimal` uses it
 to test [g0, g1] on the generators L_a alone.
 
 `check_semidirect` computes each bracket once per call: its ideal check,
-its assembly of S and its outer-derivation check read one memo.
+its assembly of S and its outer-derivation check read one memo.  The super
+Jacobi check of a table is a chunk worker of `report.scan` on that oracle.
 
 For unital J the distinguished triple is (e, -L_e, P); the sign convention
 throughout is [h,e] = -e, [h,f] = f, [e,f] = h, with the grading read off the
@@ -776,13 +777,15 @@ def check_lie_table(alg: FiniteSuperAlgebra, workers=None) -> Report:
             "fail",
             {"reason": "not anticommutative", "indices": list(defect[:2])},
         )
-    return _table_report("lie-table", alg, t0, _jacobi_scan, "triple", {})
+    return _table_report("lie-table", alg, t0, _jacobi_scan, workers, "triple", {})
 
 
-def _jacobi_scan(rows, par, dim):
-    """a(bc) - (ab)c - (-1)^{p(a)p(b)} b(ac) on all ordered triples."""
+def _jacobi_scan(args):
+    """a(bc) - (ab)c - (-1)^{p(a)p(b)} b(ac) on ordered triples, a in [lo, hi)."""
+    (rows, par, dim), lo, hi = args
     unit = [{i: 1} for i in range(dim)]
-    for a in range(dim):
+    certified = skipped = 0
+    for a in range(lo, hi):
         ra = rows[a]
         for b in range(dim):
             ab, rb = ra[b], rows[b]
@@ -794,9 +797,12 @@ def _jacobi_scan(rows, par, dim):
                         or bc and not _mul_into(res, rows, unit[a], bc)
                         or ab and not _mul_into(res, rows, ab, unit[c], -1)
                         or ac and not _mul_into(res, rows, unit[b], ac, -s)):
-                    yield 1, None
-                else:
-                    yield (a, b, c), res
+                    skipped += 1
+                    continue
+                certified += 1
+                if any(res.values()):
+                    return certified, skipped, "jacobi", (a, b, c), res
+    return certified, skipped, None, None, None
 
 
 def unital_extend(J: FiniteSuperAlgebra):

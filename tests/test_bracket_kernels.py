@@ -255,7 +255,7 @@ def test_a_spec_instance_compiles_once(monkeypatch):
 
 def ref_leibniz_worker(args):
     """The generalized Leibniz rule on every ordered triple."""
-    spec, D, monos, lo, hi, max_deg = args
+    (spec, D, monos, max_deg), lo, hi = args
     o = br._spec_oracle(spec, monos, max_deg, D)
     N, par, rows, ev, pr = o.size, o.par, o.br, o.ev, o.pr
     cnt = 0
@@ -268,13 +268,13 @@ def ref_leibniz_worker(args):
                 acc = br._product_rule(pr, bi, ea, j, k, ab, s)
                 cnt += 1
                 if any(acc.values()) and o.certified(acc):
-                    return cnt, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
-    return cnt, None, None, None
+                    return cnt, 0, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
+    return cnt, 0, None, None, None
 
 
 def ref_kmc_worker(args):
     """Both kmc identities on every ordered triple, product rule first."""
-    spec, D, monos, lo, hi, max_deg = args
+    (spec, D, monos, max_deg), lo, hi = args
     o = br._spec_oracle(spec, monos, max_deg, D, halve=True)
     N, par, dm, ev, pr = o.size, o.par, o.dm, o.ev, o.pr
     cnt = 0
@@ -288,7 +288,7 @@ def ref_kmc_worker(args):
                 acc = br._product_rule(pr, di, ef, j, k, fg, s_fg)
                 cnt += 1
                 if any(acc.values()) and o.certified(acc):
-                    return cnt, "kmc-product", (i, j, k), o.residual(acc, 1)
+                    return cnt, 0, "kmc-product", (i, j, k), o.residual(acc, 1)
                 ph = par[k]
                 acc = br._jacobiator(dm, di, dj, k, fg, s_fg)
                 if ef:
@@ -298,8 +298,8 @@ def ref_kmc_worker(args):
                 if ev[k]:
                     br._mul_into(acc, pr, ev[k], fg, -1 if (ph and (pf ^ pg)) else 1)
                 if any(acc.values()) and o.certified(acc):
-                    return cnt, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
-    return cnt, None, None, None
+                    return cnt, 0, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
+    return cnt, 0, None, None, None
 
 
 def ref_check(name, spec, D, max_deg, workers):
@@ -396,11 +396,11 @@ def test_orbit_scan_visit_counts():
     D = spec.derivation()
     monos = monomials(spec.m, spec.n, 2)
     N = len(monos)
-    args = (spec, D, monos, 0, N, 2)
+    args = ((spec, D, monos, 2), 0, N)
     assert check_kmc(spec, D, 2).passed
-    assert br._leibniz_worker(args) == (N * N * (N + 1) // 2, None, None, None)
+    assert br._leibniz_worker(args) == (N * N * (N + 1) // 2, 0, None, None, None)
     assert br._kmc_worker(args) == (N * (N + 1) // 2 + N * N * (N + 1) // 2
-                                    + N * (N + 1) * (N + 2) // 6, None, None, None)
+                                    + N * (N + 1) * (N + 2) // 6, 0, None, None, None)
     assert ref_kmc_worker(args)[0] == ref_leibniz_worker(args)[0] == N**3
 
 
@@ -412,6 +412,6 @@ def test_a_root_matrix_that_is_not_superskew_scans_every_ordered_triple():
     monos = monomials(2, 2, 0)
     N = len(monos)
     assert not spec.is_superskew() and check_kmc(spec, D, 0).passed
-    assert br._kmc_worker((spec, D, monos, 0, N, 0)) == (
-        N * (N + 1) // 2 + N * N * (N + 1) // 2 + N**3, None, None, None)
+    assert br._kmc_worker(((spec, D, monos, 0), 0, N)) == (
+        N * (N + 1) // 2 + N * N * (N + 1) // 2 + N**3, 0, None, None, None)
     assert check_kmc(spec, D, 0).to_json() == ref_check("kmc", spec, D, 0, 1).to_json()

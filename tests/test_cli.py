@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from jsalg import acceptance
 from jsalg.cli import main
 
@@ -150,12 +152,29 @@ def test_bad_worker_counts_are_usage_errors(capsys):
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
     a = tmp_path / "w1.json"
     b = tmp_path / "w2.json"
-    base = ["verify", "bracket-jacobi", "--kind", "k", "--n", "2",
-            "--deg", "2", "--format", "json"]
-    assert run(*base, "--workers", "1", "--out", str(a)) == 0
-    assert run(*base, "--workers", "2", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    jp = ["--family", "JP", "--m", "1", "--n", "1", "--deg", "2"]
+    for base in (["verify", "bracket-jacobi", "--kind", "k", "--n", "2", "--deg", "2"],
+                 ["verify", "relation10", *jp], ["verify", "jordan-identity", *jp]):
+        assert run(*base, "--format", "json", "--workers", "1", "--out", str(a)) == 0
+        assert run(*base, "--format", "json", "--workers", "2", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes(), base
     capsys.readouterr()
+
+
+def crashing_worker(args):
+    raise RuntimeError("worker crashed")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_an_internal_error_exits_3_with_one_line(workers, capsys, monkeypatch):
+    # a crash is not a failed check (exit 1) and not a usage error (exit 2)
+    from jsalg import jordan
+
+    monkeypatch.setattr(jordan, "_relation10_scan", crashing_worker)
+    assert run("verify", "relation10", "--family", "JP", "--m", "1", "--n", "1",
+               "--deg", "2", "--workers", workers) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: worker crashed\n"
 
 
 def test_env_worker_fallback(tmp_path, capsys, monkeypatch):

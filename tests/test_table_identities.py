@@ -73,17 +73,20 @@ CASES = {
 }
 
 
-def case_report(name):
+def case_report(name, workers=1):
     check, alg, position = CASES[name]
     J = table(alg)
     if position is not None:
         J = planted(J, *position, anti=check is check_lie_table)
-    return check(J)
+    return check(J, workers=workers)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_table_identity_reports(name):
-    assert case_report(name).to_json() == GOLDEN[name]
+# the reports are the same bytes at any worker count
+@pytest.mark.parametrize("name, workers", [
+    pytest.param(name, w, id=name if w == 1 else f"{name} on 2 workers")
+    for w in (1, 2) for name in sorted(CASES)])
+def test_golden_table_identity_reports(name, workers):
+    assert case_report(name, workers).to_json() == GOLDEN[name]
 
 
 def jordan_residual(J, a, b, c, x):
