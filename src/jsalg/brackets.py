@@ -60,6 +60,29 @@ ordered triple, each proved from its representative by the lemmas at
 triple of a set closed under those permutations is its own representative,
 so a scan stops at the same triple as a scan of every ordered triple and
 reports the same residual.
+
+Order windows.  A driver of order r (`_ORDER`) on a spec that is not a
+series, with r <= max_deg, first scans the window of monomials of total
+degree <= r.  A pass there certifies every ordered tuple of the listed
+monomials, by the lemma below; a failure reruns the whole list, so the
+report names the same first failure.  Lemma: let P be an identity that on
+the Grassmann envelope, where every argument is even and the Koszul signs
+vanish, is a multidifferential operator of order <= r in each slot: a sum
+of c d^A1 f1 ... d^As fs, each d^A a product of <= r of the d/dx_i and
+d/dxi_j, with polynomial coefficients c that do not depend on the parity of
+the arguments.  If P vanishes on the monomials of total degree <= r, it
+vanishes on all polynomials.  Proof: fix all slots but one, P(f) =
+sum_A c_A d^A f.  d^A takes x^a xi^B to +-(a!/(a-a')!) x^(a-a') xi^(B-B')
+if A = (a', B') divides (a, B), else to 0.  So by induction on the degree
+of (a, B) (times a fresh odd envelope generator if |B| is odd), P(x^a xi^B)
+= +-a! c_(a,B) and every c_A is 0; then free the slots one at a time.  The
+brackets have order 1 in each slot (the odd block's -(-1)^{p(f)} df/dxi is
+the right derivative, -d/dxi on the envelope; the contact part and an even D
+have polynomial coefficients), so Jacobi and kmc-jacobi have order 2, and
+antisymmetry, Leibniz and kmc-product order 1: the window's pair prepass
+proves the antisymmetry its multiset scan needs.  The condition is needed:
+P(f) = sum_j df/dxi_j on even f and 0 on odd f vanishes on the monomials of
+degree <= 1, not on xi1 xi2.
 """
 
 from __future__ import annotations
@@ -82,6 +105,7 @@ from .superpoly import (
     mono_parity,
     mono_partial,
     monomials,
+    monomials_total_degree,
     mul,
     odd_var,
     partial,
@@ -848,14 +872,24 @@ def _kmc_worker(args):
     return cnt, 0, None, None, None
 
 
+_ORDER = {_jacobi_worker: 2, _leibniz_worker: 1, _kmc_worker: 2}  # see "Order windows"
+
+
 def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span_counts):
     """Run a scan worker on the identity engine (`report.scan`) over the
-    first monomial index and report its failure."""
+    first monomial index, on its order window first if it has one, and
+    report its failure."""
     t0 = time.perf_counter()
     series = _is_series(spec)
     monos = monomials(spec.m, spec.n, max_deg)
     N = len(monos)
-    _certified, _skipped, fail = scan(worker, (spec, D, monos, max_deg), N, workers)
+    r = _ORDER.get(worker, max_deg + 1)
+    fail = True
+    if not series and r <= max_deg:
+        window = monomials_total_degree(spec.m, spec.n, r)
+        fail = scan(worker, (spec, D, window, max_deg), len(window), workers)[2]
+    if fail:
+        fail = scan(worker, (spec, D, monos, max_deg), N, workers)[2]
     ce = None
     if fail is not None:
         identity, idxs, res = fail
@@ -879,7 +913,8 @@ def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span
 def check_jacobi(spec: BracketSpec, max_deg: int, workers=None) -> Report:
     """Super-antisymmetry on ordered pairs, then the super Jacobi identity on
     monomial multisets (sound once antisymmetry holds exhaustively: the
-    Jacobiator is then super-antisymmetric in all three slots)."""
+    Jacobiator is then super-antisymmetric in all three slots), on the
+    degree-<= 2 window first (order 2, see "Order windows")."""
     return _check("bracket-jacobi", _jacobi_worker, spec, None, max_deg, workers,
                   lambda N: {"orderedPairs": N * (N + 1) // 2,
                              "tripleMultisets": N * (N + 1) * (N + 2) // 6})
@@ -895,8 +930,9 @@ def check_gen_leibniz(
     spec: BracketSpec, D: DerivationD, max_deg: int, workers=None
 ) -> Report:
     """{a,bc} = {a,b}c + (-1)^{p(a)p(b)} b{a,c} + D(a)bc on ordered triples,
-    scanned on the triples with c >= b (the lemma at `_product_rule`).  D
-    must be even (ValueError otherwise)."""
+    scanned on the triples with c >= b (the lemma at `_product_rule`), on
+    the degree-<= 1 window first (order 1, see "Order windows").  D must be
+    even (ValueError otherwise)."""
     _require_even(D)
     return _check("bracket-leibniz", _leibniz_worker, spec, D, max_deg, workers,
                   lambda N: {"orderedTriples": N**3})
@@ -908,7 +944,8 @@ def check_kmc(spec: BracketSpec, D: DerivationD, max_deg: int, workers=None) -> 
     orbit representatives (`_kmc_worker`): super-antisymmetry of {.,.}_D
     on pairs (reported as "antisymmetry", ahead of any other failure),
     kmc-product on the triples with c >= b, and kmc-jacobi on multisets,
-    which super-antisymmetry makes sufficient.  D must be even (ValueError
+    which super-antisymmetry makes sufficient; on the degree-<= 2 window
+    first (order 2, see "Order windows").  D must be even (ValueError
     otherwise): {.,.}_D is even and super-antisymmetric only then."""
     _require_even(D)
     return _check("bracket-kmc", _kmc_worker, spec, D, max_deg, workers,

@@ -18,7 +18,7 @@ from . import jordan as jd
 from . import lieclass as lc
 from . import schouten as sch
 from . import tkk as tk
-from .report import Report, merge_reports
+from .report import Report, merge_reports, resolve_workers
 
 
 def _family_args(p):
@@ -195,8 +195,8 @@ def main(argv=None) -> int:
         ap.print_help()
         return 2
     try:
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise SystemExit2("--workers must be >= 1")
+        if hasattr(args, "workers"):  # a bad --workers or JSALG_WORKERS exits 2 here
+            resolve_workers(args.workers)
         if args.cmd == "catalog":
             print("family      parameters")
             print("--------    ----------")

@@ -124,13 +124,12 @@ class DetRand:
 
 
 def resolve_workers(workers=None) -> int:
-    if workers is None:
-        env = os.environ.get("JSALG_WORKERS", "")
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            workers = 1
-    return max(1, int(workers))
+    """workers, else $JSALG_WORKERS, else 1; ValueError unless an int >= 1."""
+    name, w = ("workers", workers) if workers is not None else (
+        "JSALG_WORKERS", os.environ.get("JSALG_WORKERS") or "1")
+    if not str(w).isdecimal() or int(w) < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {w!r}")
+    return int(w)
 
 
 def pmap_chunks(fn, chunks: list, workers=None):

@@ -10,8 +10,11 @@ below visit every ordered triple."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jsalg.brackets as br
 from jsalg.brackets import (
@@ -415,3 +418,121 @@ def test_a_root_matrix_that_is_not_superskew_scans_every_ordered_triple():
     assert br._kmc_worker(((spec, D, monos, 0), 0, N)) == (
         N * (N + 1) // 2 + N * N * (N + 1) // 2 + N**3, 0, None, None, None)
     assert check_kmc(spec, D, 0).to_json() == ref_check("kmc", spec, D, 0, 1).to_json()
+
+
+# -- order windows -----------------------------------------------------------------
+
+
+def _derive(mono, vs):
+    c = 1
+    for v in vs:
+        r = mono_partial(mono, even_var(v))
+        if r is None:
+            return None
+        c, mono = c * r[0], r[1]
+    return c, mono
+
+
+def _order_two_kern(a, b):
+    """{a, b} = a_xx b_y - a_y b_xx on signature (2, 0): order 2 in each slot."""
+    acc = {}
+    for s, va, vb in ((1, (0, 0), (1,)), (-1, (1,), (0, 0))):
+        da, db = _derive(a, va), _derive(b, vb)
+        if da and db:
+            sg, y = mono_mul(da[1], db[1])
+            _add(acc, y, s * sg * da[0] * db[0])
+    return {y: v for y, v in acc.items() if v}
+
+
+def test_a_bracket_of_order_two_passes_its_degree_two_window_and_fails_at_three():
+    # its Jacobiator has order 4 in a slot, so the degree-<= 2 window proves
+    # nothing about it: a hand kernel declares no order and is scanned whole
+    assert br.first_jacobi_failure(monomials_total_degree(2, 0, 2), _order_two_kern, 1) == (
+        None, None)
+    assert br.first_jacobi_failure(monomials(2, 0, 2), _order_two_kern, 1) == (None, None)
+    monos = monomials(2, 0, 3)
+    assert br.first_jacobi_failure(monos, _order_two_kern, 1) == ("jacobi", (1, 5, 9))
+    assert [monos[i] for i in (1, 5, 9)] == [((0, 1), ()), ((1, 1), ()), ((3, 0), ())]
+
+
+def test_order_windows_scan_the_whole_list_when_they_do_not_apply(monkeypatch):
+    sizes = []
+    scan = br.scan
+    monkeypatch.setattr(br, "scan", lambda w, p, n, workers=None: sizes.append(n) or scan(
+        w, p, n, workers))
+
+    def visits(check, *args):
+        sizes.clear()
+        r = check(*args)
+        return r.passed, sizes[:]
+
+    h, k = BracketSpec.h_type(1, 1), BracketSpec.k_type(0, 3)
+    W1, W2 = (len(monomials_total_degree(2, 1, r)) for r in (1, 2))
+    # a pass reads the window alone, a failure the window and then the list
+    assert visits(br.check_jacobi, h, 3) == (True, [W2])
+    assert visits(check_gen_leibniz, h, h.derivation(), 3) == (True, [W1])
+    assert visits(check_kmc, h, h.derivation(), 3) == (True, [W2])
+    assert visits(check_gen_leibniz, k, DerivationD.zero(1, 3), 2) == (
+        False, [len(monomials_total_degree(1, 3, 1)), len(monomials(1, 3, 2))])
+    # max_deg below the order: the window is not a sublist
+    assert visits(br.check_jacobi, h, 1) == (True, [len(monomials(2, 1, 1))])
+    assert visits(check_kmc, h, h.derivation(), 1) == (True, [len(monomials(2, 1, 1))])
+    assert visits(check_gen_leibniz, h, h.derivation(), 0) == (True, [len(monomials(2, 1, 0))])
+    # the series kind, and a worker that declares no order
+    tw = gauge_twist(BracketSpec.h_type(1, 0),
+                     SuperPoly.one(2, 0) + SuperPoly.variable(2, 0, even_var(0)))
+    assert visits(br.check_jacobi, tw, 3) == (True, [len(monomials(2, 0, 3))])
+    assert visits(check_gen_leibniz, tw, tw.derivation(), 3)[1] == [len(monomials(2, 0, 3))]
+    assert visits(ref_check, "kmc", h, h.derivation(), 3, 1) == (True, [len(monomials(2, 1, 3))])
+
+
+_COEFF = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def _window_cases(draw):
+    """A custom (superskew or not, with or without time), h, k or dmod spec
+    on at most 3 variables, and an even D in {0, c d/dt, x d/dt, xi1 d/dxi2}
+    that its signature allows."""
+    kind = draw(st.sampled_from(["custom", "h", "k"]))
+    if kind == "custom":
+        t = draw(st.booleans())
+        mp = draw(st.integers(0, 2))
+        n = draw(st.integers(0 if mp else 1, 3 - mp - t))
+        skew = draw(st.booleans())
+        C = [[0] * (mp + n) for _ in range(mp + n)]
+        for a, b in draw(st.lists(st.tuples(st.integers(0, mp + n - 1),
+                                            st.integers(0, mp + n - 1)), max_size=4)):
+            if (a < mp) != (b < mp) or (skew and a == b < mp):
+                continue
+            C[a][b] = draw(_COEFF)
+            if skew:
+                C[b][a] = -C[a][b] if a < mp else C[a][b]
+        spec = BracketSpec.custom(mp + t, n, C, has_time=t)
+    else:
+        kn = draw(st.sampled_from([(0, 1), (0, 2), (1, 0), (1, 1)] + (
+            [(0, 3)] if kind == "h" else [])))
+        spec = getattr(BracketSpec, f"{kind}_type")(*kn)
+    if draw(st.booleans()):
+        spec = BracketSpec.d_modified(spec)
+    m, n = spec.m, spec.n
+    Ds = [DerivationD.zero(m, n)]
+    if m:
+        Ds += [DerivationD.multiple_of_dt(m, n, draw(_COEFF)),
+               DerivationD(m, n, ((SuperPoly.variable(m, n, even_var(m - 1)), even_var(0)),))]
+    if n >= 2:
+        Ds.append(DerivationD(m, n, ((SuperPoly.variable(m, n, odd_var(0)), odd_var(1)),)))
+    return spec, draw(st.sampled_from(Ds)), draw(st.sampled_from([2, 3])), draw(
+        st.sampled_from([1, 2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_window_cases())
+def test_an_order_window_report_equals_the_whole_list_scan(case):
+    spec, D, deg, workers = case
+    runs = [lambda w: br.check_jacobi(spec, deg, w),
+            lambda w: check_gen_leibniz(spec, D, deg, w), lambda w: check_kmc(spec, D, deg, w)]
+    for run in runs:
+        got = run(workers).to_json()
+        with mock.patch.dict(br._ORDER, clear=True):
+            assert got == run(1).to_json(), (spec, D, deg)

@@ -6,6 +6,7 @@ import pytest
 
 from jsalg import acceptance
 from jsalg.cli import main
+from jsalg.report import resolve_workers
 
 
 def run(*argv):
@@ -140,13 +141,23 @@ def test_jck_export_import_roundtrip(tmp_path, capsys):
     assert "dim (8|8)" in capsys.readouterr().out
 
 
-def test_bad_worker_counts_are_usage_errors(capsys):
+def test_bad_worker_counts_are_usage_errors(capsys, monkeypatch):
     # rejected before any check runs, so no pool is started
+    base = ("verify", "jordan-identity", "--family", "Dt", "--t", "2")
     for workers in ("0", "-3"):
-        assert run("verify", "jordan-identity", "--family", "Dt", "--t", "2",
-                   "--workers", workers) == 2
+        assert run(*base, "--workers", workers) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # so is a JSALG_WORKERS that is not an integer >= 1
+    for env in ("abc", "-4", "0"):
+        monkeypatch.setenv("JSALG_WORKERS", env)
+        assert run(*base) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: JSALG_WORKERS must be an integer >= 1, got '{env}'\n"
+        with pytest.raises(ValueError, match="JSALG_WORKERS"):
+            resolve_workers()
+    # an explicit count wins over the variable
+    assert run(*base, "--workers", "1") == 0
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
