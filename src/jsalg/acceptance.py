@@ -21,10 +21,6 @@ from .report import Report, merge_reports
 from .superpoly import SuperPoly, monomials_total_degree
 
 
-def _sub(reports, suite, params):
-    return merge_reports(suite, params, reports)
-
-
 def criterion_1_jordan_identities(workers=None) -> Report:
     """Both multiplication-operator identities across the whole catalog."""
     t0 = time.perf_counter()
@@ -37,7 +33,7 @@ def criterion_1_jordan_identities(workers=None) -> Report:
         r2 = jd.check_relation10(J, workers=workers)
         r2.suite = f"relation10[{name}]"
         reports.append(r2)
-    out = _sub(reports, "criterion-1-jordan-identities", {"entries": len(reports)})
+    out = merge_reports("criterion-1-jordan-identities", {"entries": len(reports)}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 
@@ -72,7 +68,7 @@ def criterion_2_brackets(max_deg: int = 3, workers=None) -> Report:
                 spec, D, max_deg, workers=workers)
             r.suite = f"{r.suite}[k({2*k+1},{n})]"
             reports.append(r)
-    out = _sub(reports, "criterion-2-brackets", {"maxDeg": max_deg})
+    out = merge_reports("criterion-2-brackets", {"maxDeg": max_deg}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 
@@ -95,7 +91,7 @@ def criterion_3_schouten(max_deg: int = 3) -> Report:
             spec = (br.BracketSpec.h_type if kind == "h" else br.BracketSpec.k_type)(k, n)
             reports.append(_gpb_agreement(pair, spec, max_deg, f"{kind}({k},{n})"))
             reports.append(_gpb_jacobi(pair, spec, max_deg, f"{kind}({k},{n})"))
-    out = _sub(reports, "criterion-3-schouten", {"maxDeg": max_deg})
+    out = merge_reports("criterion-3-schouten", {"maxDeg": max_deg}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 
@@ -169,7 +165,7 @@ def criterion_4_tkk() -> Report:
                 "pass" if ok else "fail",
                 None if ok else {"dims": list(dims), "expected": list(want)},
             ))
-    out = _sub(reports, "criterion-4-tkk", {"entries": len(reports)})
+    out = merge_reports("criterion-4-tkk", {"entries": len(reports)}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 
@@ -196,7 +192,7 @@ def criterion_5_simplicity(seed: int = 0) -> Report:
         r = jd.check_simple_report(J, expected=expected, seed=seed)
         r.suite = f"simplicity[{name}]"
         reports.append(r)
-    out = _sub(reports, "criterion-5-simplicity", {"seed": seed})
+    out = merge_reports("criterion-5-simplicity", {"seed": seed}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 
@@ -216,7 +212,7 @@ def criterion_6_short_gradings(seed: int = 0) -> Report:
         r = lc.enumerate_short_gradings(L, seed=seed)
         r.suite = f"short-gradings[{fam}{size}]"
         reports.append(r)
-    out = _sub(reports, "criterion-6-short-gradings", {"seed": seed})
+    out = merge_reports("criterion-6-short-gradings", {"seed": seed}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 
@@ -241,7 +237,7 @@ def criterion_7_isomorphisms() -> Report:
         r = lc.example72_iso(k, n, 3)
         r.suite = f"iso-k-double[k={k},n={n}]"
         reports.append(r)
-    out = _sub(reports, "criterion-7-isomorphisms", {})
+    out = merge_reports("criterion-7-isomorphisms", {}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 
@@ -255,7 +251,7 @@ def criterion_8_semidirect(seed: int = 0) -> Report:
     r = tk.check_semidirect(jd.build_js(3), carrier=jd.build_js(24), seed=seed)
     r.suite = "semidirect[JS|deg3]"
     reports.append(r)
-    out = _sub(reports, "criterion-8-semidirect", {"seed": seed})
+    out = merge_reports("criterion-8-semidirect", {"seed": seed}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out
 

@@ -157,10 +157,10 @@ def _suite_report(args) -> Report:
         carrier = jd.build(args.family, m=args.m, n=args.n, deg=8 * args.deg)
         return tk.check_semidirect(J, carrier=carrier, seed=args.seed)
     if suite == "short-gradings":
-        if not args.ltype or not args.rank:
+        if not args.ltype or args.rank is None:
             raise SystemExit2("short-gradings needs --type and --rank")
-        if args.rank < 0:
-            raise SystemExit2("--rank must be >= 0")
+        if args.rank < 1:
+            raise SystemExit2("--rank must be >= 1")
         # --rank is the matrix size: sl N, so N, sp N (N even)
         L = lc.classical(args.ltype, args.rank)
         return lc.enumerate_short_gradings(L, seed=args.seed)

@@ -175,9 +175,9 @@ class FiniteSuperAlgebra:
         if not all(isinstance(b, dict) for b in d["basis"]):
             raise ValueError("every basis entry must be an object")
         labels = [b["label"] for b in d["basis"]]
-        parities = [int(b["parity"]) for b in d["basis"]]
-        if any(p not in (0, 1) for p in parities):
-            raise ValueError("parities must be 0 or 1")
+        parities = [b["parity"] for b in d["basis"]]
+        if not all(_is_int(p) and p in (0, 1) for p in parities):
+            raise ValueError("parities must be the integers 0 or 1")
         dim = len(labels)
 
         def index(i):

@@ -44,7 +44,7 @@ from .superpoly import (
     odd_var,
     partial,
 )
-from .tkk import GradedLie
+from .tkk import GradedLie, Sl2Triple, check_triple, triple_failures
 
 
 # -- classical matrix algebras ------------------------------------------------------
@@ -357,18 +357,9 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
             f: dict = {}
             for idx, c in enumerate(sol):
                 vec_iadd(f, plus[idx], c)
-            if _verify_triple(L, e, h, f):
+            if not triple_failures(L.algebra(), e, h, f):
                 triple = (e, h, f)
     return triple, records, {lam: len(v) for lam, v in eig.items()}
-
-
-def _verify_triple(L: ClassicalAlgebra, e, h, f) -> bool:
-    he = L.bracket_vec(h, e)
-    if he != {k: -v for k, v in e.items()}:
-        return False
-    if L.bracket_vec(h, f) != f:
-        return False
-    return L.bracket_vec(e, f) == h
 
 
 def enumerate_short_gradings(L: ClassicalAlgebra, seed: int = 0,
@@ -458,27 +449,15 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     alg = _poly_table(m, n, monos, deg, lambda a, b: bracket_monomials(spec, a, b), 0,
                       f"{kind.upper()}({m},{n})|deg{deg}", drop_const=drop_const)
     lie = GradedLie(alg, grading)
-    one = Fraction(1)
-
-    # the triple as polynomials, with the relations checked exactly
+    # the triple relations and the ad h eigenvalue of every spanned monomial,
+    # by the table-level triple check
     xi = lambda j: SuperPoly.variable(m, n, odd_var(j))
-    h_poly = mul(xi(n - 1), xi(n - 2))
-    e_poly = mul(xi(n - 3), xi(n - 1))
-    f_poly = mul(xi(n - 3), xi(n - 2))
-    failures = []
-    if bracket(spec, h_poly, e_poly) != -e_poly:
-        failures.append("[h,e] != -e")
-    if bracket(spec, h_poly, f_poly) != f_poly:
-        failures.append("[h,f] != f")
-    if bracket(spec, e_poly, f_poly) != h_poly:
-        failures.append("[e,f] != h")
-    # the grading is the ad h eigenvalue on every spanned monomial
-    for i, mo in enumerate(monos):
-        fmo = SuperPoly(m, n, {mo: one})
-        want = fmo.scale(grading[i]) if grading[i] else SuperPoly.zero(m, n)
-        if bracket(spec, h_poly, fmo) != want:
-            failures.append(f"grading defect at {alg.labels[i]}")
-            break
+    polys = {"e": mul(xi(n - 3), xi(n - 1)), "h": mul(xi(n - 1), xi(n - 2)),
+             "f": mul(xi(n - 3), xi(n - 2))}
+    triple = {name: _poly_coords(poly.terms, pos, deg, drop_const=drop_const)
+              for name, poly in polys.items()}
+    failures = check_triple(lie, Sl2Triple(**triple)).counterexample
+    failures = failures["failures"] if failures else []
     # bracket respects the grading on certified pairs
     for (i, j), vec in alg.table.items():
         g = grading[i] + grading[j]
@@ -489,8 +468,6 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
         else:
             continue
         break
-    triple = {name: _poly_coords(poly.terms, pos, deg, drop_const=drop_const)
-              for name, poly in (("e", e_poly), ("h", h_poly), ("f", f_poly))}
     report = Report(
         "hk-fragment",
         {"kind": kind, "m": m, "n": n, "deg": deg},

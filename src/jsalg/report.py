@@ -132,17 +132,6 @@ def resolve_workers(workers=None) -> int:
     return int(w)
 
 
-def pmap_chunks(fn, chunks: list, workers=None):
-    """Map fn over chunks, serially or via a fork pool; results keep the
-    chunk order, so any downstream merge is schedule-independent."""
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(ch) for ch in chunks]
-    ctx = get_context("fork")
-    with ctx.Pool(min(workers, len(chunks))) as pool:
-        return pool.map(fn, chunks)
-
-
 def scan(worker, payload, n: int, workers=None):
     """The identity engine: run worker((payload, lo, hi)) on contiguous
     chunks of range(n), one per worker, serially at one worker.  A worker
@@ -154,8 +143,12 @@ def scan(worker, payload, n: int, workers=None):
     summed over the chunks up to it."""
     w = min(resolve_workers(workers), max(1, n))
     size = max(1, -(-n // w))
-    results = pmap_chunks(worker, [(payload, lo, min(lo + size, n))
-                                   for lo in range(0, n, size)], workers)
+    chunks = [(payload, lo, min(lo + size, n)) for lo in range(0, n, size)]
+    if len(chunks) <= 1:
+        results = [worker(ch) for ch in chunks]
+    else:  # results keep the chunk order, so the merge below is schedule-independent
+        with get_context("fork").Pool(len(chunks)) as pool:
+            results = pool.map(worker, chunks)
     fails = [k for k, r in enumerate(results) if r[2]]
     last = min(fails, key=lambda k: (results[k][2] != "antisymmetry", k),
                default=len(results) - 1)

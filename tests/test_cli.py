@@ -71,6 +71,11 @@ def test_short_gradings_cli(capsys):
     assert run("verify", "short-gradings", "--type", "so", "--rank", "4") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # a zero rank was given, so it is out of range, not missing
+    assert run("verify", "short-gradings", "--type", "so", "--rank", "0") == 2
+    assert capsys.readouterr().err == "error: --rank must be >= 1\n"
+    assert run("verify", "short-gradings", "--type", "so") == 2
+    assert capsys.readouterr().err == "error: short-gradings needs --type and --rank\n"
 
 
 def test_bad_polynomial_parameters_are_usage_errors(capsys):
@@ -118,6 +123,9 @@ def test_import_rejects_malformed_files(tmp_path, capsys):
         ("zero denominator", {"basis": basis, "c": [[0, 0, 0, 1, 0]]}),
         ("top-level list", [basis]),
         ("outOfSpan pair out of range", {"basis": basis, "outOfSpan": [[0, 5]]}),
+        ("fractional parity", {"basis": [{"label": "a", "parity": 1.5}]}),
+        ("string parity", {"basis": [{"label": "a", "parity": "1"}]}),
+        ("boolean parity", {"basis": [{"label": "a", "parity": True}]}),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jsalg import lieclass
+from jsalg.brackets import BracketSpec
 from jsalg.jordan import check_jordan, check_simple
 from jsalg.lieclass import (
     build_hk,
@@ -155,6 +156,22 @@ def test_hk_fragments_and_their_gradings():
         assert check_lie_table(lie.algebra).passed
         assert set(lie.grading) <= {-1, 0, 1}
         assert triple["e"] and triple["h"] and triple["f"]
+
+
+def test_hk_fragment_catches_a_planted_negated_bracket(monkeypatch):
+    # negating every generator value flips ad h, so each triple relation and
+    # the grading fail, the grading first at a monomial of nonzero degree
+    class Negated:
+        @staticmethod
+        def h_type(k, n):
+            return BracketSpec.negated(BracketSpec.h_type(k, n))
+
+    monkeypatch.setattr(lieclass, "BracketSpec", Negated)
+    lie, _triple, rep = build_hk("h", 0, 4)
+    failures = rep.counterexample["failures"]
+    assert failures[:3] == ["[h,e] != -e", "[h,f] != f", "[e,f] != h"]
+    first = next(i for i, g in enumerate(lie.grading) if g)
+    assert len(failures) == 4 and failures[3].endswith(f" {lie.algebra.labels[first]}")
 
 
 def test_hk_parameter_guards():

@@ -22,6 +22,7 @@ from jsalg.jordan import (
     kalg,
     build_js,
     jp,
+    unital_identity_catalog,
     witness_jp01_to_gl11,
 )
 from jsalg.linalg import CoordSolver, solve_linear, vec_iadd
@@ -701,13 +702,47 @@ def test_generator_cover_reports_what_the_full_cover_reports(J):
     # on Jordan and non-Jordan tables alike
     real = TKK(J)
     par, d, win = J.parities, J.dim, real.win
+    g0, g1 = real.g0, real.g1
     failures = _cover_defects(
-        real.g0, (_bracket((1, B, pb), (-1, x, par[x]), win, par, d)
-                  for B, pb in real.g1.rows for x in range(d)), "[g-1, g1]", "g0")
+        g0.span, len(g0.rows), (_bracket((1, B, pb), (-1, x, par[x]), win, par, d)
+                                for B, pb in g1.rows for x in range(d)), "[g-1, g1]", "g0")
     if not failures:
         failures = _cover_defects(
-            real.g1, (_bracket((0, M, pm), (1, B, pb), win, par, d)
-                      for M, pm in real.g0.rows for B, pb in real.g1.rows),
+            g1.span, len(g1.rows), (_bracket((0, M, pm), (1, B, pb), win, par, d)
+                                    for M, pm in g0.rows for B, pb in g1.rows),
             "[g0, g1]", "g1")
     r = real.check_minimal()
     assert (r.counterexample or {}).get("failures", []) == failures
+
+
+@settings(max_examples=100, deadline=None)
+@given(supercommutative_tables(total=True))
+def test_table_minimality_agrees_with_the_realization(J):
+    # check_minimal_table runs the realization's span cover on the
+    # coordinate subspaces of the assembled table, so whenever tkk(J)
+    # assembles both paths give one verdict
+    try:
+        L, _ = tkk(J)
+    except ValueError:  # a bracket left the realized span
+        return
+    assert check_minimal_table(L).passed == TKK(J).check_minimal().passed
+
+
+def test_table_minimality_failure_names_the_realization_line():
+    # K is not unital: P is not spanned by the [L_a, P], in the table as in
+    # the realization
+    L, triple = tkk(kalg())
+    assert triple is None
+    r = check_minimal_table(L)
+    assert r.counterexample == {"failures": ["[g0, g1] spans only 3 of 4 in g1"]}
+    assert r.counterexample == TKK(kalg()).check_minimal().counterexample
+
+
+def test_round_trip_lemma_holds_on_the_unital_catalog():
+    # TKK.round_trip recomputes nothing: [f, x] = P(x, .) is L_x, whose
+    # columns are the oracle rows P was read from, and g0 spans L_x
+    for name, J in unital_identity_catalog():
+        real = TKK(J)
+        for x in range(J.dim):
+            assert real.P.to_matrix(x, real.win).cols == real.L[x].cols, (name, x)
+            assert real.g0.coords(real.L[x]) is not None, (name, x)
