@@ -187,13 +187,12 @@ class BracketSpec:
         )
 
     @staticmethod
-    def diagonal(k: int, n: int, odd_sign=-1, has_time: bool = False) -> "BracketSpec":
-        """Even pairing plus the fully diagonal odd block {xi_j, xi_j} = odd_sign.
-
-        odd_sign=-1 is the block cut out by restricting the built-in "h"
-        bracket to an initial segment of the odd generators.
+    def diagonal(k: int, n: int, has_time: bool = False) -> "BracketSpec":
+        """Even pairing plus the fully diagonal odd block {xi_j, xi_j} = -1:
+        the block cut out by restricting the built-in "h" bracket to an
+        initial segment of the odd generators.
         """
-        odd = tuple((j, j, Fraction(odd_sign)) for j in range(n))
+        odd = tuple((j, j, Fraction(-1)) for j in range(n))
         m = 2 * k + (1 if has_time else 0)
         return BracketSpec(m, n, "custom", _even_pairing(k), odd, has_time=has_time)
 

@@ -25,16 +25,8 @@ def _family_args(p):
     p.add_argument("--family", required=False)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
     p.add_argument("--t", type=str, default=None)
     p.add_argument("--deg", "--max-degree", dest="deg", type=int, default=3)
-
-
-def _common_args(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a catalog algebra and summarize it")
     _family_args(p)
-    _common_args(p)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("export", help="write a structure-constant JSON file")
     _family_args(p)
@@ -61,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tkk", help="emit the graded Lie algebra of a catalog entry")
     _family_args(p)
-    _common_args(p)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
@@ -74,7 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _family_args(p)
-    _common_args(p)
+    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", default=None)
+    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--kind", choices=("h", "k"), default="h")
     p.add_argument("--type", dest="ltype", choices=("sl", "so", "sp"), default=None)
     p.add_argument("--rank", type=int, default=None)

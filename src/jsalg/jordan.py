@@ -174,11 +174,20 @@ class FiniteSuperAlgebra:
             raise ValueError("expected an object with a 'basis' list")
         if not all(isinstance(b, dict) for b in d["basis"]):
             raise ValueError("every basis entry must be an object")
+        for idx, b in enumerate(d["basis"]):
+            for key in ("label", "parity"):
+                if key not in b:
+                    raise ValueError(f"basis entry {idx} has no {key!r}")
         labels = [b["label"] for b in d["basis"]]
         parities = [b["parity"] for b in d["basis"]]
+        dim = len(labels)
         if not all(_is_int(p) and p in (0, 1) for p in parities):
             raise ValueError("parities must be the integers 0 or 1")
-        dim = len(labels)
+        if not all(isinstance(label, str) for label in labels) or len(set(labels)) < dim:
+            raise ValueError("labels must be distinct strings")
+        name = d.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError("'name' must be a string")
 
         def index(i):
             if not _is_int(i) or not 0 <= i < dim:
@@ -198,7 +207,7 @@ class FiniteSuperAlgebra:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError(f"'outOfSpan' entry {pair!r} is not a pair")
             oos.add((index(pair[0]), index(pair[1])))
-        alg = FiniteSuperAlgebra(labels, parities, table, oos, name=d.get("name", ""))
+        alg = FiniteSuperAlgebra(labels, parities, table, oos, name=name)
         if not alg.parity_consistent():
             raise ValueError("parity-inconsistent structure constants")
         return alg
@@ -482,9 +491,12 @@ def _closure(rows, seed_vec: dict) -> Echelon:
     return ech
 
 
-def check_simple(J: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> bool:
+SIMPLE_SAMPLES = 50
+
+
+def check_simple(J: FiniteSuperAlgebra, seed: int = 0) -> bool:
     """True iff the product is nonzero and the ideal closure of every basis
-    vector and of `samples` seeded pseudo-random rational vectors is the
+    vector and of SIMPLE_SAMPLES seeded pseudo-random rational vectors is the
     whole algebra.  The sampled part makes this a declared probabilistic
     check; for the catalog sizes here it is decisive.  On a truncated table
     products out of span are skipped, so every closure must reach the whole
@@ -494,7 +506,7 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0, samples: int = 50) -> boo
     dim = J.dim
     vectors = [{i: Fraction(1)} for i in range(dim)]
     rng = DetRand(seed)
-    for _ in range(samples):
+    for _ in range(SIMPLE_SAMPLES):
         v = {}
         for i in range(dim):
             c = rng.rational()
@@ -524,7 +536,7 @@ def check_simple_report(J: FiniteSuperAlgebra, expected: bool | None = None,
     return Report(
         "simplicity",
         {"algebra": J.name, "dim": J.dim, "seed": seed},
-        {"policy": "basis vectors + 50 sampled rational vectors (probabilistic)"},
+        {"policy": f"basis vectors + {SIMPLE_SAMPLES} sampled rational vectors (probabilistic)"},
         "pass" if ok else "fail",
         ce,
         details={"simple": verdict},
@@ -545,11 +557,40 @@ class IsoWitness:
         return {j: c for j, c in enumerate(self.matrix[i]) if c}
 
 
+def hom_scan(S: FiniteSuperAlgebra, T: FiniteSuperAlgebra, images):
+    """The intertwining scan of the linear map phi: S -> T with phi(e_i) =
+    images[i], a sparse vector of T-coordinates: phi(e_i e_j) =
+    phi(e_i) phi(e_j) on every basis pair (i, j) in row-major order.
+
+    A pair is skipped when e_i e_j leaves S's span or phi(e_i) phi(e_j)
+    leaves T's span.  Returns (certified, skipped, failure), failure the
+    first (i, j, lhs, rhs) with lhs = phi(e_i e_j) != rhs = phi(e_i) phi(e_j)
+    (the counts stop at it), else None."""
+    certified = skipped = 0
+    for i in range(S.dim):
+        for j in range(S.dim):
+            prod = S.product(i, j)
+            rhs = None if prod is None else T.mul_vectors(images[i], images[j])
+            if rhs is None:
+                skipped += 1
+                continue
+            lhs: dict = {}
+            for k, c in prod.items():
+                vec_iadd(lhs, images[k], c)
+            certified += 1
+            if lhs != rhs:
+                return certified, skipped, (i, j, lhs, rhs)
+    return certified, skipped, None
+
+
 def check_iso(w: IsoWitness) -> Report:
     """Exact verification: parity preservation, invertibility, and product
-    intertwining on every source basis pair."""
+    intertwining (`hom_scan`) on every source basis pair.  Both tables must
+    be total, so that every pair is certified."""
     t0 = time.perf_counter()
     S, T = w.source, w.target
+    if not (S.is_total() and T.is_total()):
+        raise ValueError("an isomorphism check needs total product tables")
     params = {"source": S.name, "target": T.name}
     if S.dim != T.dim or len(w.matrix) != S.dim or any(len(r) != T.dim for r in w.matrix):
         return Report("iso-witness", params, {}, "fail", {"reason": "shape mismatch"})
@@ -565,24 +606,11 @@ def check_iso(w: IsoWitness) -> Report:
         ech.insert(w.image(i))
     if ech.rank != S.dim:
         return Report("iso-witness", params, {}, "fail", {"reason": "matrix not invertible"})
+    fail = hom_scan(S, T, [w.image(i) for i in range(S.dim)])[2]
     ce = None
-    for i in range(S.dim):
-        for j in range(S.dim):
-            prod = S.product(i, j)
-            if prod is None:
-                continue
-            lhs = {}
-            for k, c in prod.items():
-                vec_iadd(lhs, w.image(k), c)
-            rhs = T.mul_vectors(w.image(i), w.image(j))
-            if rhs is None or lhs != rhs:
-                ce = {
-                    "indices": [i, j],
-                    "labels": [S.labels[i], S.labels[j]],
-                }
-                break
-        if ce:
-            break
+    if fail is not None:
+        i, j = fail[:2]
+        ce = {"indices": [i, j], "labels": [S.labels[i], S.labels[j]]}
     return Report(
         "iso-witness",
         params,
@@ -963,7 +991,7 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
 def jp_finite(n: int) -> FiniteSuperAlgebra:
     """The finite double over the full Grassmann algebra on n odd generators
     with the diagonal bracket {xi_j, xi_j} = -1."""
-    spec = BracketSpec.diagonal(0, n, odd_sign=-1)
+    spec = BracketSpec.diagonal(0, n)
     alg = kkm_double(spec, deg=n, name=f"JP(0,{n})")
     assert alg.is_total()
     assert alg.sdim() == (2**n, 2**n)

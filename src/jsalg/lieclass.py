@@ -29,6 +29,7 @@ from .jordan import (
     _poly_coords,
     _poly_table,
     _selfadjoint_basis,
+    hom_scan,
     kkm_double,
 )
 from .linalg import CoordSolver, nullspace, solve_linear, vec_iadd
@@ -223,31 +224,18 @@ def coweight_h(L: ClassicalAlgebra, vertex: int) -> dict:
         for i in range(n):
             M[(i, i)] = hi if i < s else lo
         return M
-    if L.family == "so" and n % 2:
-        # alpha_i = a_i - a_{i+1} (i < r), alpha_r = a_r
-        a = _coweight_vector(r, vertex, last="short-b")
-        M = {}
-        for i in range(r):
-            if a[i]:
-                M[(1 + i, 1 + i)] = a[i]
-                M[(1 + r + i, 1 + r + i)] = -a[i]
-        return M
-    if L.family == "sp":
-        # alpha_r = 2 a_r
-        a = _coweight_vector(r, vertex, last="long-c")
-        M = {}
-        for i in range(r):
-            if a[i]:
-                M[(i, i)] = a[i]
-                M[(r + i, r + i)] = -a[i]
-        return M
-    # so(2r): alpha_r = a_{r-1} + a_r
-    a = _coweight_vector(r, vertex, last="spin-d")
+    # alpha_i = a_i - a_{i+1} (i < r); alpha_r = a_r in so(2r+1), whose
+    # matrices carry one extra leading row, 2 a_r in sp(2r) and
+    # a_{r-1} + a_r in so(2r)
+    odd_so = L.family == "so" and n % 2
+    last = "short-b" if odd_so else "long-c" if L.family == "sp" else "spin-d"
+    a = _coweight_vector(r, vertex, last)
+    off = 1 if odd_so else 0
     M = {}
     for i in range(r):
         if a[i]:
-            M[(i, i)] = a[i]
-            M[(r + i, r + i)] = -a[i]
+            M[(off + i, off + i)] = a[i]
+            M[(off + r + i, off + r + i)] = -a[i]
     return M
 
 
@@ -291,10 +279,13 @@ def classified_short_vertices(family: str, size: int):
     raise ValueError(family)
 
 
-def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
-                      samples: int = 20):
-    """Sample rational e in the (-1)-eigenspace of ad h and solve [e,f] = h
-    exactly; returns (triple | None, per-sample records, eigen dims).
+SHORT_TRIPLE_SAMPLES = 20
+
+
+def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0):
+    """Sample SHORT_TRIPLE_SAMPLES rational e in the (-1)-eigenspace of ad h
+    and solve [e,f] = h exactly; returns (triple | None, per-sample records,
+    eigen dims).
 
     Each record is {"solvable": bool, "condition17": bool} where the second
     entry is the Killing orthogonality of h against the degree-0 centralizer
@@ -335,7 +326,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
     # with these
     kh = _killing_row(L, adh)
     kappa_zero = {idx: _dot(z, kh) for idx, z in enumerate(zero)}
-    for _ in range(samples):
+    for _ in range(SHORT_TRIPLE_SAMPLES):
         e: dict = {}
         for v in minus:
             vec_iadd(e, v, rng.rational())
@@ -362,8 +353,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0,
     return triple, records, {lam: len(v) for lam, v in eig.items()}
 
 
-def enumerate_short_gradings(L: ClassicalAlgebra, seed: int = 0,
-                             samples: int = 20) -> Report:
+def enumerate_short_gradings(L: ClassicalAlgebra, seed: int = 0) -> Report:
     """Per-vertex verdicts for all highest-root-coefficient-1 vertices,
     compared against the classical list, with the per-sample equivalence of
     solvability and Killing orthogonality."""
@@ -374,7 +364,7 @@ def enumerate_short_gradings(L: ClassicalAlgebra, seed: int = 0,
     equiv_defect = None
     for vertex in candidate_vertices(L):
         h_mat = coweight_h(L, vertex)
-        triple, records, eig_dims = find_short_triple(L, h_mat, seed, samples)
+        triple, records, eig_dims = find_short_triple(L, h_mat, seed)
         found = triple is not None
         entry = {
             "vertex": vertex,
@@ -403,7 +393,8 @@ def enumerate_short_gradings(L: ClassicalAlgebra, seed: int = 0,
         failures["killingEquivalenceDefect"] = equiv_defect
     return Report(
         "short-gradings",
-        {"family": L.family, "size": L.size, "seed": seed, "samples": samples},
+        {"family": L.family, "size": L.size, "seed": seed,
+         "samples": SHORT_TRIPLE_SAMPLES},
         {"vertices": verdicts},
         "pass" if not failures else "fail",
         failures or None,
@@ -620,34 +611,16 @@ def _check_double_map(src: FiniteSuperAlgebra, tgt: FiniteSuperAlgebra,
         images = [
             (idx, -c if idx < eta_offset else c) for idx, c in images
         ]
-    image_vecs = [{idx: c} for idx, c in images]
+    certified, skipped, fail = hom_scan(src, tgt, [{idx: c} for idx, c in images])
     ce = None
-    certified = 0
-    skipped = 0
-    for i in range(src.dim):
-        ii, ci = images[i]
-        for j in range(src.dim):
-            jj, cj = images[j]
-            sp = src.product(i, j)
-            tp = tgt.product(ii, jj)
-            if sp is None or tp is None:
-                skipped += 1
-                continue
-            lhs = {}
-            for k, c in sp.items():
-                vec_iadd(lhs, image_vecs[k], c)
-            rhs = {k: ci * cj * c for k, c in tp.items() if ci * cj * c}
-            certified += 1
-            if lhs != rhs:
-                ce = {
-                    "indices": [i, j],
-                    "labels": [src.labels[i], src.labels[j]],
-                    "mapped": {str(k): str(v) for k, v in lhs.items()},
-                    "direct": {str(k): str(v) for k, v in rhs.items()},
-                }
-                break
-        if ce:
-            break
+    if fail is not None:
+        i, j, lhs, rhs = fail
+        ce = {
+            "indices": [i, j],
+            "labels": [src.labels[i], src.labels[j]],
+            "mapped": {str(k): str(v) for k, v in lhs.items()},
+            "direct": {str(k): str(v) for k, v in rhs.items()},
+        }
     return Report(
         suite,
         params,

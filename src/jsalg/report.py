@@ -32,7 +32,7 @@ class Report:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         d = {
             "suite": self.suite,
             "params": _jsonable(self.params),
@@ -43,14 +43,10 @@ class Report:
             d["counterexample"] = _jsonable(self.counterexample)
         if self.details is not None:
             d["details"] = _jsonable(self.details)
-        if include_timing and self.elapsed_ms is not None:
-            d["elapsedMs"] = round(self.elapsed_ms, 3)
         return d
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_json_dict(include_timing), sort_keys=True, separators=(",", ":")
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def text(self) -> str:
         lines = [f"[{self.status.upper()}] {self.suite}"]
@@ -106,6 +102,8 @@ class DetRand:
     __slots__ = ("state",)
 
     MASK = (1 << 64) - 1
+    NUM_RANGE = 9  # rational() numerators lie in [-NUM_RANGE, NUM_RANGE]
+    DEN_RANGE = 4  # and denominators in [1, DEN_RANGE]
 
     def __init__(self, seed: int = 0):
         self.state = (seed * 6364136223846793005 + 1442695040888963407) & self.MASK
@@ -117,9 +115,9 @@ class DetRand:
     def randint(self, lo: int, hi: int) -> int:
         return lo + self.next_int() % (hi - lo + 1)
 
-    def rational(self, num_range: int = 9, den_range: int = 4) -> Fraction:
-        num = self.randint(-num_range, num_range)
-        den = self.randint(1, den_range)
+    def rational(self) -> Fraction:
+        num = self.randint(-self.NUM_RANGE, self.NUM_RANGE)
+        den = self.randint(1, self.DEN_RANGE)
         return Fraction(num, den)
 
 

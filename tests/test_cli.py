@@ -58,6 +58,14 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_build_takes_no_report_flags(capsys):
+    # build prints a text summary only, so a --format flag would be ignored
+    with pytest.raises(SystemExit) as exc:
+        run("build", "--family", "Dt", "--t", "2", "--format", "json")
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_short_gradings_cli(capsys):
     assert run("verify", "short-gradings", "--type", "sl", "--rank", "4") == 0
     # sl(1) has no candidate vertex: an empty report must not pass
@@ -126,6 +134,11 @@ def test_import_rejects_malformed_files(tmp_path, capsys):
         ("fractional parity", {"basis": [{"label": "a", "parity": 1.5}]}),
         ("string parity", {"basis": [{"label": "a", "parity": "1"}]}),
         ("boolean parity", {"basis": [{"label": "a", "parity": True}]}),
+        ("list label", {"basis": [{"label": ["x"], "parity": 0}]}),
+        ("integer name", {"basis": basis, "name": 5}),
+        ("duplicate labels", {"basis": [basis[0], basis[0]]}),
+        ("no parity", {"basis": [basis[0], {"label": "b"}]}),
+        ("no label", {"basis": [{"parity": 0}]}),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -80,6 +80,9 @@ REPORTS = {
     "short-gradings so5": lambda: enumerate_short_gradings(classical("so", 5)),
     "example71 (0,4)": lambda: example71_iso(0, 4),
     "example72 (0,3) flip": lambda: example72_iso(0, 3, flip_eta=True),
+    # truncated doubles: most pairs leave the span and are skipped
+    "example71 (1,3)": lambda: example71_iso(1, 3),
+    "example72 (1,3)": lambda: example72_iso(1, 3),
 }
 
 

@@ -119,7 +119,7 @@ def test_simplicity_catalog_verdicts():
 
 
 def test_kkm_product_rules():
-    spec = BracketSpec.diagonal(0, 2, odd_sign=-1)
+    spec = BracketSpec.diagonal(0, 2)
     J = kkm_double(spec, deg=2, name="JP(0,2)")
     lbl = J.labels.index
     one = lbl("1")
@@ -212,6 +212,14 @@ def test_iso_negative_controls():
     zero = [[0] * 4 for _ in range(4)]
     r = check_iso(IsoWitness(dt(2), dt(2), zero))
     assert not r.passed
+
+
+def test_iso_needs_total_tables():
+    # a span of all dim^2 pairs would claim the 9 pairs that leave JS|deg2's span
+    J = build_js(2)
+    ident = [[int(i == j) for j in range(J.dim)] for i in range(J.dim)]
+    with pytest.raises(ValueError, match="total"):
+        check_iso(IsoWitness(J, J, ident))
 
 
 def test_export_import_roundtrip():

@@ -143,6 +143,15 @@ def test_exp_ad_basics():
         exp_ad(L, triple.h)
 
 
+def test_identity_is_an_automorphism_of_a_truncated_table():
+    # JP(1,1)|deg2 has 29 out-of-span pairs: they are skipped, not read as zero
+    J = jp(1, 1, 2)
+    L = GradedLie(J, [0] * J.dim)
+    assert len(J.out_of_span) == 29
+    assert is_table_automorphism(L, {i: {i: Fraction(1)} for i in range(J.dim)})
+    assert not is_table_automorphism(L, {i: {i: Fraction(2)} for i in range(J.dim)})
+
+
 def test_weyl_composition_swaps_grading():
     L, triple = tkk(dt(2))
     Ae = exp_ad(L, triple.e)
