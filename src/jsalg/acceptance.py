@@ -50,24 +50,15 @@ def criterion_2_brackets(max_deg: int = 3, workers=None) -> Report:
     with at most five generators."""
     t0 = time.perf_counter()
     reports = []
-    for k, n in BRACKET_SIGNATURES_H:
-        spec = br.BracketSpec.h_type(k, n)
-        D0 = br.DerivationD.zero(spec.m, spec.n)
-        for fn, D in ((br.check_jacobi, None), (br.check_gen_leibniz, D0),
-                      (br.check_kmc, D0)):
-            r = fn(spec, max_deg, workers=workers) if D is None else fn(
-                spec, D, max_deg, workers=workers)
-            r.suite = f"{r.suite}[h({2*k},{n})]"
-            reports.append(r)
-    for k, n in BRACKET_SIGNATURES_K:
-        spec = br.BracketSpec.k_type(k, n)
-        D2 = br.DerivationD.multiple_of_dt(spec.m, spec.n)
-        for fn, D in ((br.check_jacobi, None), (br.check_gen_leibniz, D2),
-                      (br.check_kmc, D2)):
-            r = fn(spec, max_deg, workers=workers) if D is None else fn(
-                spec, D, max_deg, workers=workers)
-            r.suite = f"{r.suite}[k({2*k+1},{n})]"
-            reports.append(r)
+    for kind, signatures in (("h", BRACKET_SIGNATURES_H), ("k", BRACKET_SIGNATURES_K)):
+        for k, n in signatures:
+            spec = (br.BracketSpec.h_type if kind == "h" else br.BracketSpec.k_type)(k, n)
+            D = spec.derivation()
+            for r in (br.check_jacobi(spec, max_deg, workers=workers),
+                      br.check_gen_leibniz(spec, D, max_deg, workers=workers),
+                      br.check_kmc(spec, D, max_deg, workers=workers)):
+                r.suite = f"{r.suite}[{kind}({spec.m},{spec.n})]"
+                reports.append(r)
     out = merge_reports("criterion-2-brackets", {"maxDeg": max_deg}, reports)
     out.elapsed_ms = (time.perf_counter() - t0) * 1000
     return out

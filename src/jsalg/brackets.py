@@ -893,7 +893,7 @@ def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span
     if fail is not None:
         identity, idxs, res = fail
         ce = {"identity": identity, "indices": list(idxs),
-              "monomials": [render_monomial(monos[i], spec.m, spec.n) for i in idxs],
+              "monomials": [render_monomial(monos[i]) for i in idxs],
               "residual": SuperPoly(spec.m, spec.n, res).render()}
     span = {"signature": [spec.m, spec.n], "kind": spec.kind,
             "maxEvenDegree": max_deg, "monomials": N, **span_counts(N)}

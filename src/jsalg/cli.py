@@ -21,67 +21,145 @@ from . import tkk as tk
 from .report import Report, merge_reports, resolve_workers
 
 
-def _family_args(p):
-    p.add_argument("--family", required=False)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--t", type=str, default=None)
-    p.add_argument("--deg", "--max-degree", dest="deg", type=int, default=3)
+class SystemExit2(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A rejected command line raises SystemExit2, so `main` prints it as
+    one `error: ...` line and returns 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise SystemExit2(message)
+
+
+def _nonnegative(text: str) -> int:
+    if not re.fullmatch(r"\d+", text.strip()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+# flag groups: flag -> add_argument keywords
+_SIZE = {"type": _nonnegative, "default": 0}
+DEG = {"--deg": {"type": _nonnegative, "default": 3}}
+FAMILY = {"--family": {}, "--m": _SIZE, "--n": _SIZE, "--t": {}, **DEG}
+PAIRING = {"--kind": {"choices": ("h", "k"), "default": "h"}, "--k": _SIZE, "--n": _SIZE}
+WORKERS = {"--workers": {"type": int}}
+SEED = {"--seed": {"type": int, "default": 0}}
+GRADING = {"--type": {"dest": "ltype", "choices": ("sl", "so", "sp")},
+           "--rank": {"type": int}}
+REPORT = {"--format": {"choices": ("text", "json"), "default": "text"}, "--out": {}}
+
+
+def _add(p, flags: dict):
+    for flag, kwargs in flags.items():
+        p.add_argument(flag, **kwargs)
+
+
+def _spec(args) -> br.BracketSpec:
+    return (br.BracketSpec.h_type if args.kind == "h" else br.BracketSpec.k_type)(
+        args.k, args.n)
+
+
+def _rule(check):
+    """A bracket-rule suite: check(spec, D, deg) for D = spec.derivation()."""
+    def run(args):
+        spec = _spec(args)
+        return check(spec, spec.derivation(), args.deg, workers=args.workers)
+    return run
+
+
+def _schouten(args) -> Report:
+    pair = (sch.pairing_h_pair if args.kind == "h" else sch.pairing_k_pair)(args.k, args.n)
+    return sch.check_s_conditions(pair)
+
+
+def _tkk(args) -> Report:
+    J = _build_algebra(args)
+    real = tk.TKK(J)
+    reports = [real.round_trip(), real.check_triple(), real.check_minimal()]
+    return merge_reports("tkk", {"algebra": J.name}, reports)
+
+
+def _semidirect(args) -> Report:
+    J = _build_algebra(args)
+    if J.is_total():
+        return tk.check_semidirect(J, seed=args.seed)
+    carrier = jd.build(args.family, m=args.m, n=args.n, deg=8 * args.deg)
+    return tk.check_semidirect(J, carrier=carrier, seed=args.seed)
+
+
+def _short_gradings(args) -> Report:
+    if not args.ltype or args.rank is None:
+        raise SystemExit2("short-gradings needs --type and --rank")
+    if args.rank < 1:
+        raise SystemExit2("--rank must be >= 1")
+    # --rank is the matrix size: sl N, so N, sp N (N even)
+    return lc.enumerate_short_gradings(lc.classical(args.ltype, args.rank), seed=args.seed)
+
+
+# suite -> (the flags it reads besides --format and --out, its report; `all`
+# runs the acceptance battery instead)
+SUITES = {
+    "jordan-identity": ({**FAMILY, **WORKERS},
+                        lambda a: jd.check_jordan(_build_algebra(a), workers=a.workers)),
+    "relation10": ({**FAMILY, **WORKERS},
+                   lambda a: jd.check_relation10(_build_algebra(a), workers=a.workers)),
+    "simple": ({**FAMILY, **SEED},
+               lambda a: jd.check_simple_report(_build_algebra(a), seed=a.seed)),
+    "bracket-jacobi": ({**PAIRING, **DEG, **WORKERS},
+                       lambda a: br.check_jacobi(_spec(a), a.deg, workers=a.workers)),
+    "bracket-leibniz": ({**PAIRING, **DEG, **WORKERS}, _rule(br.check_gen_leibniz)),
+    "bracket-kmc": ({**PAIRING, **DEG, **WORKERS}, _rule(br.check_kmc)),
+    "schouten": (PAIRING, _schouten),
+    "tkk": (FAMILY, _tkk),
+    "semidirect": ({**FAMILY, **SEED}, _semidirect),
+    "short-gradings": ({**GRADING, **SEED}, _short_gradings),
+    "iso": ({}, lambda a: acc.criterion_7_isomorphisms()),
+    "hk-fragment": ({**PAIRING, **DEG}, lambda a: lc.build_hk(a.kind, a.k, a.n, a.deg)[2]),
+    "all": (WORKERS, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="jsalg",
         description="Exact verification suites for Jordan superalgebras, "
         "generalized Poisson brackets and the three-graded correspondence.",
     )
-    sub = ap.add_subparsers(dest="cmd")
+    sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="catalog operations")
     p.add_argument("action", choices=("list",))
 
     p = sub.add_parser("build", help="build a catalog algebra and summarize it")
-    _family_args(p)
-    p.add_argument("--out", default=None)
+    _add(p, FAMILY)
+    p.add_argument("--out")
 
     p = sub.add_parser("export", help="write a structure-constant JSON file")
-    _family_args(p)
+    _add(p, FAMILY)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("import", help="validate a structure-constant JSON file")
     p.add_argument("--in", dest="path", required=True)
 
     p = sub.add_parser("tkk", help="emit the graded Lie algebra of a catalog entry")
-    _family_args(p)
-    p.add_argument("--out", default=None)
+    _add(p, FAMILY)
+    p.add_argument("--out")
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=(
-            "jordan-identity", "relation10", "simple",
-            "bracket-jacobi", "bracket-leibniz", "bracket-kmc",
-            "schouten", "tkk", "semidirect", "short-gradings",
-            "iso", "hk-fragment", "all",
-        ),
-    )
-    _family_args(p)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--kind", choices=("h", "k"), default="h")
-    p.add_argument("--type", dest="ltype", choices=("sl", "so", "sp"), default=None)
-    p.add_argument("--rank", type=int, default=None)
+    verify = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True)
+    for suite, (flags, _report) in SUITES.items():
+        _add(verify.add_parser(suite), {**flags, **REPORT})
     return ap
 
 
 def _build_algebra(args) -> jd.FiniteSuperAlgebra:
     if not args.family:
         raise SystemExit2("this command needs --family")
-    if args.m < 0 or args.n < 0:
-        raise SystemExit2("--m and --n must be >= 0")
     t = None
     if args.t is not None:
         try:
@@ -104,74 +182,6 @@ def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(report: Report, args) -> int:
-    _write(report.to_json() if args.format == "json" else report.text(), args.out)
-    return 0 if report.passed else 1
-
-
-_POLY_SUITES = ("bracket-jacobi", "bracket-leibniz", "bracket-kmc", "schouten",
-                "hk-fragment")
-
-
-def _suite_report(args) -> Report:
-    suite = args.suite
-    workers = args.workers
-    if suite in _POLY_SUITES and min(args.k, args.n, args.deg) < 0:
-        raise SystemExit2("--k, --n and --deg must be >= 0")
-    if suite == "jordan-identity":
-        return jd.check_jordan(_build_algebra(args), workers=workers)
-    if suite == "relation10":
-        return jd.check_relation10(_build_algebra(args), workers=workers)
-    if suite == "simple":
-        return jd.check_simple_report(_build_algebra(args), seed=args.seed)
-    if suite in ("bracket-jacobi", "bracket-leibniz", "bracket-kmc"):
-        if args.kind == "h":
-            spec = br.BracketSpec.h_type(args.k, args.n)
-            D = br.DerivationD.zero(spec.m, spec.n)
-        else:
-            spec = br.BracketSpec.k_type(args.k, args.n)
-            D = br.DerivationD.multiple_of_dt(spec.m, spec.n)
-        if suite == "bracket-jacobi":
-            return br.check_jacobi(spec, args.deg, workers=workers)
-        if suite == "bracket-leibniz":
-            return br.check_gen_leibniz(spec, D, args.deg, workers=workers)
-        return br.check_kmc(spec, D, args.deg, workers=workers)
-    if suite == "schouten":
-        pair = (sch.pairing_h_pair if args.kind == "h" else sch.pairing_k_pair)(
-            args.k, args.n
-        )
-        return sch.check_s_conditions(pair)
-    if suite == "tkk":
-        J = _build_algebra(args)
-        real = tk.TKK(J)
-        reports = [real.round_trip(), real.check_triple(), real.check_minimal()]
-        return merge_reports("tkk", {"algebra": J.name}, reports)
-    if suite == "semidirect":
-        J = _build_algebra(args)
-        if J.is_total():
-            return tk.check_semidirect(J, seed=args.seed)
-        carrier = jd.build(args.family, m=args.m, n=args.n, deg=8 * args.deg)
-        return tk.check_semidirect(J, carrier=carrier, seed=args.seed)
-    if suite == "short-gradings":
-        if not args.ltype or args.rank is None:
-            raise SystemExit2("short-gradings needs --type and --rank")
-        if args.rank < 1:
-            raise SystemExit2("--rank must be >= 1")
-        # --rank is the matrix size: sl N, so N, sp N (N even)
-        L = lc.classical(args.ltype, args.rank)
-        return lc.enumerate_short_gradings(L, seed=args.seed)
-    if suite == "iso":
-        return acc.criterion_7_isomorphisms()
-    if suite == "hk-fragment":
-        _lie, _triple, rep = lc.build_hk(args.kind, args.k, args.n, args.deg)
-        return rep
-    raise SystemExit2(f"unknown suite {suite!r}")
-
-
-class SystemExit2(Exception):
-    pass
-
-
 def _glue_negative_t(argv: list) -> list:
     """argparse reads a value like -3/7 as an option, so `--t -3/7` becomes
     `--t=-3/7` (-1 and -0.5 already parse as values)."""
@@ -186,34 +196,17 @@ def _glue_negative_t(argv: list) -> list:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(_glue_negative_t(sys.argv[1:] if argv is None else list(argv)))
-    if not args.cmd:
-        ap.print_help()
-        return 2
     try:
+        args = ap.parse_args(_glue_negative_t(sys.argv[1:] if argv is None else list(argv)))
         if hasattr(args, "workers"):  # a bad --workers or JSALG_WORKERS exits 2 here
             resolve_workers(args.workers)
-        if args.cmd == "catalog":
+        if args.command == "catalog":
             print("family      parameters")
             print("--------    ----------")
-            rows = [
-                ("GLplus", "--m --n"),
-                ("OSPplus", "--m --n  (n even)"),
-                ("FORMplus", "--m --n  (n even)"),
-                ("Pplus", "--n"),
-                ("Qplus", "--n"),
-                ("Dt", "--t"),
-                ("Kalg", ""),
-                ("Falg", ""),
-                ("JPfinite", "--n"),
-                ("JP", "--m --n --deg"),
-                ("JCK", "--deg"),
-                ("JS", "--deg"),
-            ]
-            for fam, params in rows:
-                print(f"{fam:11s} {params}")
+            for tag, params, _builder in jd.FAMILIES:
+                print(f"{tag:11s} {params}")
             return 0
-        if args.cmd == "build":
+        if args.command == "build":
             J = _build_algebra(args)
             ev, od = J.sdim()
             unit = J.find_unit()
@@ -223,10 +216,10 @@ def main(argv=None) -> int:
             if args.out:
                 _write(_canonical(J.to_json_dict()), args.out)
             return 0
-        if args.cmd == "export":
+        if args.command == "export":
             _write(_canonical(_build_algebra(args).to_json_dict()), args.out)
             return 0
-        if args.cmd == "import":
+        if args.command == "import":
             with open(args.path) as f:
                 data = json.load(f)
             J = jd.FiniteSuperAlgebra.from_json_dict(data)
@@ -234,14 +227,14 @@ def main(argv=None) -> int:
             print(f"ok: {J.name or 'algebra'} dim ({ev}|{od}), "
                   f"{len(J.table)} nonzero products")
             return 0
-        if args.cmd == "tkk":
+        if args.command == "tkk":
             J = _build_algebra(args)
             lie, triple = tk.tkk(J)
             d = lie.algebra.to_json_dict()
             d["grading"] = lie.grading
             _write(_canonical(d), args.out)
             return 0
-        if args.cmd == "verify":
+        if args.command == "verify":
             if args.suite == "all":
                 # JSON on stdout moves the pass/fail lines to stderr
                 json_out = args.format == "json" and not args.out
@@ -251,12 +244,10 @@ def main(argv=None) -> int:
                 if args.out or json_out:
                     _write(_canonical([r.to_json_dict() for r in reports]), args.out)
                 return 0 if all(r.passed for r in reports) else 1
-            report = _suite_report(args)
-            return _emit(report, args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError) as exc:
+            report = SUITES[args.suite][1](args)
+            _write(report.to_json() if args.format == "json" else report.text(), args.out)
+            return 0 if report.passed else 1
+    except (SystemExit2, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crashed pool worker, a scale below its bound

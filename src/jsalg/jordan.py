@@ -462,9 +462,10 @@ def ideal_closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
 
 
 def _closure(rows, seed_vec: dict) -> Echelon:
-    """The ideal closure loop over the table oracle rows; a product that
-    leaves a truncated table's span is skipped.  A span does not change
-    when its vectors are scaled, so the frontier holds primitive int
+    """The ideal closure loop over the table oracle rows.  On a truncated
+    table a product e_i w that needs an out-of-span pair is skipped whole:
+    a partial sum of its defined terms is not a product.  A span does not
+    change when its vectors are scaled, so the frontier holds primitive int
     vectors.  It stops once the span is the whole algebra, whose RREF basis
     no further product can change."""
     dim = len(rows)
@@ -475,12 +476,11 @@ def _closure(rows, seed_vec: dict) -> Echelon:
     while frontier:
         new_frontier = []
         for w in frontier:
-            for row in rows:
-                prod: dict = {}
-                for j, cj in w.items():
-                    p = row[j]
-                    if p:
-                        vec_iadd(prod, p, cj)
+            for i in range(dim):
+                acc: dict = {}
+                if not _mul_into(acc, rows, {i: 1}, w):
+                    continue
+                prod = {k: x for k, x in acc.items() if x}
                 if prod and ech.insert(prod) is not None:
                     if ech.rank == dim:
                         return ech
@@ -498,15 +498,19 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0) -> bool:
     """True iff the product is nonzero and the ideal closure of every basis
     vector and of SIMPLE_SAMPLES seeded pseudo-random rational vectors is the
     whole algebra.  The sampled part makes this a declared probabilistic
-    check; for the catalog sizes here it is decisive.  On a truncated table
-    products out of span are skipped, so every closure must reach the whole
-    stated span without them."""
+    check; for the catalog sizes here it is decisive.
+
+    On a truncated table only the basis vectors are closed, and each
+    closure must reach the whole stated span without the products that
+    leave it.  `_closure` skips such a product whole, and a sampled vector,
+    whose support is the whole basis, meets an out-of-span pair in most of
+    its products, so its closure can stop short of a simple window."""
     if not J.table:
         return False
     dim = J.dim
     vectors = [{i: Fraction(1)} for i in range(dim)]
     rng = DetRand(seed)
-    for _ in range(SIMPLE_SAMPLES):
+    for _ in range(SIMPLE_SAMPLES if J.is_total() else 0):
         v = {}
         for i in range(dim):
             c = rng.rational()
@@ -915,7 +919,7 @@ def _poly_coords(terms: dict, pos: dict, deg: int, offset: int = 0, sign: int = 
     return vec
 
 
-def _poly_table(m, n, monos, deg, prod, parity_shift, name,
+def _poly_table(monos, deg, prod, parity_shift, name,
                 drop_const=False) -> FiniteSuperAlgebra:
     """The table on a monomial basis with entry (i, j) the coordinates of
     the term dict prod(a_i, a_j); a pair is out of span when a term has
@@ -932,7 +936,7 @@ def _poly_table(m, n, monos, deg, prod, parity_shift, name,
                 oos.add((i, j))
             else:
                 table[(i, j)] = vec
-    labels = [render_monomial(mo, m, n) for mo in monos]
+    labels = [render_monomial(mo) for mo in monos]
     parities = [(mono_parity(mo) + parity_shift) & 1 for mo in monos]
     return FiniteSuperAlgebra(labels, parities, table, oos, name=name)
 
@@ -953,8 +957,8 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
     monos = monomials_total_degree(m, n, deg)
     pos = {mo: i for i, mo in enumerate(monos)}
     N = len(monos)
-    labels = [render_monomial(mo, m, n) for mo in monos] + [
-        "eta*" + render_monomial(mo, m, n) for mo in monos
+    labels = [render_monomial(mo) for mo in monos] + [
+        "eta*" + render_monomial(mo) for mo in monos
     ]
     parities = [mono_parity(mo) for mo in monos] + [
         (mono_parity(mo) + 1) & 1 for mo in monos
@@ -1128,35 +1132,34 @@ def build_js(deg: int) -> FiniteSuperAlgebra:
 # -- catalog ------------------------------------------------------------------------
 
 
+def _dt_family(m, n, t, deg) -> FiniteSuperAlgebra:
+    if t is None:
+        raise ValueError("Dt needs --t")
+    return dt(t)
+
+
+# the catalog families: (tag, the CLI parameters it reads, builder(m, n, t, deg))
+FAMILIES = (
+    ("GLplus", "--m --n", lambda m, n, t, deg: glplus(m, n)),
+    ("OSPplus", "--m --n  (n even)", lambda m, n, t, deg: ospplus(m, n)),
+    ("FORMplus", "--m --n  (n even)", lambda m, n, t, deg: formplus(m, n)),
+    ("Pplus", "--n", lambda m, n, t, deg: pplus(n)),
+    ("Qplus", "--n", lambda m, n, t, deg: qplus(n)),
+    ("Dt", "--t", _dt_family),
+    ("Kalg", "", lambda m, n, t, deg: kalg()),
+    ("Falg", "", lambda m, n, t, deg: falg()),
+    ("JPfinite", "--n", lambda m, n, t, deg: jp_finite(n)),
+    ("JP", "--m --n --deg", lambda m, n, t, deg: jp_finite(n) if m == 0 else jp(m, n, deg)),
+    ("JCK", "--deg", lambda m, n, t, deg: build_jck(deg)),
+    ("JS", "--deg", lambda m, n, t, deg: build_js(deg)),
+)
+
+
 def build(family: str, m: int = 0, n: int = 0, t=None, deg: int = 3) -> FiniteSuperAlgebra:
-    """Build a catalog algebra by family tag."""
-    fam = family.lower()
-    if fam == "glplus":
-        return glplus(m, n)
-    if fam == "ospplus":
-        return ospplus(m, n)
-    if fam == "formplus":
-        return formplus(m, n)
-    if fam == "pplus":
-        return pplus(n)
-    if fam == "qplus":
-        return qplus(n)
-    if fam == "dt":
-        if t is None:
-            raise ValueError("Dt needs --t")
-        return dt(t)
-    if fam == "kalg":
-        return kalg()
-    if fam == "falg":
-        return falg()
-    if fam == "jpfinite":
-        return jp_finite(n)
-    if fam == "jp":
-        return jp_finite(n) if m == 0 else jp(m, n, deg)
-    if fam == "jck":
-        return build_jck(deg)
-    if fam == "js":
-        return build_js(deg)
+    """Build a catalog algebra by its `FAMILIES` tag, in any letter case."""
+    for tag, _params, builder in FAMILIES:
+        if tag.lower() == family.lower():
+            return builder(m, n, t, deg)
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -437,7 +437,7 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     for mo in monos:
         odds = mo[1]
         grading.append((1 if (n - 2) in odds else 0) - (1 if (n - 1) in odds else 0))
-    alg = _poly_table(m, n, monos, deg, lambda a, b: bracket_monomials(spec, a, b), 0,
+    alg = _poly_table(monos, deg, lambda a, b: bracket_monomials(spec, a, b), 0,
                       f"{kind.upper()}({m},{n})|deg{deg}", drop_const=drop_const)
     lie = GradedLie(alg, grading)
     # the triple relations and the ad h eigenvalue of every spanned monomial,
@@ -475,7 +475,7 @@ def h_zero_n_lie(n: int) -> FiniteSuperAlgebra:
     Grassmann monomials modulo constants: the span of all brackets."""
     spec = BracketSpec.h_type(0, n)
     monos = [mo for mo in monomials_total_degree(0, n, n) if mono_degree(mo) > 0]
-    H = _poly_table(0, n, monos, n, lambda a, b: bracket_monomials(spec, a, b), 0,
+    H = _poly_table(monos, n, lambda a, b: bracket_monomials(spec, a, b), 0,
                     f"H'(0,{n})", drop_const=True)
     solver = CoordSolver()
     span_rows = []
@@ -524,7 +524,7 @@ def _jordan_from_product(m, n, deg, prod_fn, name):
     """Jordan table on the degree-<= deg monomials with reversed parity,
     from a product function on monomial pairs."""
     monos = monomials_total_degree(m, n, deg)
-    alg = _poly_table(m, n, monos, deg, lambda a, b: prod_fn(a, b).terms, 1, name)
+    alg = _poly_table(monos, deg, lambda a, b: prod_fn(a, b).terms, 1, name)
     return alg, monos, {mo: i for i, mo in enumerate(monos)}
 
 

@@ -204,8 +204,8 @@ class SuperPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, names=None) -> str:
-        return render(self, names)
+    def render(self) -> str:
+        return render(self)
 
     def __repr__(self):
         return f"SuperPoly({self.m},{self.n}: {render(self)})"
@@ -354,30 +354,25 @@ def _even_exponents(m: int, bound: int):
 #   name := "x<i>" (even, 1-based) | "xi<j>" (odd, 1-based)
 
 
-def default_names(m: int, n: int):
-    return [f"x{i+1}" for i in range(m)], [f"xi{j+1}" for j in range(n)]
-
-
-def render_monomial(mono: Monomial, m: int, n: int, names=None) -> str:
-    ev_names, od_names = names if names else default_names(m, n)
+def render_monomial(mono: Monomial) -> str:
     parts = []
     for i, e in enumerate(mono[0]):
         if e == 1:
-            parts.append(ev_names[i])
+            parts.append(f"x{i+1}")
         elif e > 1:
-            parts.append(f"{ev_names[i]}^{e}")
+            parts.append(f"x{i+1}^{e}")
     for j in mono[1]:
-        parts.append(od_names[j])
+        parts.append(f"xi{j+1}")
     return " ".join(parts) if parts else "1"
 
 
-def render(f: SuperPoly, names=None) -> str:
+def render(f: SuperPoly) -> str:
     if not f.terms:
         return "0"
     parts = []
     for mono in sorted(f.terms):
         c = f.terms[mono]
-        body = render_monomial(mono, f.m, f.n, names)
+        body = render_monomial(mono)
         if body == "1":
             parts.append(rat_str(c))
         else:

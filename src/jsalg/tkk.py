@@ -507,10 +507,10 @@ class TKK:
 
     # -- checks --------------------------------------------------------------
 
-    def check_triple(self, t: Sl2Triple | None = None) -> Report:
-        """Triple relations plus the ad h eigenvalue of every realized basis
-        element of degrees -1 and 1.  Without t the canonical triple is
-        checked; a J without a unit has none and raises ValueError.
+    def check_triple(self) -> Report:
+        """Relations of the canonical triple plus the ad h eigenvalue of
+        every realized basis element of degrees -1 and 1; a J without a unit
+        has no canonical triple and raises ValueError.
 
         Each relation is compared on ints: both sides are brought to one
         scale.  Degree 0 holds by construction: once ad h is -1 on every
@@ -520,11 +520,10 @@ class TKK:
         bilinear map B, [-id, B](x, y) = (-1)^{p(x)p(y)} B(y, x), which is
         B(x, y) only when B is supersymmetric."""
         t0 = time.perf_counter()
-        if t is None:
-            t = self.triple()
+        t = self.triple()
         if t is None:
             raise ValueError(f"{self.J.name or 'J'} has no unit, so no canonical "
-                             "triple; pass a triple or use verify semidirect")
+                             "triple; use verify semidirect")
         params = {"algebra": self.J.name}
         par = self.J.parities
         d = self.J.dim
@@ -725,12 +724,14 @@ def inverse_product(L: GradedLie, t: Sl2Triple) -> FiniteSuperAlgebra:
 
 def exp_ad(L: GradedLie, x: dict):
     """exp(ad x) = 1 + ad x + (ad x)^2/2 as a matrix on the assembled basis;
-    requires (ad x)^3 = 0."""
+    requires (ad x)^3 = 0 and every column of ad x in the table's span."""
     alg = L.algebra
     d = alg.dim
     ad = {}
     for j in range(d):
         col = alg.mul_vectors(x, {j: Fraction(1)})
+        if col is None:
+            raise ValueError(f"ad x on {alg.labels[j]} leaves the table span")
         if col:
             ad[j] = col
     ad2 = matrix_compose(ad, ad)
@@ -820,8 +821,9 @@ def unital_extend(J: FiniteSuperAlgebra):
 def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None = None,
                      seed: int = 0) -> Report:
     """For simple non-unital J: split Lie(J~) into an ideal S plus the span
-    of (1, -L_1, P), check the split, S-simplicity (sampled ideal closures)
-    and that the triple acts by derivations not inner to S.
+    of (1, -L_1, P), check the split, S-simplicity (`jordan.check_simple`:
+    sampled ideal closures on a total S, the basis vectors' alone on a
+    truncated one) and that the triple acts by derivations not inner to S.
 
     For a truncated J pass a larger truncation of the same family as
     `carrier`; quantifiers then range over the window spanned by J's own

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from jsalg import acceptance
-from jsalg.cli import main
+from jsalg.cli import REPORT, SUITES, main
+from jsalg.jordan import FAMILIES
 from jsalg.report import resolve_workers
 
 
@@ -13,9 +14,39 @@ def run(*argv):
     return main(list(argv))
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_catalog_list(capsys):
     assert run("catalog", "list") == 0
-    assert "GLplus" in capsys.readouterr().out
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == [tag for tag, _p, _b in FAMILIES]
+
+
+VERIFY_FLAGS = sorted(set().union(*(flags for flags, _report in SUITES.values())))
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_suite_rejects_the_flags_it_does_not_read(suite, capsys):
+    flags = SUITES[suite][0].keys() | REPORT.keys()
+    unread = [f for f in VERIFY_FLAGS if f not in flags]
+    assert unread
+    for flag in unread:
+        assert run("verify", suite, flag, "1") == 2, flag
+        assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [(), ("verify",), ("verify", "nope"), ("catalog", "nope"),
+                                  ("verify", "iso", "--family", "Dt"),
+                                  ("verify", "simple", "--family", "Dt", "--t", "2",
+                                   "--workers", "4"),
+                                  ("build", "--family", "Dt", "--max-degree", "2")])
+def test_parser_rejections_are_one_line(argv, capsys):
+    assert run(*argv) == 2
+    assert_one_error_line(capsys)
 
 
 def test_verify_jordan_identity_exit_codes(capsys):
@@ -60,10 +91,8 @@ def test_usage_errors(capsys):
 
 def test_build_takes_no_report_flags(capsys):
     # build prints a text summary only, so a --format flag would be ignored
-    with pytest.raises(SystemExit) as exc:
-        run("build", "--family", "Dt", "--t", "2", "--format", "json")
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert run("build", "--family", "Dt", "--t", "2", "--format", "json") == 2
+    assert_one_error_line(capsys)
 
 
 def test_short_gradings_cli(capsys):
@@ -93,9 +122,7 @@ def test_bad_polynomial_parameters_are_usage_errors(capsys):
                  ("schouten", "--k", "-1", "--n", "2"),
                  ("hk-fragment", "--kind", "h", "--k", "0", "--n", "-1")):
         assert run("verify", *argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(capsys)
 
 
 def test_export_import_roundtrip(tmp_path, capsys):
@@ -252,9 +279,7 @@ def test_verify_semidirect_on_unital_j_is_a_usage_error(capsys):
 def test_verify_tkk_on_nonunital_j_is_a_usage_error(capsys):
     # no unit means no canonical triple: a precondition, not a failed check
     assert run("verify", "tkk", "--family", "Kalg") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert_one_error_line(capsys)
 
 
 def test_verify_hk_fragment(capsys):

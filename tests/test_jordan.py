@@ -6,7 +6,10 @@ import pytest
 
 from jsalg.brackets import BracketSpec
 from jsalg.jordan import (
+    FAMILIES,
     FiniteSuperAlgebra,
+    _closure,
+    _scaled_products,
     build,
     build_jck,
     build_js,
@@ -248,6 +251,9 @@ def test_build_dispatcher():
     assert build("Dt", t=2).name == "D_t(2)"
     assert build("JPfinite", n=2).sdim() == (4, 4)
     assert build("JP", m=1, n=1, deg=2).name.startswith("JP(1,1)")
+    assert build("dt", t=2).name == "D_t(2)"  # tags match in any letter case
+    for tag, _params, _builder in FAMILIES:
+        assert build(tag, m=1, n=2, t=2, deg=1).dim > 0, tag
     with pytest.raises(ValueError):
         build("nope")
     with pytest.raises(ValueError):
@@ -300,3 +306,13 @@ def test_explicit_zero_constants_are_dropped():
     assert d["unit"] == 0 and [1, 1, 0, 0, 1] not in d["c"]
     assert (1, 1) not in J.table
     assert check_simple(J) is False  # span{x} is an ideal
+
+
+def test_closure_skips_a_product_that_leaves_the_span_whole():
+    # a o c = c o a = c, a o b out of span: a o (b + c) is not the partial sum c
+    one = {2: Fraction(1)}
+    J = FiniteSuperAlgebra(["a", "b", "c"], [0, 0, 0], {(0, 2): one, (2, 0): one},
+                           {(0, 1)})
+    rows, _ = _scaled_products(J)
+    assert _closure(rows, {1: 1, 2: 1}).rank == 1
+    assert _closure(rows, {0: 1}).rank == 2

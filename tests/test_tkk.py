@@ -25,6 +25,7 @@ from jsalg.jordan import (
     unital_identity_catalog,
     witness_jp01_to_gl11,
 )
+from jsalg.lieclass import build_hk
 from jsalg.linalg import CoordSolver, solve_linear, vec_iadd
 from jsalg import tkk as tk
 from jsalg.tkk import (
@@ -141,6 +142,14 @@ def test_exp_ad_basics():
     # a degree-0 element is not nilpotent: rejected
     with pytest.raises(ValueError):
         exp_ad(L, triple.h)
+
+
+def test_exp_ad_refuses_a_column_that_leaves_the_span():
+    # K(1,3)|deg3: ad xi1 xi2 xi3 sends x1^2 out of span, which is not a zero column
+    L, _triple, _rep = build_hk("k", 0, 3)
+    assert (L.algebra.dim, len(L.algebra.out_of_span)) == (20, 83)
+    with pytest.raises(ValueError, match="leaves the table span"):
+        exp_ad(L, {L.algebra.labels.index("xi1 xi2 xi3"): Fraction(1)})
 
 
 def test_identity_is_an_automorphism_of_a_truncated_table():
