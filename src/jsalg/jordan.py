@@ -19,6 +19,15 @@ and skipped tuples up to their first failure; `_table_report` builds the
 report.  Every identity is homogeneous, so a residual of degree d in the
 structure constants is scale**d times the exact one; `_table_report`
 divides by scale**d when it reports residual coordinates.
+
+The Jordan scan reads per-pair multiplication maps: a chunk worker builds
+L[x] = (e_p e_q) o e_x once per unordered pair {p, q}, on first use, so
+u o x and u o (w o x) for u = e_p e_q are a lookup and a combination of
+L's entries.  check_relation10 reaches a pass on a total supercommutative
+table through the Jordan scan: relation (10) at (a, b, c | x) is a signed
+sum of two Jordan instances (the lemma in its docstring).  Every other
+table, and every table whose Jordan scan fails, runs the relation (10)
+scan itself.
 """
 
 from __future__ import annotations
@@ -109,7 +118,22 @@ class FiniteSuperAlgebra:
 
     def _symmetry_defect(self, sign: int):
         """First (i, j, k) with c_ij^k != sign (-1)^{p(i)p(j)} c_ji^k, or
-        (i, j, -1) when exactly one of the two products is out of span."""
+        (i, j, -1) when exactly one of the two products is out of span.
+
+        There is none when the out-of-span pairs are symmetric and every
+        stored product equals the signed mirror stored for the swapped pair;
+        one pass over the stored products tests that.  Only a table that
+        fails the pass runs the ordered loop that finds the first defect."""
+        oos, par, table = self.out_of_span, self.parities, self.table
+
+        def mirrored(i, j, vec):
+            back = table.get((j, i), {})
+            s = -sign if (par[i] and par[j]) else sign
+            return vec == (back if s > 0 else {k: -c for k, c in back.items()})
+
+        if all((j, i) in oos for i, j in oos) and all(
+                (i, j) in oos or mirrored(i, j, vec) for (i, j), vec in table.items()):
+            return None
         for i in range(self.dim):
             for j in range(self.dim):
                 a = self.product(i, j)
@@ -278,16 +302,17 @@ def _mul_into(acc: dict, rows, u: dict, v: dict, s: int = 1) -> bool:
 
 
 def _table_report(suite, J: FiniteSuperAlgebra, t0, worker, workers, unit, span,
-                  residual_degree=0) -> Report:
+                  residual_degree=0, oracle=None) -> Report:
     """Run one identity scan over J's table oracle and build its report.
 
     worker is a chunk worker of `report.scan` on the payload (rows,
     parities, dim).  The first nonzero residual is the counterexample; with
     residual_degree d its coordinates are reported exactly, divided by
     scale**d.  A scan that certifies no tuple fails: a pass must be a claim
-    about a nonempty set.
+    about a nonempty set.  oracle is J's `_scaled_products`, built here when
+    the caller has not built it.
     """
-    rows, scale = _scaled_products(J)
+    rows, scale = oracle or _scaled_products(J)
     certified, skipped, fail = scan(worker, (rows, J.parities, J.dim), J.dim, workers)
     ce = None
     if fail is not None:
@@ -351,35 +376,61 @@ def _jordan_scan(args):
     """sum over the cyclic terms (u, w) of (ab, c), (bc, a), (ca, b) of
     s (u o (w o x)) - s s' (w o (u o x)), s the Koszul sign of the cyclic
     shift and s' = (-1)^{p(u)p(w)}, on multisets a <= b <= c times all x,
-    for a in [lo, hi)."""
+    for a in [lo, hi).
+
+    u o y reads the pair map of u = e_p e_q: L[y] = u o e_y, None when it
+    needs an out-of-span pair, built once per unordered pair {p, q} on first
+    use (supercommutativity, checked before every scan, gives e_c e_a =
+    (-1)^{p(a)p(c)} e_a e_c with the same out-of-span pairs).  So u o x is
+    L[x], and u o (w o x) is the sum over k of (w o x)_k L[k], which
+    `_mul_into` reads off L as a one-row table.  A tuple is skipped exactly
+    when one of its products needs an out-of-span pair."""
     (rows, par, dim), lo, hi = args
     unit = [{i: 1} for i in range(dim)]
+    # maps[p][q], p <= q: the pair map of e_p e_q; row p is dropped once the
+    # outer index passes it, since every later multiset has a > p
+    maps = [{} for _ in range(dim)]
+
+    def pair_map(p, q):
+        L = maps[p].get(q)
+        if L is None:
+            u = rows[p][q]
+            L = []
+            for x in range(dim):
+                ux: dict = {}
+                L.append({k: v for k, v in ux.items() if v}
+                         if _mul_into(ux, rows, u, unit[x]) else None)
+            maps[p][q] = L
+        return L
+
     certified = skipped = 0
     for a in range(lo, hi):
         for b in range(a, dim):
             for c in range(b, dim):
-                ab, bc, ca = rows[a][b], rows[b][c], rows[c][a]
-                if ab is None or bc is None or ca is None:
+                ab, bc, ac = rows[a][b], rows[b][c], rows[a][c]
+                if ab is None or bc is None or ac is None:
                     skipped += dim
                     continue
                 terms = []
-                for u, w, odd, pu in ((ab, c, par[a] and par[c], par[a] + par[b]),
-                                      (bc, a, par[b] and par[a], par[b] + par[c]),
-                                      (ca, b, par[c] and par[b], par[c] + par[a])):
+                for p, q, w, odd in ((a, b, c, par[a] & par[c]),
+                                     (b, c, a, par[b] & par[a]),
+                                     # u = e_c e_a = (-1)^{p(a)p(c)} e_a e_c
+                                     (a, c, b, (par[c] & par[b]) ^ (par[a] & par[c]))):
                     s = -1 if odd else 1
-                    terms.append((u, w, s, -s if (pu & 1 and par[w]) else s))
+                    t = -s if ((par[p] + par[q]) & 1 and par[w]) else s
+                    terms.append(([pair_map(p, q)] if rows[p][q] else None, w, s, t))
                 for x in range(dim):
                     res: dict = {}
-                    for u, w, s, t in terms:
+                    for L_row, w, s, t in terms:
                         wx = rows[w][x]
                         if wx is None:
                             res = None
                             break
-                        if not u:
+                        if L_row is None:  # u = 0
                             continue
-                        ux: dict = {}
-                        if (wx and not _mul_into(res, rows, u, wx, s)
-                                or not _mul_into(ux, rows, u, unit[x])
+                        # u o (w o x) reads the pair map as the one-row table L_row
+                        ux = L_row[0][x]
+                        if (ux is None or wx and not _mul_into(res, L_row, unit[0], wx, s)
                                 or ux and not _mul_into(res, rows, unit[w], ux, -t)):
                             res = None
                             break
@@ -389,16 +440,66 @@ def _jordan_scan(args):
                     certified += 1
                     if any(res.values()):
                         return certified, skipped, "jordan-identity", (a, b, c, x), res
+        maps[a] = None
     return certified, skipped, None, None, None
 
 
 def check_relation10(J: FiniteSuperAlgebra, workers=None) -> Report:
     """[[L_a, L_b], L_c] = (-1)^{p(b)p(c)} L_{a o (c o b) - (a o c) o b} on all
-    ordered basis triples applied to every basis element in span."""
-    return _table_report(
-        "jordan-relation10", J, time.perf_counter(), _relation10_scan, workers,
-        "quadruple", {"dim": J.dim, "quantifier": "ordered triples times all x"},
-    )
+    ordered basis triples applied to every basis element in span.
+
+    On a total table that passes check_jordan's pre-checks (parity
+    consistency, supercommutativity) the Jordan scan decides a pass, by the
+    two-instance lemma.  Write R(a, b, c | x) for the residual of
+    `_relation10_scan` and Jor(u, v, w | y) for that of `_jordan_scan` at
+    the triple (u, v, w) and operand y.  On every supercommutative table
+
+        R(a, b, c | x) = e1 Jor(b, c, x | a) + e2 Jor(a, c, x | b),
+        e1 = (-1)^{p(a)(p(b)+p(c)+p(x)) + p(b)p(x)},
+        e2 = -(-1)^{p(b)(p(c)+p(x)) + p(a)p(x)}.
+
+    In a free commutative algebra this is R(a, b, c | x) = Jor(b, c, x | a)
+    - Jor(a, c, x | b), an identity of degree-4 monomials.  The Koszul rule
+    gives the signs: R is the Koszul form of its free identity in the letter
+    order (a, b, c, x), Jor(u, v, w | y) is (-1)^{p(u)p(w)} times the Koszul
+    form of its own in the order (u, v, w, y), and reordering (b, c, x, a)
+    and (a, c, x, b) to (a, b, c, x) costs (-1)^{p(a)(p(b)+p(c)+p(x))} and
+    (-1)^{p(b)(p(c)+p(x))}.  Jor is super-symmetric in its triple, so a
+    passing multiset scan makes every Jor vanish, and with it every R: the
+    report certifies all dim**4 quadruples.
+
+    The implication is one-way: the Jordan instances of the multilinear
+    commutative degree-4 monomials span rank 4 and the relation (10)
+    instances rank 3, so relation (10) can hold where the Jordan identity
+    fails.  A failed Jordan scan, an empty, truncated or non-supercommutative
+    table therefore runs `_relation10_scan` on the same oracle rows, whose
+    report is the verdict.
+    """
+    return _relation10_report(J, workers, None)
+
+
+def _relation10_report(J: FiniteSuperAlgebra, workers, jordan_passed) -> Report:
+    """check_relation10 on J, given whether check_jordan passed on J (None
+    when it has not been run); the lemma path runs only on a total table."""
+    t0 = time.perf_counter()
+    span = {"dim": J.dim, "quantifier": "ordered triples times all x"}
+    oracle = None
+    if (J.is_total() and jordan_passed is None and J.parity_consistent()
+            and J.commutativity_defect() is None):
+        oracle = _scaled_products(J)
+        certified, _skipped, fail = scan(_jordan_scan, (oracle[0], J.parities, J.dim),
+                                         J.dim, workers)
+        jordan_passed = fail is None and certified > 0
+    if J.is_total() and jordan_passed:
+        return Report(
+            "jordan-relation10",
+            {"algebra": J.name, "dim": J.dim},
+            {**span, "certifiedQuadruples": J.dim ** 4, "skippedQuadruples": 0},
+            "pass",
+            elapsed_ms=(time.perf_counter() - t0) * 1000,
+        )
+    return _table_report("jordan-relation10", J, t0, _relation10_scan, workers,
+                         "quadruple", span, oracle=oracle)
 
 
 def _relation10_scan(args):
@@ -1164,8 +1265,8 @@ def build(family: str, m: int = 0, n: int = 0, t=None, deg: int = 3) -> FiniteSu
 
 
 def identity_catalog():
-    """The desk-scale identity-verification battery: (name, builder thunk,
-    truncated?) triples in a fixed order."""
+    """The desk-scale identity-verification battery: (name, builder thunk)
+    pairs in a fixed order."""
     entries = []
     for mm in range(0, 5):
         for nn in range(0, 5 - mm):

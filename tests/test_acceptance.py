@@ -23,6 +23,8 @@ def test_criterion_1_jordan_identities():
     r = _run("1 jordan-identities", acc.criterion_1_jordan_identities)
     # the battery covers the whole catalog, both identities each
     assert len(r.details["subSuites"]) == 2 * 67
+    # the canonical JSON, byte for byte as the relation (10) scan gave it
+    assert _sha256(r) == "d95fd5c476b2e692b96e27a2675648f7b4fe8d62617bd4901f674fcd11d232c3"
 
 
 def _sha256(report) -> str:
