@@ -36,12 +36,12 @@ import math
 import time
 from fractions import Fraction
 
-from .brackets import BracketSpec, bracket_monomials
+from .brackets import BracketSpec, bracket_kernel
 from .linalg import CoordSolver, Echelon, scaled_ints, solve_linear, vec_iadd
 from .report import DetRand, Report, scan
 from .superpoly import (
-    SuperPoly,
     mono_degree,
+    mono_mul,
     mono_parity,
     monomials_total_degree,
     render_monomial,
@@ -1005,34 +1005,39 @@ def falg() -> FiniteSuperAlgebra:
 # -- doubles and polynomial carriers -----------------------------------------------
 
 
-def _poly_coords(terms: dict, pos: dict, deg: int, offset: int = 0, sign: int = 1,
+def _poly_coords(ints: dict, S: int, pos: dict, deg: int, sign: int = 1,
                  drop_const: bool = False):
-    """Coordinates of a term dict over the monomial basis `pos`, shifted by
-    offset and multiplied by sign = +-1; None when a term leaves the degree
-    span.  drop_const drops the constant term (a bracket modulo constants)."""
+    """Coordinates over the monomial basis `pos` of the polynomial with
+    term dict ints / S (ints[mono] = S * coeff, an int), multiplied by
+    sign = +-1: each coordinate is made once, as the Fraction
+    sign * ints[mono] / S.  None when a term leaves the degree span.
+    drop_const drops the constant term (a bracket modulo constants)."""
     vec = {}
-    for mono, c in terms.items():
+    for mono, v in ints.items():
         d = mono_degree(mono)
         if d > deg:
             return None
         if d or not drop_const:
-            vec[pos[mono] + offset] = c if sign > 0 else -c
+            vec[pos[mono]] = Fraction(sign * v, S)
     return vec
 
 
-def _poly_table(monos, deg, prod, parity_shift, name,
+def _poly_table(monos, deg, kernel, parity_shift, name,
                 drop_const=False) -> FiniteSuperAlgebra:
-    """The table on a monomial basis with entry (i, j) the coordinates of
-    the term dict prod(a_i, a_j); a pair is out of span when a term has
-    degree above deg.  Parities are the monomial parities plus
+    """The table on a monomial basis from an int monomial kernel
+    (S, kern), the shape `brackets.bracket_kernel` returns: kern(a, b) is
+    the term dict of S (a o b) as ints, and entry (i, j) is its
+    coordinates divided by S (`_poly_coords`).  A pair is out of span when
+    a term has degree above deg.  Parities are the monomial parities plus
     parity_shift.  Both orders of every pair are computed: supercommutativity
     of such a table is a property to check, not an assumption."""
+    S, kern = kernel
     pos = {mo: i for i, mo in enumerate(monos)}
     table = {}
     oos = set()
     for i, a in enumerate(monos):
         for j, b in enumerate(monos):
-            vec = _poly_coords(prod(a, b), pos, deg, drop_const=drop_const)
+            vec = _poly_coords(kern(a, b), S, pos, deg, drop_const=drop_const)
             if vec is None:
                 oos.add((i, j))
             else:
@@ -1050,11 +1055,18 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
     Poisson spec (D = 0) the modified bracket is the bracket itself.
     Products whose result leaves the span are flagged out-of-span, never
     dropped.
+
+    The products are read off int monomial kernels: a o b = ab, eta a o b =
+    eta(ab) and a o eta b = (-1)^{p(a)} eta(ab) from `mono_mul` (scale 1),
+    and eta a o eta b from the kernel of the "dmod" spec, the ints
+    S {a, b}_D at S = spec_scale of that spec, divided by S once per
+    coordinate.
     """
     if deg < 0:
         raise ValueError("deg >= 0")
     m, n = spec.m, spec.n
-    dspec = BracketSpec.d_modified(spec)
+    S, dkern = bracket_kernel(BracketSpec.d_modified(spec))
+    bsign = -1 if negate_bracket else 1
     monos = monomials_total_degree(m, n, deg)
     pos = {mo: i for i, mo in enumerate(monos)}
     N = len(monos)
@@ -1067,29 +1079,25 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
     table: dict = {}
     oos = set()
 
-    def put(i, j, terms: dict, offset: int = 0, sign: int = 1):
-        vec = _poly_coords(terms, pos, deg, offset, sign)
-        if vec is None:
-            oos.add((i, j))
-        else:
-            table[(i, j)] = vec
-
-    one = Fraction(1)
     for i, a in enumerate(monos):
         pa = -1 if mono_parity(a) else 1
-        fa = SuperPoly(m, n, {a: one})
         for j, b in enumerate(monos):
-            fb = SuperPoly(m, n, {b: one})
-            ab = (fa * fb).terms
-            # a o b = ab
-            put(i, j, ab)
-            # eta a o b = eta(ab)
-            put(N + i, j, ab, offset=N)
-            # a o eta b = (-1)^{p(a)} eta(ab)
-            put(i, N + j, ab, offset=N, sign=pa)
+            # a o b = ab, eta a o b = eta(ab), a o eta b = (-1)^{p(a)} eta(ab)
+            r = mono_mul(a, b)
+            if r is not None:
+                if mono_degree(r[1]) > deg:
+                    oos.update(((i, j), (N + i, j), (i, N + j)))
+                else:
+                    p, c = pos[r[1]], Fraction(r[0])
+                    table[(i, j)] = {p: c}
+                    table[(N + i, j)] = {N + p: c}
+                    table[(i, N + j)] = {N + p: c if pa > 0 else -c}
             # eta a o eta b = (-1)^{p(a)} {a,b}_D
-            put(N + i, N + j, bracket_monomials(dspec, a, b),
-                sign=-pa if negate_bracket else pa)
+            vec = _poly_coords(dkern(a, b), S, pos, deg, sign=bsign * pa)
+            if vec is None:
+                oos.add((N + i, N + j))
+            else:
+                table[(N + i, N + j)] = vec
     return FiniteSuperAlgebra(labels, parities, table, oos, name=name or f"KKM({m},{n},deg{deg})")
 
 

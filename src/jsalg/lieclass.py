@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .brackets import BracketSpec, bracket, bracket_monomials
+from .brackets import BracketSpec, bracket_kernel
 from .jordan import (
     FiniteSuperAlgebra,
     _algebra_from_matrices,
@@ -35,15 +35,13 @@ from .jordan import (
 from .linalg import CoordSolver, nullspace, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
-    SuperPoly,
-    euler,
     even_var,
     mono_degree,
+    mono_mul,
     mono_parity,
+    mono_partial,
     monomials_total_degree,
-    mul,
     odd_var,
-    partial,
 )
 from .tkk import GradedLie, Sl2Triple, check_triple, triple_failures
 
@@ -437,16 +435,17 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     for mo in monos:
         odds = mo[1]
         grading.append((1 if (n - 2) in odds else 0) - (1 if (n - 1) in odds else 0))
-    alg = _poly_table(monos, deg, lambda a, b: bracket_monomials(spec, a, b), 0,
+    alg = _poly_table(monos, deg, bracket_kernel(spec), 0,
                       f"{kind.upper()}({m},{n})|deg{deg}", drop_const=drop_const)
     lie = GradedLie(alg, grading)
     # the triple relations and the ad h eigenvalue of every spanned monomial,
     # by the table-level triple check
-    xi = lambda j: SuperPoly.variable(m, n, odd_var(j))
-    polys = {"e": mul(xi(n - 3), xi(n - 1)), "h": mul(xi(n - 1), xi(n - 2)),
-             "f": mul(xi(n - 3), xi(n - 2))}
-    triple = {name: _poly_coords(poly.terms, pos, deg, drop_const=drop_const)
-              for name, poly in polys.items()}
+    xi = lambda j: ((0,) * m, (j,))
+    pairs = {"e": (n - 3, n - 1), "h": (n - 1, n - 2), "f": (n - 3, n - 2)}
+    triple = {}
+    for name, (i, j) in pairs.items():
+        sign, mono = mono_mul(xi(i), xi(j))
+        triple[name] = _poly_coords({mono: sign}, 1, pos, deg, drop_const=drop_const)
     failures = check_triple(lie, Sl2Triple(**triple)).counterexample
     failures = failures["failures"] if failures else []
     # bracket respects the grading on certified pairs
@@ -475,8 +474,7 @@ def h_zero_n_lie(n: int) -> FiniteSuperAlgebra:
     Grassmann monomials modulo constants: the span of all brackets."""
     spec = BracketSpec.h_type(0, n)
     monos = [mo for mo in monomials_total_degree(0, n, n) if mono_degree(mo) > 0]
-    H = _poly_table(monos, n, lambda a, b: bracket_monomials(spec, a, b), 0,
-                    f"H'(0,{n})", drop_const=True)
+    H = _poly_table(monos, n, bracket_kernel(spec), 0, f"H'(0,{n})", drop_const=True)
     solver = CoordSolver()
     span_rows = []
     for (i, j), vec in sorted(H.table.items()):
@@ -520,11 +518,17 @@ def _inert_t_h_spec(k: int, n2: int) -> BracketSpec:
     return BracketSpec.custom(mp, n2, C, has_time=False)
 
 
-def _jordan_from_product(m, n, deg, prod_fn, name):
+def _non_t_degree(mono) -> int:
+    """E(mono) for E the Euler operator in the non-t variables: the total
+    degree less the exponent of the even generator 0 (t)."""
+    return mono_degree(mono) - mono[0][0]
+
+
+def _jordan_from_product(m, n, deg, kernel, name):
     """Jordan table on the degree-<= deg monomials with reversed parity,
-    from a product function on monomial pairs."""
+    from an int monomial kernel (S, kern) of the product."""
     monos = monomials_total_degree(m, n, deg)
-    alg = _poly_table(monos, deg, lambda a, b: prod_fn(a, b).terms, 1, name)
+    alg = _poly_table(monos, deg, kernel, 1, name)
     return alg, monos, {mo: i for i, mo in enumerate(monos)}
 
 
@@ -533,24 +537,37 @@ def short_subalgebra_jordan_h(k: int, n: int, deg: int = 3):
     degree-(-1) part of the "h" fragment:
         f o g = (-1)^{p(f)} df/dxi_c g + f dg/dxi_c + (-1)^{p(f)} xi_c {f, g}
     with xi_c the last odd generator of the carrier and {.,.} the diagonal
-    restriction of the ambient bracket; p is the reversed parity."""
+    restriction of the ambient bracket; p is the reversed parity.
+
+    The kernel sums S (a o b) on ints for monomials a, b, S the scale of
+    the diagonal bracket's kernel: the two derivative terms from
+    `mono_partial` and `mono_mul` times S, and xi_c times the bracket
+    kernel's ints S {a, b}."""
     m, n2 = 2 * k, n - 2
-    c = n2 - 1
-    rspec = BracketSpec.diagonal(k, n2)
-    one = Fraction(1)
+    xc = odd_var(n2 - 1)
+    xi_c = ((0,) * m, (n2 - 1,))
+    S, br = bracket_kernel(BracketSpec.diagonal(k, n2))
 
-    def prod(a, b):
-        fa = SuperPoly(m, n2, {a: one})
-        fb = SuperPoly(m, n2, {b: one})
-        pj = (mono_parity(a) + 1) & 1
-        sign = -1 if pj else 1
-        xi_c = SuperPoly.variable(m, n2, odd_var(c))
-        t1 = mul(partial(fa, odd_var(c)), fb).scale(sign)
-        t2 = mul(fa, partial(fb, odd_var(c)))
-        t3 = mul(xi_c, bracket(rspec, fa, fb)).scale(sign)
-        return t1 + t2 + t3
+    def kern(a, b):
+        sign = 1 if mono_parity(a) else -1  # (-1)^{p(a)}, p reversed
+        acc = {}
+        d = mono_partial(a, xc)
+        r = d and mono_mul(d[1], b)
+        if r:
+            acc[r[1]] = sign * S * d[0] * r[0]
+        d = mono_partial(b, xc)
+        r = d and mono_mul(a, d[1])
+        if r:
+            vec_iadd(acc, {r[1]: S * d[0] * r[0]})
+        xbr = {}
+        for y, v in br(a, b).items():
+            r = mono_mul(xi_c, y)
+            if r:
+                xbr[r[1]] = r[0] * v
+        vec_iadd(acc, xbr, sign)
+        return acc
 
-    return _jordan_from_product(m, n2, deg, prod, f"J(H({2*k},{n}),a)|deg{deg}")
+    return _jordan_from_product(m, n2, deg, (S, kern), f"J(H({2*k},{n}),a)|deg{deg}")
 
 
 def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3):
@@ -558,28 +575,40 @@ def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3):
         f o g = (-1)^{p(f)} ( df/dxi_c g + {xi_c f, g} + xi_c (1-E)(f) dg/dt
                               - xi_c df/dt (1-E)(g) )
     with E the Euler operator in the non-t variables and {.,.} the diagonal
-    restriction (t inert); p is the reversed parity."""
+    restriction (t inert); p is the reversed parity.
+
+    The kernel sums S (a o b) on ints for monomials a, b, S the scale of
+    the inert-t bracket's kernel: the bracket kernel's ints S {xi_c a, b},
+    and the other three terms from `mono_partial`, `mono_mul` and
+    (1-E)(a) = (1 - `_non_t_degree`(a)) a, times S."""
     m, n2 = 2 * k + 1, n - 2
-    c = n2 - 1
-    rspec = _inert_t_h_spec(k, n2)
-    one = Fraction(1)
-    t_ref = even_var(0)
+    xc, t = odd_var(n2 - 1), even_var(0)
+    xi_c = ((0,) * m, (n2 - 1,))
+    S, br = bracket_kernel(_inert_t_h_spec(k, n2))
 
-    def prod(a, b):
-        fa = SuperPoly(m, n2, {a: one})
-        fb = SuperPoly(m, n2, {b: one})
-        pj = (mono_parity(a) + 1) & 1
-        sign = -1 if pj else 1
-        xi_c = SuperPoly.variable(m, n2, odd_var(c))
-        t1 = mul(partial(fa, odd_var(c)), fb)
-        t2 = bracket(rspec, mul(xi_c, fa), fb)
-        one_minus_e_a = fa - euler(fa, include_time=False)
-        one_minus_e_b = fb - euler(fb, include_time=False)
-        t3 = mul(mul(xi_c, one_minus_e_a), partial(fb, t_ref))
-        t4 = mul(mul(xi_c, partial(fa, t_ref)), one_minus_e_b)
-        return (t1 + t2 + t3 - t4).scale(sign)
+    def kern(a, b):
+        sign = 1 if mono_parity(a) else -1  # (-1)^{p(a)}, p reversed
+        acc = {}
+        d = mono_partial(a, xc)
+        r = d and mono_mul(d[1], b)
+        if r:
+            acc[r[1]] = sign * S * d[0] * r[0]
+        ca = mono_mul(xi_c, a)
+        if ca is None:  # xi_c a = 0 kills the other three terms
+            return acc
+        s, xa = ca
+        vec_iadd(acc, br(xa, b), sign * s)
+        d = mono_partial(b, t)
+        r = d and mono_mul(xa, d[1])
+        if r:
+            vec_iadd(acc, {r[1]: S * d[0] * r[0] * (1 - _non_t_degree(a))}, sign * s)
+        d = mono_partial(xa, t)  # d(xi_c a)/dt = xi_c da/dt
+        r = d and mono_mul(d[1], b)
+        if r:
+            vec_iadd(acc, {r[1]: S * d[0] * r[0] * (_non_t_degree(b) - 1)}, sign * s)
+        return acc
 
-    return _jordan_from_product(m, n2, deg, prod, f"J(K({2*k+1},{n}),a)|deg{deg}")
+    return _jordan_from_product(m, n2, deg, (S, kern), f"J(K({2*k+1},{n}),a)|deg{deg}")
 
 
 def _double_factor_map(monos_src, n_src: int, deg: int, m_t: int, n_t: int):

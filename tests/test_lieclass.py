@@ -20,10 +20,11 @@ from jsalg.lieclass import (
     h_zero_n_lie,
     killing_pairing,
     killing_row,
+    _non_t_degree,
     short_subalgebra_jordan_h,
     short_subalgebra_jordan_k,
 )
-from jsalg.superpoly import SuperPoly, euler
+from jsalg.superpoly import mono_degree
 from jsalg.tkk import check_lie_table
 
 
@@ -214,27 +215,43 @@ def test_example72_splitting():
         assert r.passed and r.certified_span["certifiedPairs"] > 0
 
 
-def _euler_without_odds(f, include_time=False):
-    # corrupt Euler operator: count only the even non-t generators
-    out = SuperPoly(f.m, f.n)
-    for mono, c in f.terms.items():
-        d = sum(mono[0]) - (mono[0][0] if f.m else 0)
-        if d:
-            out.terms[mono] = c * d
-    return out
+def _degree_without_odds(mono):
+    # corrupt Euler eigenvalue: count only the even non-t generators
+    return sum(mono[0]) - mono[0][0]
+
+
+def _same_table(a, b):
+    return a.table == b.table and a.out_of_span == b.out_of_span
 
 
 def test_example72_negative_control(monkeypatch):
     assert not example72_iso(0, 4, 3, flip_eta=True).passed
-    monkeypatch.setattr(lieclass, "euler", _euler_without_odds)
+    clean, _, _ = short_subalgebra_jordan_k(0, 4, 3)
+    monkeypatch.setattr(lieclass, "_non_t_degree", _degree_without_odds)
+    corrupt, _, _ = short_subalgebra_jordan_k(0, 4, 3)
+    assert not _same_table(corrupt, clean)
     assert not example72_iso(0, 4, 3).passed
 
 
 def test_euler_time_inclusion_is_invisible(monkeypatch):
     # the contact product is invariant under adding the t-term to the Euler
     # operator: the change cancels between the two antisymmetrized terms
+    # (the lemma of test_poly_kernels' reference t-term test)
     a1, _, _ = short_subalgebra_jordan_k(0, 4, 3)
-    monkeypatch.setattr(lieclass, "euler",
-                        lambda f, include_time=False: euler(f, include_time=True))
+    moved = []
+
+    def with_time(mono):
+        if mono[0][0]:
+            moved.append(mono)
+        return mono_degree(mono)
+
+    monkeypatch.setattr(lieclass, "_non_t_degree", with_time)
     a2, _, _ = short_subalgebra_jordan_k(0, 4, 3)
-    assert a1.table == a2.table and a1.out_of_span == a2.out_of_span
+    assert moved  # the kernel read a degree the mutant changed
+    assert _same_table(a2, a1)
+    # the cancellation needs a change proportional to the t exponent: one more
+    # on every monomial that holds t, through the same degree, is visible
+    monkeypatch.setattr(lieclass, "_non_t_degree",
+                        lambda mono: _non_t_degree(mono) + (1 if mono[0][0] else 0))
+    a3, _, _ = short_subalgebra_jordan_k(0, 4, 3)
+    assert not _same_table(a3, a1)
