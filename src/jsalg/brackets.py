@@ -146,9 +146,6 @@ class DerivationD:
                 terms.append((val, odd_var(j)))
         return DerivationD(m, n, tuple(terms))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_even(self) -> bool:
         return all(mono_parity(mono) == (v.kind == "odd")
                    for poly, v in self.terms for mono in poly.terms)

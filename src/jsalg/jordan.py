@@ -9,16 +9,21 @@ skips exactly the tuples that would need such a product and reports the
 certified count, so a pass is always an exact claim about a stated finite
 set.
 
-The three table identity checkers (check_jordan, check_relation10 and
-tkk.check_lie_table) read one table oracle, `_scaled_products`: rows[i][j]
-is scale * (e_i o e_j) as a sparse dict of ints, {} for a zero product and
-None for an out-of-span pair, with scale the lcm of the table's
-denominators.  They accumulate through one primitive, `_mul_into`, in
-chunk workers of the identity engine `report.scan`, which count certified
-and skipped tuples up to their first failure; `_table_report` builds the
-report.  Every identity is homogeneous, so a residual of degree d in the
-structure constants is scale**d times the exact one; `_table_report`
-divides by scale**d when it reports residual coordinates.
+Every product on a table reads one table oracle, `FiniteSuperAlgebra.oracle`:
+rows[i][j] is scale * (e_i o e_j) as a sparse dict of ints, {} for a zero
+product and None for an out-of-span pair, with scale the lcm of the
+table's denominators.  It is built once per table and kept, which rests on
+a contract: a table is not changed after construction.  No other module
+builds an oracle.  Every product accumulates through one primitive,
+`_mul_into`: `mul_vectors` (which makes the Fractions of its answer only
+at the end), the ideal closure, tkk's realization, and the three table
+identity checkers (check_jordan, check_relation10 and
+tkk.check_lie_table), which run in chunk workers of the identity engine
+`report.scan` that count certified and skipped tuples up to their first
+failure; `_table_report` builds the report.  Every identity is
+homogeneous, so a residual of degree d in the structure constants is
+scale**d times the exact one; `_table_report` divides by scale**d when it
+reports residual coordinates.
 
 The Jordan scan reads per-pair multiplication maps: a chunk worker builds
 L[x] = (e_p e_q) o e_x once per unordered pair {p, q}, on first use, so
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from functools import cached_property
 
 from .brackets import BracketSpec, bracket_kernel
 from .linalg import CoordSolver, Echelon, scaled_ints, solve_linear, vec_iadd
@@ -55,6 +61,10 @@ class FiniteSuperAlgebra:
     zero product); pairs in out_of_span have no stored product at all.  The
     constructor drops zero coefficients and the products they leave empty,
     so no stored vector holds a zero.
+
+    A table is not changed after construction: `oracle` is computed from
+    it once and kept, so a changed table would go on reading the old
+    products.  To change one, build a new FiniteSuperAlgebra.
     """
 
     def __init__(self, labels, parities, table, out_of_span=(), name=""):
@@ -85,21 +95,36 @@ class FiniteSuperAlgebra:
             return None
         return self.table.get((i, j), {})
 
+    @cached_property
+    def oracle(self):
+        """The table oracle: (rows, scale) with rows[i][j] = scale * (e_i o
+        e_j) as a sparse dict of ints with no zero entries, {} for a zero
+        product and None for an out-of-span pair.  The table's denominators
+        are cleared to plain ints (scale = their lcm; identities are
+        homogeneous, so scaling preserves zero-tests).  The rows are shared
+        and read-only."""
+        scale = math.lcm(1, *(c.denominator
+                              for vec in self.table.values() for c in vec.values()))
+        rows = [[{}] * self.dim for _ in range(self.dim)]
+        for (i, j), vec in self.table.items():
+            rows[i][j] = {k: c.numerator * (scale // c.denominator) for k, c in vec.items()}
+        for i, j in self.out_of_span:
+            rows[i][j] = None
+        return rows, scale
+
     def mul_vectors(self, u: dict, v: dict):
-        """Product of two coordinate vectors; None if it needs an
-        out-of-span pair."""
-        out: dict = {}
-        for i, ci in u.items():
-            if not ci:
-                continue
-            for j, cj in v.items():
-                if not cj:
-                    continue
-                prod = self.product(i, j)
-                if prod is None:
-                    return None
-                vec_iadd(out, prod, ci * cj)
-        return out
+        """Product of two coordinate vectors, with no zero entries; None if
+        a pair of nonzero coefficients is out of span.  It runs `_mul_into`
+        on the int vectors over the oracle and makes one Fraction per
+        nonzero coordinate."""
+        rows, scale = self.oracle
+        iu, su = scaled_ints(u)
+        iv, sv = scaled_ints(v)
+        acc: dict = {}
+        if not _mul_into(acc, rows, iu, iv):
+            return None
+        den = su * sv * scale
+        return {k: Fraction(x, den) for k, x in acc.items() if x}
 
     def parity_consistent(self) -> bool:
         for (i, j), vec in self.table.items():
@@ -256,22 +281,6 @@ def _is_int(x) -> bool:
 # -- the table identity engine -------------------------------------------------------
 
 
-def _scaled_products(J: FiniteSuperAlgebra):
-    """The table oracle: (rows, scale) with rows[i][j] = scale * (e_i o e_j)
-    as a sparse dict with no zero entries, {} for a zero product and None
-    for an out-of-span pair.  The table's denominators are cleared to plain
-    ints (scale = their lcm; identities are homogeneous, so scaling
-    preserves zero-tests).  The rows are shared and read-only."""
-    scale = math.lcm(1, *(c.denominator
-                          for vec in J.table.values() for c in vec.values()))
-    rows = [[{}] * J.dim for _ in range(J.dim)]
-    for (i, j), vec in J.table.items():
-        rows[i][j] = {k: int(c * scale) for k, c in vec.items()}
-    for i, j in J.out_of_span:
-        rows[i][j] = None
-    return rows, scale
-
-
 def _mul_into(acc: dict, rows, u: dict, v: dict, s: int = 1) -> bool:
     """acc += s * (u o v), s = +-1, over the oracle rows; False on the first
     product of nonzero coefficients that is out of span (acc is then
@@ -302,28 +311,24 @@ def _mul_into(acc: dict, rows, u: dict, v: dict, s: int = 1) -> bool:
 
 
 def _table_report(suite, J: FiniteSuperAlgebra, t0, worker, workers, unit, span,
-                  residual_degree=0, oracle=None) -> Report:
+                  residual_degree) -> Report:
     """Run one identity scan over J's table oracle and build its report.
 
     worker is a chunk worker of `report.scan` on the payload (rows,
-    parities, dim).  The first nonzero residual is the counterexample; with
-    residual_degree d its coordinates are reported exactly, divided by
-    scale**d.  A scan that certifies no tuple fails: a pass must be a claim
-    about a nonempty set.  oracle is J's `_scaled_products`, built here when
-    the caller has not built it.
+    parities, dim).  The first nonzero residual is the counterexample, its
+    coordinates reported exactly: the identity has degree residual_degree
+    in the structure constants, so they are divided by scale**d.  A scan
+    that certifies no tuple fails: a pass must be a claim about a nonempty
+    set.
     """
-    rows, scale = oracle or _scaled_products(J)
+    rows, scale = J.oracle
     certified, skipped, fail = scan(worker, (rows, J.parities, J.dim), J.dim, workers)
     ce = None
     if fail is not None:
         _identity, idx, res = fail
-        ce = {"indices": list(idx), "labels": [J.labels[t] for t in idx]}
-        if residual_degree:
-            den = scale ** residual_degree
-            ce["residualCoords"] = {
-                str(k): str(Fraction(v, den))
-                for k, v in res.items() if v
-            }
+        den = scale ** residual_degree
+        ce = {"indices": list(idx), "labels": [J.labels[t] for t in idx],
+              "residualCoords": {str(k): str(Fraction(v, den)) for k, v in res.items() if v}}
     elif certified == 0:
         ce = {"reason": f"no {unit} could be certified"}
     units = unit.capitalize() + "s"
@@ -367,9 +372,7 @@ def check_jordan(J: FiniteSuperAlgebra, workers=None) -> Report:
         )
     return _table_report(
         "jordan-identity", J, t0, _jordan_scan, workers, "quadruple",
-        {"dim": J.dim, "quantifier": "multisets a<=b<=c times all x"},
-        residual_degree=3,
-    )
+        {"dim": J.dim, "quantifier": "multisets a<=b<=c times all x"}, 3)
 
 
 def _jordan_scan(args):
@@ -483,11 +486,9 @@ def _relation10_report(J: FiniteSuperAlgebra, workers, jordan_passed) -> Report:
     when it has not been run); the lemma path runs only on a total table."""
     t0 = time.perf_counter()
     span = {"dim": J.dim, "quantifier": "ordered triples times all x"}
-    oracle = None
     if (J.is_total() and jordan_passed is None and J.parity_consistent()
             and J.commutativity_defect() is None):
-        oracle = _scaled_products(J)
-        certified, _skipped, fail = scan(_jordan_scan, (oracle[0], J.parities, J.dim),
+        certified, _skipped, fail = scan(_jordan_scan, (J.oracle[0], J.parities, J.dim),
                                          J.dim, workers)
         jordan_passed = fail is None and certified > 0
     if J.is_total() and jordan_passed:
@@ -499,7 +500,7 @@ def _relation10_report(J: FiniteSuperAlgebra, workers, jordan_passed) -> Report:
             elapsed_ms=(time.perf_counter() - t0) * 1000,
         )
     return _table_report("jordan-relation10", J, t0, _relation10_scan, workers,
-                         "quadruple", span, oracle=oracle)
+                         "quadruple", span, 3)
 
 
 def _relation10_scan(args):
@@ -559,7 +560,7 @@ def ideal_closure(J: FiniteSuperAlgebra, seed_vec: dict) -> Echelon:
     seed_vec (= the ideal it generates, for (anti)commutative tables)."""
     if not J.is_total():
         raise ValueError("ideal closure needs a total product table")
-    return _closure(_scaled_products(J)[0], seed_vec)
+    return _closure(J.oracle[0], seed_vec)
 
 
 def _closure(rows, seed_vec: dict) -> Echelon:
@@ -619,7 +620,7 @@ def check_simple(J: FiniteSuperAlgebra, seed: int = 0) -> bool:
                 v[i] = c
         if v:
             vectors.append(v)
-    rows, _ = _scaled_products(J)
+    rows = J.oracle[0]
     for v in vectors:
         if _closure(rows, v).rank != dim:
             return False

@@ -70,35 +70,26 @@ class ClassicalAlgebra:
         """Coordinates of a matrix over the basis, or None outside it."""
         return self.solver.solve(M)
 
+    @cached_property
     def algebra(self) -> FiniteSuperAlgebra:
         """The structure constants as an even table: c[(i, j)] holds the
         coordinates of [X_i, X_j]."""
-        if not hasattr(self, "_alg"):
-            self._alg = _algebra_from_matrices(self.basis, self.size, self.labels,
-                                               f"{self.family}({self.size})", lie=True,
-                                               solver=self.solver)
-        return self._alg
+        return _algebra_from_matrices(self.basis, self.size, self.labels,
+                                      f"{self.family}({self.size})", lie=True,
+                                      solver=self.solver)
 
     def structure(self):
         """c[(i, j)] = coordinates of [X_i, X_j]."""
-        return self.algebra().table
+        return self.algebra.table
 
     def ad(self, vec: dict) -> dict:
-        """ad of a coordinate vector, as a coordinate colmap."""
-        sc = self.structure()
-        out = {}
-        for j in range(self.dim):
-            col: dict = {}
-            for i, ci in vec.items():
-                p = sc.get((i, j))
-                if p:
-                    vec_iadd(col, p, ci)
-            if col:
-                out[j] = col
-        return out
+        """ad of a coordinate vector, as a coordinate colmap: column j is
+        [vec, X_j], stored when nonzero."""
+        return {j: col for j in range(self.dim)
+                if (col := self.algebra.mul_vectors(vec, {j: 1}))}
 
     def bracket_vec(self, u: dict, v: dict) -> dict:
-        return self.algebra().mul_vectors(u, v)
+        return self.algebra.mul_vectors(u, v)
 
 
 def classical(family: str, size: int) -> ClassicalAlgebra:
@@ -346,7 +337,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0):
             f: dict = {}
             for idx, c in enumerate(sol):
                 vec_iadd(f, plus[idx], c)
-            if not triple_failures(L.algebra(), e, h, f):
+            if not triple_failures(L.algebra, e, h, f):
                 triple = (e, h, f)
     return triple, records, {lam: len(v) for lam, v in eig.items()}
 

@@ -7,10 +7,6 @@ of odd generators xi1..xin.  Odd generators anticommute, so products and left
 partial derivatives pick up Koszul signs from reordering into canonical
 (ascending) form.  Coefficients are Fractions and zero terms are never stored,
 so equality is plain dict comparison.
-
-When a signature carries a distinguished contact variable t, it sits at even
-index 0 by convention; nothing in this module depends on that except
-`euler(..., include_time=False)`, which skips even index 0.
 """
 
 from __future__ import annotations
@@ -287,23 +283,6 @@ def partial(f: SuperPoly, v: VarRef) -> SuperPoly:
                 terms[new] = s
             else:
                 del terms[new]
-    out = SuperPoly(f.m, f.n)
-    out.terms = terms
-    return out
-
-
-def euler(f: SuperPoly, include_time: bool = True) -> SuperPoly:
-    """Euler operator: each monomial scaled by its degree in the counted
-    generators.  include_time=False skips even index 0 (the contact variable
-    t by convention)."""
-    terms: dict = {}
-    for mono, c in f.terms.items():
-        evens, odds = mono
-        d = sum(evens) + len(odds)
-        if not include_time and f.m > 0:
-            d -= evens[0]
-        if d:
-            terms[mono] = c * d
     out = SuperPoly(f.m, f.n)
     out.terms = terms
     return out

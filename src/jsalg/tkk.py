@@ -9,9 +9,10 @@ set where it is defined, and every application is domain-checked, so on a
 degree-truncated carrier a result certifies the stated window exactly.  For
 a total J the carrier is J and the window is its whole basis: that is TKK.
 
-The realization runs on ints.  L_a and P are read off the one table oracle
-of `jordan._scaled_products`: rows[i][j] = s * (e_i o e_j) as a dict of
-ints, with s the lcm of the table's denominators.  Every operator and
+The realization runs on ints.  L_a and P are read off the one table oracle,
+`FiniteSuperAlgebra.oracle`: rows[i][j] = s * (e_i o e_j) as a dict of
+ints, with s the lcm of the table's denominators, built once per table and
+shared, since a table is not changed after construction.  Every operator and
 tensor stores int entries and an integer `scale`, and stands for its
 entries divided by that scale: L_a and P have scale s, a bracket's scale
 is the product of its arguments' scales, and a degree -1 basis vector has
@@ -56,8 +57,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jordan import (FiniteSuperAlgebra, _mul_into, _scaled_products, _table_report,
-                     check_simple, hom_scan)
+from .jordan import FiniteSuperAlgebra, _mul_into, _table_report, check_simple, hom_scan
 from .linalg import CoordSolver, Echelon, nullspace, scaled_ints, vec_iadd
 # solve_linear stays in this namespace: perfbench's tracer patches it here
 from .linalg import solve_linear  # noqa: F401
@@ -166,8 +166,9 @@ class WTensor:
 
 
 def _wop_from_left_mul(rows, scale: int, a: int) -> WOp:
-    """L_a from the table oracle rows of `jordan._scaled_products` (shared,
-    read-only) and their scale."""
+    """L_a from the rows of the one table oracle, `FiniteSuperAlgebra.oracle`
+    (shared and read-only: a table is not changed after construction), and
+    their scale."""
     cols = {}
     domain = set()
     for x, v in enumerate(rows[a]):
@@ -464,7 +465,7 @@ class TKK:
         d = J.dim
         par = J.parities
         self.win = frozenset(range(d))
-        rows, s = _scaled_products(J)
+        rows, s = J.oracle
         self.L = [_wop_from_left_mul(rows, s, a) for a in range(d)]
         self.P = _product_tensor(rows, s)
         self.g0 = _degree0(self.L, range(d), par, self.win, d, s * s)
@@ -485,13 +486,6 @@ class TKK:
             else:
                 ev += 1
         return (ev, od)
-
-    def graded_dims(self):
-        return {
-            -1: self.J.dim,
-            0: len(self.g0.rows),
-            1: len(self.g1.rows),
-        }
 
     def triple(self) -> Sl2Triple | None:
         """(e, -L_e, P): e the unit, h of scale q * s for q the lcm of the
@@ -762,7 +756,7 @@ def check_lie_table(alg: FiniteSuperAlgebra, workers=None) -> Report:
             "fail",
             {"reason": "not anticommutative", "indices": list(defect[:2])},
         )
-    return _table_report("lie-table", alg, t0, _jacobi_scan, workers, "triple", {})
+    return _table_report("lie-table", alg, t0, _jacobi_scan, workers, "triple", {}, 2)
 
 
 def _jacobi_scan(args):
@@ -858,7 +852,7 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
     for w in range(1, dimC):
         if all((w, x) not in carrier_t.out_of_span for x in window):
             span_gens.append(w)
-    rows, sc = _scaled_products(carrier_t)
+    rows, sc = carrier_t.oracle
     L = {w: _wop_from_left_mul(rows, sc, w) for w in span_gens}
     ident = WOp(identity_matrix(dimC, 1), frozenset(range(dimC)), 1)
     P = _product_tensor(rows, sc)

@@ -43,20 +43,28 @@ def test_criterion_3_schouten():
     assert _sha256(r) == "3cfc150299e6e628afb6e8907570a219fbc43f5208e114d30949528e709d9a4a"
 
 
+# criteria 4-7 run the table product kernel; their canonical JSON is
+# pinned as the Fraction accumulate loop of mul_vectors gave it
+
+
 def test_criterion_4_tkk():
-    _run("4 tkk", acc.criterion_4_tkk)
+    r = _run("4 tkk", acc.criterion_4_tkk)
+    assert _sha256(r) == "8f9d9ea2ae6bd560c3ec5f2f23b3d5dba578c40aff808deb0c7e35b4830eb53c"
 
 
 def test_criterion_5_simplicity():
-    _run("5 simplicity", acc.criterion_5_simplicity)
+    r = _run("5 simplicity", acc.criterion_5_simplicity)
+    assert _sha256(r) == "1581fb52ba974acdb55ea488ac3ac8b411673d7ab1ed52bd98756b9d30276341"
 
 
 def test_criterion_6_short_gradings():
-    _run("6 short-gradings", acc.criterion_6_short_gradings)
+    r = _run("6 short-gradings", acc.criterion_6_short_gradings)
+    assert _sha256(r) == "8af45a48e9bdb6cf34527d4bad17213fa6ebc1bcd7930ce3f9cc1cba6713385f"
 
 
 def test_criterion_7_isomorphisms():
-    _run("7 isomorphisms", acc.criterion_7_isomorphisms)
+    r = _run("7 isomorphisms", acc.criterion_7_isomorphisms)
+    assert _sha256(r) == "05d12dec58e304917322276ccf6ea00bc5c219ecf13185615a7938979e98e47c"
 
 
 def test_criterion_8_semidirect():

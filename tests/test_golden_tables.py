@@ -117,7 +117,7 @@ def table_digest(J):
 
 BUILDER_TABLES = {
     **{f"catalog {name}": thunk for name, thunk in identity_catalog()},
-    **{f"classical {fam}{size}": lambda f=fam, s=size: classical(f, s).algebra()
+    **{f"classical {fam}{size}": lambda f=fam, s=size: classical(f, s).algebra
        for fam, size in SHORT_GRADING_TARGETS},
     "H(0,3)": lambda: h_zero_n_lie(3),
     **{f"build_hk {kind}({k},{n})": lambda a=kind, b=k, c=n: build_hk(a, b, c, 3)[0].algebra

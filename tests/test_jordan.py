@@ -9,7 +9,6 @@ from jsalg.jordan import (
     FAMILIES,
     FiniteSuperAlgebra,
     _closure,
-    _scaled_products,
     build,
     build_jck,
     build_js,
@@ -313,6 +312,6 @@ def test_closure_skips_a_product_that_leaves_the_span_whole():
     one = {2: Fraction(1)}
     J = FiniteSuperAlgebra(["a", "b", "c"], [0, 0, 0], {(0, 2): one, (2, 0): one},
                            {(0, 1)})
-    rows, _ = _scaled_products(J)
+    rows = J.oracle[0]
     assert _closure(rows, {1: 1, 2: 1}).rank == 1
     assert _closure(rows, {0: 1}).rank == 2

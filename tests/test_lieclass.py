@@ -1,8 +1,11 @@
 """Classical short gradings, the H/K fragments, and the double splittings."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsalg import lieclass
 from jsalg.brackets import BracketSpec
@@ -24,12 +27,42 @@ from jsalg.lieclass import (
     short_subalgebra_jordan_h,
     short_subalgebra_jordan_k,
 )
+from jsalg.linalg import vec_iadd
 from jsalg.superpoly import mono_degree
 from jsalg.tkk import check_lie_table
 
 
 def _coords(L, mat):
     return {k: c for k, c in enumerate(L.to_coords(mat)) if c}
+
+
+def reference_ad(L, vec):
+    """ad vec as a coordinate colmap by the column loop over the structure
+    constants: column j sums c_i [X_i, X_j]."""
+    sc = L.structure()
+    out = {}
+    for j in range(L.dim):
+        col: dict = {}
+        for i, ci in vec.items():
+            p = sc.get((i, j))
+            if p:
+                vec_iadd(col, p, ci)
+        if col:
+            out[j] = col
+    return out
+
+
+cached_classical = cache(classical)
+
+
+@pytest.mark.parametrize("fam, size", [("sl", 4), ("so", 5), ("sp", 4)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ad_matches_the_column_loop(fam, size, data):
+    L = cached_classical(fam, size)
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 7))
+    vec = data.draw(st.dictionaries(st.integers(0, L.dim - 1), coeff, max_size=L.dim))
+    assert L.ad(vec) == reference_ad(L, vec)
 
 
 def test_killing_value_sl4():
@@ -133,7 +166,7 @@ def test_sl1_constructs_but_its_empty_table_is_refused():
     L = classical("sl", 1)
     assert L.dim == 0
     with pytest.raises(ValueError, match="empty basis"):
-        L.algebra()
+        L.algebra
 
 
 def test_so_below_five_is_refused():

@@ -4,9 +4,9 @@ per-term SuperPoly references.
 `lieclass.short_subalgebra_jordan_h`, `lieclass.short_subalgebra_jordan_k`
 and `jordan.kkm_double` sum their products on ints over monomials.  The
 references below evaluate the same formulas on SuperPoly objects with
-Fraction coefficients (`mul`, `partial`, `euler`, `bracket`), one basis
-pair at a time, and build the table the way the builders did before they
-moved onto kernels.  A table must agree with its reference entry for
+Fraction coefficients (`mul`, `partial`, `bracket` and the Euler operator
+`euler` below), one basis pair at a time, and build the table the way the
+builders did before they moved onto kernels.  A table must agree with its reference entry for
 entry, in the key order of every entry (the iso reports print product
 vectors in dict order) and in its out-of-span pairs."""
 
@@ -24,7 +24,6 @@ from jsalg.lieclass import (
 )
 from jsalg.superpoly import (
     SuperPoly,
-    euler,
     even_var,
     mono_degree,
     mono_parity,
@@ -82,6 +81,17 @@ def ref_jordan_h(k: int, n: int, deg: int) -> FiniteSuperAlgebra:
 
     return ref_table(monomials_total_degree(m, n2, deg), deg, prod, 1,
                      f"J(H({2*k},{n}),a)|deg{deg}")
+
+
+def euler(f: SuperPoly, include_time: bool) -> SuperPoly:
+    """The Euler operator: each monomial times its degree, where the degree
+    counts the even variable 0 (the contact variable t) only when
+    include_time."""
+    terms = {}
+    for mono, c in f.terms.items():
+        d = mono_degree(mono) - (0 if include_time else mono[0][0])
+        terms[mono] = c * d
+    return SuperPoly(f.m, f.n, terms)
 
 
 @cache

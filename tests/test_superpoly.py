@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from jsalg.superpoly import (
     SuperPoly,
-    euler,
     even_var,
     merge_odds,
     mono_parity,
@@ -65,19 +64,6 @@ def test_partial_out_of_range():
 def test_signature_mismatch():
     with pytest.raises(ValueError):
         mul(x(0, 1, 0), x(0, 2, 0))
-
-
-def test_euler_degree_two():
-    f = mul(x(0), x(1))
-    assert euler(f) == f.scale(2)
-    g = mul(xi(0), xi(1))
-    assert euler(g) == g.scale(2)
-
-
-def test_euler_excludes_time_slot():
-    t = x(0, 1, 1)
-    assert euler(t, include_time=False).is_zero()
-    assert euler(t, include_time=True) == t
 
 
 def test_render_parse_roundtrip_canonical():

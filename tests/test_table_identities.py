@@ -5,17 +5,26 @@ the kernel it replaced, relation (10) from the Jordan scan, and the
 one-pass symmetry pre-check.
 
 The golden canonical JSON was recorded from the three checkers as they were
-before they shared one oracle and one scan loop.  The one deliberate
-difference is `residualCoords` of check_jordan on a table with
-denominators: the old checker reported the residual times scale**3 (for the
-planted gl(2,2)+ below, "-12" instead of "-3/2").
+before they shared one oracle and one scan loop.  Two deliberate
+differences: `residualCoords` of check_jordan on a table with denominators
+(the old checker reported the residual times scale**3; for the planted
+gl(2,2)+ below, "-12" instead of "-3/2"), and the `residualCoords` that the
+failing relation (10) and Lie-table reports carry since every table report
+gives its residual.
+
+The references here do not run the kernel under test: `frac_mul` is a
+product of coordinate vectors in Fractions over `FiniteSuperAlgebra.product`,
+while `mul_vectors` and every scan accumulate ints through `_mul_into` over
+the table oracle.  `mul_vectors` is checked against `frac_mul` on random
+tables; the reported residuals of the three checkers against residuals
+written out through `frac_mul`.
 
 `reference_jordan_scan` below is the Jordan kernel that recomputed u o x
 and u o (w o x) for every multiset; the pair-map kernel must give the same
 counts, the same first failing tuple and the same residual.  The lemma of
 `check_relation10` is checked on random supercommutative tables against
-residuals written out in Fractions through `FiniteSuperAlgebra.mul_vectors`,
-and those residuals against the ones the two scans report.
+the Fraction residuals, and those residuals against the ones the two scans
+report.
 """
 
 import json
@@ -32,7 +41,6 @@ from jsalg.jordan import (
     _jordan_scan,
     _mul_into,
     _relation10_scan,
-    _scaled_products,
     _table_report,
     build_jck,
     build_js,
@@ -117,9 +125,29 @@ def test_golden_table_identity_reports(name, workers):
     assert case_report(name, workers).to_json() == GOLDEN[name]
 
 
+def frac_mul(J, u, v):
+    """u o v for coordinate vectors, in Fractions over J.product, without
+    zero entries; None when a pair of nonzero coefficients is out of span."""
+    out: dict = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            if not (ci and cj):
+                continue
+            p = J.product(i, j)
+            if p is None:
+                return None
+            for k, c in p.items():
+                out[k] = out.get(k, 0) + Fraction(ci) * cj * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _add(res, vec, s):
+    for k, v in vec.items():
+        res[k] = res.get(k, 0) + s * v
+
+
 def jordan_residual(J, a, b, c, x):
-    """The residual check_jordan reports, in exact arithmetic on the table
-    through FiniteSuperAlgebra.mul_vectors."""
+    """The residual check_jordan reports, in Fractions through frac_mul."""
     par = J.parities
     res: dict = {}
     for u, w, s_odd, pu in (((a, b), c, par[a] and par[c], par[a] + par[b]),
@@ -128,21 +156,68 @@ def jordan_residual(J, a, b, c, x):
         s = -1 if s_odd else 1
         sw = -1 if (pu & 1 and par[w]) else 1
         uv = J.product(*u)
-        t1 = J.mul_vectors(uv, J.product(w, x))
-        t2 = J.mul_vectors({w: 1}, J.mul_vectors(uv, {x: 1}))
-        for k, v in t1.items():
-            res[k] = res.get(k, 0) + s * v
-        for k, v in t2.items():
-            res[k] = res.get(k, 0) - s * sw * v
+        _add(res, frac_mul(J, uv, J.product(w, x)), s)
+        _add(res, frac_mul(J, {w: 1}, frac_mul(J, uv, {x: 1})), -s * sw)
     return {str(k): str(v) for k, v in res.items() if v}
 
 
-@pytest.mark.parametrize("name", ["gl(2,2)+", "F", "JCK|deg1"])
+def relation10_residual(J, a, b, c, x):
+    """K(c o x) - (-1)^{(p(a)+p(b))p(c)} c o K(x) - (-1)^{p(b)p(c)} v o x with
+    K(y) = a o (b o y) - (-1)^{p(a)p(b)} b o (a o y) and v = a o (c o b) -
+    (a o c) o b, in Fractions through frac_mul, for a tuple whose products
+    stay in span."""
+    p = J.parities
+
+    def mul(u, v):
+        return frac_mul(J, u, v)
+
+    def K(y):
+        out: dict = {}
+        _add(out, mul({a: 1}, mul({b: 1}, y)), 1)
+        _add(out, mul({b: 1}, mul({a: 1}, y)), 1 if p[a] and p[b] else -1)
+        return out
+
+    v: dict = {}
+    _add(v, mul({a: 1}, J.product(c, b)), 1)
+    _add(v, mul(J.product(a, c), {b: 1}), -1)
+    res: dict = {}
+    _add(res, K(J.product(c, x)), 1)
+    _add(res, mul({c: 1}, K({x: 1})), 1 if ((p[a] + p[b]) & 1) and p[c] else -1)
+    _add(res, mul(v, {x: 1}), 1 if p[b] and p[c] else -1)
+    return {str(k): str(w) for k, w in res.items() if w}
+
+
+def jacobi_residual(J, a, b, c):
+    """a(bc) - (ab)c - (-1)^{p(a)p(b)} b(ac), in Fractions through frac_mul."""
+    res: dict = {}
+    _add(res, frac_mul(J, {a: 1}, J.product(b, c)), 1)
+    _add(res, frac_mul(J, J.product(a, b), {c: 1}), -1)
+    _add(res, frac_mul(J, {b: 1}, J.product(a, c)), 1 if J.parities[a] and J.parities[b] else -1)
+    return {str(k): str(v) for k, v in res.items() if v}
+
+
+RESIDUALS = {check_jordan: jordan_residual, check_relation10: relation10_residual,
+             check_lie_table: jacobi_residual}
+
+
+# a failing table report and the planted case it comes from
+RESIDUAL_CASES = {
+    **{name: f"check_jordan planted {name}" for name in ("gl(2,2)+", "F", "JCK|deg1")},
+    **{f"relation10 {name}": f"check_relation10 planted {name}"
+       for name in ("gl(2,2)+", "JP(1,2)|deg3")},
+    **{f"lie-table {name}": f"check_lie_table planted {name}"
+       for name in ("Lie(F)", "K(3,3)|deg3")},
+}
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_CASES))
 def test_jordan_residual_coords_are_exact(name):
-    r = case_report(f"check_jordan planted {name}")
-    bad = planted(table(name), *CASES[f"check_jordan planted {name}"][2])
+    """Every failing table report gives the exact residual of its tuple."""
+    check, alg, position = CASES[RESIDUAL_CASES[name]]
+    r = case_report(RESIDUAL_CASES[name])
+    bad = planted(table(alg), *position, anti=check is check_lie_table)
     assert not r.passed
-    assert r.counterexample["residualCoords"] == jordan_residual(
+    assert r.counterexample["residualCoords"] == RESIDUALS[check](
         bad, *r.counterexample["indices"])
     if name == "gl(2,2)+":
         assert r.counterexample["residualCoords"] == {"2": "-3/2"}
@@ -161,6 +236,53 @@ def test_a_scan_with_nothing_certified_fails():
         for J in (empty, lone):
             r = check(J)
             assert r.counterexample == {"reason": "no quadruple could be certified"}
+
+
+# -- mul_vectors on the table oracle -------------------------------------------------
+
+# small constants with denominators <= 7, so that sums cancel often
+SMALL = st.builds(Fraction, st.sampled_from([-2, -1, -1, 0, 1, 1, 3]), st.integers(1, 7))
+
+
+@st.composite
+def parity_consistent_tables(draw):
+    """A parity-consistent table of dimension <= 6, not necessarily
+    supercommutative, with constants from SMALL and some pairs out of
+    span."""
+    dim = draw(st.integers(1, 6))
+    par = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    table, oos = {}, set()
+    for i in range(dim):
+        for j in range(dim):
+            if draw(st.integers(0, 4)) == 0:
+                oos.add((i, j))
+                continue
+            q = (par[i] + par[j]) & 1
+            table[(i, j)] = {k: draw(SMALL) for k in range(dim)
+                             if par[k] == q and draw(st.booleans())}
+    return FiniteSuperAlgebra([f"e{i}" for i in range(dim)], par, table, oos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_consistent_tables(), st.data())
+def test_mul_vectors_is_the_fraction_product(J, data):
+    rows, scale = J.oracle
+    for i in range(J.dim):
+        for j in range(J.dim):
+            prod = J.product(i, j)
+            assert rows[i][j] == (None if prod is None
+                                  else {k: c * scale for k, c in prod.items()})
+    # vectors with zero entries; SMALL repeats values, so terms cancel
+    vector = st.dictionaries(st.integers(0, J.dim - 1), SMALL, max_size=J.dim)
+    for _ in range(4):
+        u, v = data.draw(vector), data.draw(vector)
+        got = J.mul_vectors(u, v)
+        assert got == frac_mul(J, u, v)
+        blocked = any((i, j) in J.out_of_span
+                      for i, ci in u.items() if ci for j, cj in v.items() if cj)
+        assert (got is None) == blocked
+        if got is not None:
+            assert all(isinstance(c, Fraction) and c for c in got.values())
 
 
 # -- the Jordan kernel on per-pair maps ---------------------------------------------
@@ -213,7 +335,7 @@ def reference_jordan_scan(args):
 
 def outcome(worker, J, workers):
     """(certified, skipped, first tuple, residual without zeros) of a scan."""
-    certified, skipped, fail = scan(worker, (_scaled_products(J)[0], J.parities, J.dim),
+    certified, skipped, fail = scan(worker, (J.oracle[0], J.parities, J.dim),
                                     J.dim, workers)
     if fail is None:
         return certified, skipped, None, None
@@ -243,33 +365,6 @@ def test_pair_map_kernel_matches_the_reference(name, workers):
 
 
 # -- relation (10) from two Jordan instances ----------------------------------------
-
-
-def _add(res, vec, s):
-    for k, v in vec.items():
-        res[k] = res.get(k, 0) + s * v
-
-
-def relation10_residual(J, a, b, c, x):
-    """K(c o x) - (-1)^{(p(a)+p(b))p(c)} c o K(x) - (-1)^{p(b)p(c)} v o x with
-    K(y) = a o (b o y) - (-1)^{p(a)p(b)} b o (a o y) and v = a o (c o b) -
-    (a o c) o b, in Fractions on a total table."""
-    p, mul = J.parities, J.mul_vectors
-
-    def K(y):
-        out: dict = {}
-        _add(out, mul({a: 1}, mul({b: 1}, y)), 1)
-        _add(out, mul({b: 1}, mul({a: 1}, y)), 1 if p[a] and p[b] else -1)
-        return out
-
-    v: dict = {}
-    _add(v, mul({a: 1}, J.product(c, b)), 1)
-    _add(v, mul(J.product(a, c), {b: 1}), -1)
-    res: dict = {}
-    _add(res, K(J.product(c, x)), 1)
-    _add(res, mul({c: 1}, K({x: 1})), 1 if ((p[a] + p[b]) & 1) and p[c] else -1)
-    _add(res, mul(v, {x: 1}), 1 if p[b] and p[c] else -1)
-    return {str(k): str(w) for k, w in res.items() if w}
 
 
 def lemma_signs(pa, pb, pc, px):
@@ -303,7 +398,7 @@ def supercommutative_tables(draw):
 
 def first_failure(worker, J):
     """(tuple, residual divided by scale**3) of a scan's first failure."""
-    rows, scale = _scaled_products(J)
+    rows, scale = J.oracle
     fail = worker(((rows, J.parities, J.dim), 0, J.dim))
     if fail[2] is None:
         return None
@@ -330,7 +425,7 @@ def test_relation10_residual_is_a_signed_sum_of_two_jordan_residuals(J, data):
             assert fail[1] == residual(J, *fail[0])
     # the lemma path gives the bytes of the relation (10) scan
     scanned = _table_report("jordan-relation10", J, 0.0, _relation10_scan, 1, "quadruple",
-                            {"dim": J.dim, "quantifier": "ordered triples times all x"})
+                            {"dim": J.dim, "quantifier": "ordered triples times all x"}, 3)
     assert check_relation10(J).to_json() == scanned.to_json()
 
 
@@ -359,7 +454,7 @@ def test_a_table_that_fails_jordan_gets_the_scanned_relation10_verdict(workers):
     assert r.certified_span["certifiedQuadruples"] == 5 ** 4
     assert r.to_json() == _table_report(
         "jordan-relation10", J, 0.0, _relation10_scan, workers, "quadruple",
-        {"dim": J.dim, "quantifier": "ordered triples times all x"}).to_json()
+        {"dim": J.dim, "quantifier": "ordered triples times all x"}, 3).to_json()
 
 
 def test_a_passing_jordan_scan_certifies_every_relation10_quadruple(monkeypatch):
