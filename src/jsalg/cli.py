@@ -221,7 +221,10 @@ def main(argv=None) -> int:
             return 0
         if args.command == "import":
             with open(args.path) as f:
-                data = json.load(f)
+                try:
+                    data = json.load(f)
+                except RecursionError:
+                    raise SystemExit2(f"{args.path}: JSON nested too deeply") from None
             J = jd.FiniteSuperAlgebra.from_json_dict(data)
             ev, od = J.sdim()
             print(f"ok: {J.name or 'algebra'} dim ({ev}|{od}), "

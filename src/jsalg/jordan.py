@@ -237,6 +237,9 @@ class FiniteSuperAlgebra:
         name = d.get("name", "")
         if not isinstance(name, str):
             raise ValueError("'name' must be a string")
+        for key in ("c", "outOfSpan"):
+            if not isinstance(d.get(key, []), list):
+                raise ValueError(f"{key!r} must be a list")
 
         def index(i):
             if not _is_int(i) or not 0 <= i < dim:
@@ -663,20 +666,30 @@ class IsoWitness:
         return {j: c for j, c in enumerate(self.matrix[i]) if c}
 
 
-def hom_scan(S: FiniteSuperAlgebra, T: FiniteSuperAlgebra, images):
-    """The intertwining scan of the linear map phi: S -> T with phi(e_i) =
-    images[i], a sparse vector of T-coordinates: phi(e_i e_j) =
-    phi(e_i) phi(e_j) on every basis pair (i, j) in row-major order.
+def hom_scan(dim: int, product, mul, images):
+    """The intertwining scan of the linear map phi with phi(e_i) = images[i],
+    a sparse vector of target coordinates: phi(e_i e_j) = phi(e_i) phi(e_j)
+    on every source basis pair (i, j), 0 <= i, j < dim, in row-major order.
 
-    A pair is skipped when e_i e_j leaves S's span or phi(e_i) phi(e_j)
-    leaves T's span.  Returns (certified, skipped, failure), failure the
-    first (i, j, lhs, rhs) with lhs = phi(e_i e_j) != rhs = phi(e_i) phi(e_j)
-    (the counts stop at it), else None."""
+    Two callables give the products, each read when the scan reaches its
+    pair: product(i, j) is the source product e_i e_j and mul(u, v) the
+    target product of two images, each a sparse vector or None when it
+    leaves the span.  mul is read only for a pair whose source product is
+    in span.  The callers: `check_iso` passes S.product and T.mul_vectors,
+    `tkk.is_table_automorphism` alg.product and alg.mul_vectors, and
+    lieclass's splitting-map checks products computed from the int
+    monomial kernels the tables are built from, so a refuted map costs
+    the pairs up to its first failure and no table.
+
+    A pair is skipped when e_i e_j leaves the source span or
+    phi(e_i) phi(e_j) leaves the target span.  Returns (certified, skipped,
+    failure), failure the first (i, j, lhs, rhs) with lhs = phi(e_i e_j) !=
+    rhs = phi(e_i) phi(e_j) (the counts stop at it), else None."""
     certified = skipped = 0
-    for i in range(S.dim):
-        for j in range(S.dim):
-            prod = S.product(i, j)
-            rhs = None if prod is None else T.mul_vectors(images[i], images[j])
+    for i in range(dim):
+        for j in range(dim):
+            prod = product(i, j)
+            rhs = None if prod is None else mul(images[i], images[j])
             if rhs is None:
                 skipped += 1
                 continue
@@ -712,7 +725,8 @@ def check_iso(w: IsoWitness) -> Report:
         ech.insert(w.image(i))
     if ech.rank != S.dim:
         return Report("iso-witness", params, {}, "fail", {"reason": "matrix not invertible"})
-    fail = hom_scan(S, T, [w.image(i) for i in range(S.dim)])[2]
+    fail = hom_scan(S.dim, S.product, T.mul_vectors,
+                    [w.image(i) for i in range(S.dim)])[2]
     ce = None
     if fail is not None:
         i, j = fail[:2]
@@ -1048,28 +1062,71 @@ def _poly_table(monos, deg, kernel, parity_shift, name,
     return FiniteSuperAlgebra(labels, parities, table, oos, name=name)
 
 
-def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
-               negate_bracket: bool = False) -> FiniteSuperAlgebra:
-    """The double A + eta A over the degree-<= deg monomial span of the
-    bracket algebra, with eta a o eta b = (-1)^{p(a)} {a, b}_D for D the
-    derivation attached to the spec (the "dmod" bracket kind); for a
-    Poisson spec (D = 0) the modified bracket is the bracket itself.
-    Products whose result leaves the span are flagged out-of-span, never
-    dropped.
+def kkm_formula(spec: BracketSpec, deg: int = 3, negate_bracket: bool = False):
+    """The product of the double A + eta A over the degree-<= deg monomial
+    span of the bracket algebra, on monomial pairs: the one statement of
+    the formula, which `kkm_double` tabulates and `kkm_product` reads pair
+    by pair.  eta a o eta b = (-1)^{p(a)} {a, b}_D for D the derivation
+    attached to the spec (the "dmod" bracket kind); for a Poisson spec
+    (D = 0) the modified bracket is the bracket itself.
 
-    The products are read off int monomial kernels: a o b = ab, eta a o b =
-    eta(ab) and a o eta b = (-1)^{p(a)} eta(ab) from `mono_mul` (scale 1),
-    and eta a o eta b from the kernel of the "dmod" spec, the ints
-    S {a, b}_D at S = spec_scale of that spec, divided by S once per
-    coordinate.
+    Returns (monos, plain, eta_eta).  The double's basis is e_i = monos[i]
+    and e_{N+i} = eta monos[i], N = len(monos); both functions give
+    coordinates over it.  plain(a, b) is the three products a o b = ab,
+    eta a o b = eta(ab) and a o eta b = (-1)^{p(a)} eta(ab) from
+    `mono_mul` (scale 1), or None when ab leaves the span.  eta_eta(a, b)
+    is eta a o eta b from the kernel of the "dmod" spec, the ints
+    S {a, b}_D at S = spec_scale of that spec divided by S once per
+    coordinate (`_poly_coords`), or None out of span.
     """
     if deg < 0:
         raise ValueError("deg >= 0")
-    m, n = spec.m, spec.n
     S, dkern = bracket_kernel(BracketSpec.d_modified(spec))
     bsign = -1 if negate_bracket else 1
-    monos = monomials_total_degree(m, n, deg)
+    monos = monomials_total_degree(spec.m, spec.n, deg)
     pos = {mo: i for i, mo in enumerate(monos)}
+    N = len(monos)
+    unit = {1: Fraction(1), -1: Fraction(-1)}
+
+    def plain(a, b):
+        r = mono_mul(a, b)
+        if r is None:
+            return {}, {}, {}
+        sign, ab = r
+        if mono_degree(ab) > deg:
+            return None
+        p, c = pos[ab], unit[sign]
+        return {p: c}, {N + p: c}, {N + p: unit[-sign] if mono_parity(a) else c}
+
+    def eta_eta(a, b):
+        sign = -bsign if mono_parity(a) else bsign
+        return _poly_coords(dkern(a, b), S, pos, deg, sign=sign)
+
+    return monos, plain, eta_eta
+
+
+def kkm_product(formula):
+    """e_p o e_q of the double on its basis indices, from `kkm_formula`'s
+    per-pair functions: the eta-eta kernel for an eta-eta pair, else the
+    plain block of the pair.  Nothing is tabulated."""
+    monos, plain, eta_eta = formula
+    N = len(monos)
+
+    def product(p, q):
+        a, b = monos[p % N], monos[q % N]
+        if p >= N and q >= N:
+            return eta_eta(a, b)
+        blocks = plain(a, b)
+        return None if blocks is None else blocks[(p >= N) + 2 * (q >= N)]
+
+    return product
+
+
+def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
+               negate_bracket: bool = False) -> FiniteSuperAlgebra:
+    """The table of the double A + eta A of `kkm_formula`.  Products whose
+    result leaves the span are flagged out-of-span, never dropped."""
+    monos, plain, eta_eta = kkm_formula(spec, deg, negate_bracket)
     N = len(monos)
     labels = [render_monomial(mo) for mo in monos] + [
         "eta*" + render_monomial(mo) for mo in monos
@@ -1079,27 +1136,20 @@ def kkm_double(spec: BracketSpec, deg: int = 3, name: str = "",
     ]
     table: dict = {}
     oos = set()
-
     for i, a in enumerate(monos):
-        pa = -1 if mono_parity(a) else 1
         for j, b in enumerate(monos):
-            # a o b = ab, eta a o b = eta(ab), a o eta b = (-1)^{p(a)} eta(ab)
-            r = mono_mul(a, b)
-            if r is not None:
-                if mono_degree(r[1]) > deg:
-                    oos.update(((i, j), (N + i, j), (i, N + j)))
-                else:
-                    p, c = pos[r[1]], Fraction(r[0])
-                    table[(i, j)] = {p: c}
-                    table[(N + i, j)] = {N + p: c}
-                    table[(i, N + j)] = {N + p: c if pa > 0 else -c}
-            # eta a o eta b = (-1)^{p(a)} {a,b}_D
-            vec = _poly_coords(dkern(a, b), S, pos, deg, sign=bsign * pa)
+            blocks = plain(a, b)
+            if blocks is None:
+                oos.update(((i, j), (N + i, j), (i, N + j)))
+            elif blocks[0]:
+                table[(i, j)], table[(N + i, j)], table[(i, N + j)] = blocks
+            vec = eta_eta(a, b)
             if vec is None:
                 oos.add((N + i, N + j))
-            else:
+            elif vec:
                 table[(N + i, N + j)] = vec
-    return FiniteSuperAlgebra(labels, parities, table, oos, name=name or f"KKM({m},{n},deg{deg})")
+    return FiniteSuperAlgebra(labels, parities, table, oos,
+                              name=name or f"KKM({spec.m},{spec.n},deg{deg})")
 
 
 def jp_finite(n: int) -> FiniteSuperAlgebra:

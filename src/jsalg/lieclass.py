@@ -12,6 +12,13 @@ candidate, seeded rational elements e of the (-1)-eigenspace are sampled,
 [e, f] = h is solved exactly for f in the (+1)-eigenspace, and the Killing
 orthogonality of h against the centralizer of e in degree 0 is recorded
 alongside, sample by sample.
+
+The two splitting maps (Examples 7.1 and 7.2) are checked without building
+a table: `jordan.hom_scan` reads each product when the scan reaches its
+pair, the source product from the int monomial kernel of the induced
+Jordan product and the target product from `jordan.kkm_formula`, the
+formula `kkm_double` tabulates.  A refuted map costs the pairs up to its
+first failure.
 """
 
 from __future__ import annotations
@@ -26,13 +33,15 @@ from .jordan import (
     FiniteSuperAlgebra,
     _algebra_from_matrices,
     _mat_mul,
+    _mul_into,
     _poly_coords,
     _poly_table,
     _selfadjoint_basis,
     hom_scan,
-    kkm_double,
+    kkm_formula,
+    kkm_product,
 )
-from .linalg import CoordSolver, nullspace, solve_linear, vec_iadd
+from .linalg import CoordSolver, nullspace, scaled_ints, solve_linear, vec_iadd
 from .report import DetRand, Report
 from .superpoly import (
     even_var,
@@ -42,6 +51,7 @@ from .superpoly import (
     mono_partial,
     monomials_total_degree,
     odd_var,
+    render_monomial,
 )
 from .tkk import GradedLie, Sl2Triple, check_triple, triple_failures
 
@@ -84,9 +94,20 @@ class ClassicalAlgebra:
 
     def ad(self, vec: dict) -> dict:
         """ad of a coordinate vector, as a coordinate colmap: column j is
-        [vec, X_j], stored when nonzero."""
-        return {j: col for j in range(self.dim)
-                if (col := self.algebra.mul_vectors(vec, {j: 1}))}
+        [vec, X_j], stored when nonzero.  vec is scaled to ints once; each
+        column is one `_mul_into` over the table oracle, as `mul_vectors`
+        would run it."""
+        rows, scale = self.algebra.oracle
+        iv, s = scaled_ints(vec)
+        den = s * scale
+        out = {}
+        for j in range(self.dim):
+            acc: dict = {}
+            _mul_into(acc, rows, iv, {j: 1})
+            col = {k: Fraction(x, den) for k, x in acc.items() if x}
+            if col:
+                out[j] = col
+        return out
 
     def bracket_vec(self, u: dict, v: dict) -> dict:
         return self.algebra.mul_vectors(u, v)
@@ -523,17 +544,10 @@ def _jordan_from_product(m, n, deg, kernel, name):
     return alg, monos, {mo: i for i, mo in enumerate(monos)}
 
 
-def short_subalgebra_jordan_h(k: int, n: int, deg: int = 3):
-    """The Jordan product on the reversed-parity carrier induced by the
-    degree-(-1) part of the "h" fragment:
-        f o g = (-1)^{p(f)} df/dxi_c g + f dg/dxi_c + (-1)^{p(f)} xi_c {f, g}
-    with xi_c the last odd generator of the carrier and {.,.} the diagonal
-    restriction of the ambient bracket; p is the reversed parity.
-
-    The kernel sums S (a o b) on ints for monomials a, b, S the scale of
-    the diagonal bracket's kernel: the two derivative terms from
-    `mono_partial` and `mono_mul` times S, and xi_c times the bracket
-    kernel's ints S {a, b}."""
+def _jordan_h_kernel(k: int, n: int):
+    """(m, n2, (S, kern)): the signature (m, n2) of the carrier of
+    `short_subalgebra_jordan_h` and the int monomial kernel of its product,
+    built without a table."""
     m, n2 = 2 * k, n - 2
     xc = odd_var(n2 - 1)
     xi_c = ((0,) * m, (n2 - 1,))
@@ -558,20 +572,27 @@ def short_subalgebra_jordan_h(k: int, n: int, deg: int = 3):
         vec_iadd(acc, xbr, sign)
         return acc
 
-    return _jordan_from_product(m, n2, deg, (S, kern), f"J(H({2*k},{n}),a)|deg{deg}")
+    return m, n2, (S, kern)
 
 
-def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3):
-    """The contact analogue:
-        f o g = (-1)^{p(f)} ( df/dxi_c g + {xi_c f, g} + xi_c (1-E)(f) dg/dt
-                              - xi_c df/dt (1-E)(g) )
-    with E the Euler operator in the non-t variables and {.,.} the diagonal
-    restriction (t inert); p is the reversed parity.
+def short_subalgebra_jordan_h(k: int, n: int, deg: int = 3):
+    """The Jordan product on the reversed-parity carrier induced by the
+    degree-(-1) part of the "h" fragment:
+        f o g = (-1)^{p(f)} df/dxi_c g + f dg/dxi_c + (-1)^{p(f)} xi_c {f, g}
+    with xi_c the last odd generator of the carrier and {.,.} the diagonal
+    restriction of the ambient bracket; p is the reversed parity.
 
-    The kernel sums S (a o b) on ints for monomials a, b, S the scale of
-    the inert-t bracket's kernel: the bracket kernel's ints S {xi_c a, b},
-    and the other three terms from `mono_partial`, `mono_mul` and
-    (1-E)(a) = (1 - `_non_t_degree`(a)) a, times S."""
+    The kernel (`_jordan_h_kernel`) sums S (a o b) on ints for monomials
+    a, b, S the scale of the diagonal bracket's kernel: the two derivative
+    terms from `mono_partial` and `mono_mul` times S, and xi_c times the
+    bracket kernel's ints S {a, b}."""
+    m, n2, kernel = _jordan_h_kernel(k, n)
+    return _jordan_from_product(m, n2, deg, kernel, f"J(H({2*k},{n}),a)|deg{deg}")
+
+
+def _jordan_k_kernel(k: int, n: int):
+    """(m, n2, (S, kern)) of `short_subalgebra_jordan_k`, as
+    `_jordan_h_kernel`."""
     m, n2 = 2 * k + 1, n - 2
     xc, t = odd_var(n2 - 1), even_var(0)
     xi_c = ((0,) * m, (n2 - 1,))
@@ -599,14 +620,28 @@ def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3):
             vec_iadd(acc, {r[1]: S * d[0] * r[0] * (_non_t_degree(b) - 1)}, sign * s)
         return acc
 
-    return _jordan_from_product(m, n2, deg, (S, kern), f"J(K({2*k+1},{n}),a)|deg{deg}")
+    return m, n2, (S, kern)
 
 
-def _double_factor_map(monos_src, n_src: int, deg: int, m_t: int, n_t: int):
+def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3):
+    """The contact analogue:
+        f o g = (-1)^{p(f)} ( df/dxi_c g + {xi_c f, g} + xi_c (1-E)(f) dg/dt
+                              - xi_c df/dt (1-E)(g) )
+    with E the Euler operator in the non-t variables and {.,.} the diagonal
+    restriction (t inert); p is the reversed parity.
+
+    The kernel (`_jordan_k_kernel`) sums S (a o b) on ints for monomials
+    a, b, S the scale of the inert-t bracket's kernel: the bracket kernel's
+    ints S {xi_c a, b}, and the other three terms from `mono_partial`,
+    `mono_mul` and (1-E)(a) = (1 - `_non_t_degree`(a)) a, times S."""
+    m, n2, kernel = _jordan_k_kernel(k, n)
+    return _jordan_from_product(m, n2, deg, kernel, f"J(K({2*k+1},{n}),a)|deg{deg}")
+
+
+def _double_factor_map(monos_src, n_src: int, target_monos):
     """Split each source monomial at the last odd generator xi_c: monomials
     containing xi_c map (with the Koszul sign of moving xi_c to the front)
     to the plain part of the double, the others to the eta part."""
-    target_monos = monomials_total_degree(m_t, n_t, deg)
     tpos = {mo: i for i, mo in enumerate(target_monos)}
     N = len(target_monos)
     c = n_src - 1
@@ -618,26 +653,52 @@ def _double_factor_map(monos_src, n_src: int, deg: int, m_t: int, n_t: int):
             images.append((tpos[fm], Fraction(sign)))
         else:
             images.append((N + tpos[(ev, odds)], Fraction(1)))
-    return images, N
+    return images
 
 
-def _check_double_map(src: FiniteSuperAlgebra, tgt: FiniteSuperAlgebra,
-                      images, suite: str, params: dict, flip_eta: bool = False,
-                      eta_offset: int = 0) -> Report:
+def _check_double_map(source, target, deg: int, suite: str, params: dict,
+                      flip_eta: bool = False) -> Report:
+    """The splitting map from the Jordan product source = (m, n2, (S, kern))
+    on the degree-<= deg monomials onto the double of `kkm_formula` target,
+    by `hom_scan` on products read when the scan reaches them: the source
+    product of a pair is kern's ints through `_poly_coords`, and the
+    product of the monomial images c_i e_p and c_j e_q is c_i c_j (e_p o
+    e_q) from `kkm_product`.  No table is built, so a refuted map costs the
+    pairs up to its first failure; a certifying scan reads each source
+    pair once and, the map being a bijection onto the double's basis, each
+    target pair at most once."""
     t0 = time.perf_counter()
+    m, n2, (S, kern) = source
+    monos = monomials_total_degree(m, n2, deg)
+    pos = {mo: i for i, mo in enumerate(monos)}
+    N = len(target[0])
+    images = _double_factor_map(monos, n2, target[0])
     if flip_eta:
         # negate one side of the splitting only; the all-eta flip would be
         # an automorphism of the double and no control at all
-        images = [
-            (idx, -c if idx < eta_offset else c) for idx, c in images
-        ]
-    certified, skipped, fail = hom_scan(src, tgt, [{idx: c} for idx, c in images])
+        images = [(idx, -c if idx < N else c) for idx, c in images]
+    tprod = kkm_product(target)
+
+    def product(i, j):
+        return _poly_coords(kern(monos[i], monos[j]), S, pos, deg)
+
+    def mul(u, v):
+        (p, cp), = u.items()
+        (q, cq), = v.items()
+        w = tprod(p, q)
+        if w is None:
+            return None
+        c = cp * cq
+        return {r: c * x for r, x in w.items()}
+
+    certified, skipped, fail = hom_scan(len(monos), product, mul,
+                                        [{idx: c} for idx, c in images])
     ce = None
     if fail is not None:
         i, j, lhs, rhs = fail
         ce = {
             "indices": [i, j],
-            "labels": [src.labels[i], src.labels[j]],
+            "labels": [render_monomial(monos[i]), render_monomial(monos[j])],
             "mapped": {str(k): str(v) for k, v in lhs.items()},
             "direct": {str(k): str(v) for k, v in rhs.items()},
         }
@@ -645,7 +706,7 @@ def _check_double_map(src: FiniteSuperAlgebra, tgt: FiniteSuperAlgebra,
         suite,
         params,
         {"certifiedPairs": certified, "skippedPairs": skipped,
-         "srcDim": src.dim, "tgtDim": tgt.dim},
+         "srcDim": len(monos), "tgtDim": 2 * N},
         "pass" if ce is None else "fail",
         ce,
         elapsed_ms=(time.perf_counter() - t0) * 1000,
@@ -658,14 +719,11 @@ def example71_iso(k: int, n: int, deg: int = 3, flip_eta: bool = False) -> Repor
     fewer odd generator, verified pairwise on the certified span."""
     if n < 3 or (k == 0 and n < 4):
         raise ValueError("need n >= 3 (n >= 4 when k = 0)")
-    src, monos, _ = short_subalgebra_jordan_h(k, n, deg)
-    tgt_spec = BracketSpec.negated(BracketSpec.diagonal(k, n - 3))
-    tgt = kkm_double(tgt_spec, deg, name=f"JP({2*k},{n-3})|flip")
-    images, N = _double_factor_map(monos, n - 2, deg, 2 * k, n - 3)
+    target = kkm_formula(BracketSpec.negated(BracketSpec.diagonal(k, n - 3)), deg)
     return _check_double_map(
-        src, tgt, images, "iso-h-double",
+        _jordan_h_kernel(k, n), target, deg, "iso-h-double",
         {"k": k, "n": n, "deg": deg, "target": f"JP({2*k},{n-3})"},
-        flip_eta=flip_eta, eta_offset=N,
+        flip_eta=flip_eta,
     )
 
 
@@ -674,13 +732,10 @@ def example72_iso(k: int, n: int, deg: int = 3, flip_eta: bool = False) -> Repor
     onto the double of the sign-flipped modified contact bracket."""
     if n < 3:
         raise ValueError("need n >= 3")
-    src, monos, _ = short_subalgebra_jordan_k(k, n, deg)
-    tgt_spec = BracketSpec.diagonal(k, n - 3, has_time=True)
-    tgt = kkm_double(tgt_spec, deg, name=f"JP({2*k+1},{n-3})|flip",
-                     negate_bracket=True)
-    images, N = _double_factor_map(monos, n - 2, deg, 2 * k + 1, n - 3)
+    target = kkm_formula(BracketSpec.diagonal(k, n - 3, has_time=True), deg,
+                         negate_bracket=True)
     return _check_double_map(
-        src, tgt, images, "iso-k-double",
+        _jordan_k_kernel(k, n), target, deg, "iso-k-double",
         {"k": k, "n": n, "deg": deg, "target": f"JP({2*k+1},{n-3})"},
-        flip_eta=flip_eta, eta_offset=N,
+        flip_eta=flip_eta,
     )

@@ -740,7 +740,8 @@ def is_table_automorphism(L: GradedLie, A: dict) -> bool:
     """A (column i: the image of e_i) intertwines the bracket on every basis
     pair whose products stay in span (`jordan.hom_scan`)."""
     alg = L.algebra
-    return hom_scan(alg, alg, [A.get(i, {}) for i in range(alg.dim)])[2] is None
+    return hom_scan(alg.dim, alg.product, alg.mul_vectors,
+                    [A.get(i, {}) for i in range(alg.dim)])[2] is None
 
 
 def check_lie_table(alg: FiniteSuperAlgebra, workers=None) -> Report:
