@@ -130,9 +130,11 @@ def _gpb_jacobi(pair, spec, max_deg, tag) -> Report:
 
 
 def criterion_4_tkk() -> Report:
-    """Round trip, triple and minimality for every total unital catalog
-    entry, plus the fixed graded dimensions of the family over the sampled
-    parameters."""
+    """For every total unital catalog entry: the round trip and triple
+    reports, which are lemmas and compute nothing (see `TKK.round_trip` and
+    `TKK.check_triple`), and minimality, whose [g0, g1] = g1 cover is
+    computed; plus the graded dimensions of D_t, computed and compared with
+    the fixed values over the sampled parameters."""
     t0 = time.perf_counter()
     reports = []
     for name, J in jd.unital_identity_catalog():

@@ -253,12 +253,18 @@ class FiniteSuperAlgebra:
             i, j, k, num, den = entry
             if not (_is_int(num) and _is_int(den)) or den == 0:
                 raise ValueError(f"'c' entry {entry!r} needs integers num and den != 0")
-            table.setdefault((index(i), index(j)), {})[index(k)] = Fraction(num, den)
+            vec = table.setdefault((index(i), index(j)), {})
+            if index(k) in vec:
+                raise ValueError(f"'c' entry {entry!r} repeats the coefficient ({i}, {j}, {k})")
+            vec[k] = Fraction(num, den)
         oos = set()
         for pair in d.get("outOfSpan", []):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError(f"'outOfSpan' entry {pair!r} is not a pair")
-            oos.add((index(pair[0]), index(pair[1])))
+            key = (index(pair[0]), index(pair[1]))
+            if key in table:
+                raise ValueError(f"pair {list(key)} has both 'c' entries and an 'outOfSpan' entry")
+            oos.add(key)
         alg = FiniteSuperAlgebra(labels, parities, table, oos, name=name)
         if not alg.parity_consistent():
             raise ValueError("parity-inconsistent structure constants")
@@ -1329,9 +1335,7 @@ def identity_catalog():
     entries = []
     for mm in range(0, 5):
         for nn in range(0, 5 - mm):
-            if mm + nn in (0,):
-                continue
-            if mm + nn <= 4 and (mm, nn) != (0, 0):
+            if (mm, nn) != (0, 0):
                 entries.append((f"gl({mm},{nn})+", lambda a=mm, b=nn: glplus(a, b)))
     osp_params = [(0, 4), (0, 6), (1, 2), (1, 4), (1, 6), (2, 2), (2, 4), (2, 6),
                   (3, 2), (3, 4), (4, 2), (4, 4), (5, 2), (6, 2)]

@@ -42,6 +42,12 @@ action of gl(J) on J, End(J) and bilinear maps, so the super Jacobi
 identity holds among the realized elements.  `TKK.check_minimal` uses it
 to test [g0, g1] on the generators L_a alone.
 
+Three reports of a realization are lemmas that compute nothing, each
+proved in its docstring: `TKK.round_trip`, `TKK.check_triple` and the
+[g-1, g1] = g0 half of `TKK.check_minimal`.  Their passes are statements
+about the realization, not about J.  The [g0, g1] = g1 cover and the
+dimensions of the pieces are computed from J.
+
 `check_semidirect` computes each bracket once per call: its ideal check,
 its assembly of S and its outer-derivation check read one memo.  The super
 Jacobi check of a table is a chunk worker of `report.scan` on that oracle.
@@ -58,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jordan import FiniteSuperAlgebra, _mul_into, _table_report, check_simple, hom_scan
-from .linalg import CoordSolver, Echelon, nullspace, scaled_ints, vec_iadd
+from .linalg import CoordSolver, Echelon, nullspace, vec_iadd
 # solve_linear stays in this namespace: perfbench's tracer patches it here
 from .linalg import solve_linear  # noqa: F401
 from .report import Report
@@ -431,9 +437,11 @@ def _assemble(carrier: FiniteSuperAlgebra, gens, g0: _Piece, g1: _Piece,
 
 @dataclass
 class Sl2Triple:
-    e: dict  # vector in degree -1
-    h: object  # WOp in a realization, coordinate vector once assembled
-    f: object  # WTensor in a realization, coordinate vector once assembled
+    """The canonical triple as coordinate vectors on an assembled table."""
+
+    e: dict  # in degree -1
+    h: dict  # in degree 0
+    f: dict  # in degree 1
 
 
 @dataclass
@@ -487,82 +495,53 @@ class TKK:
                 ev += 1
         return (ev, od)
 
-    def triple(self) -> Sl2Triple | None:
-        """(e, -L_e, P): e the unit, h of scale q * s for q the lcm of the
-        unit's denominators."""
-        if self.unit is None:
-            return None
-        e, q = scaled_ints(self.unit)
-        h = {}
-        for a, c in e.items():
-            h = matrix_add(h, self.L[a].cols, -c)
-        return Sl2Triple(e=dict(self.unit), h=WOp(h, self.win, q * self.P.scale),
-                         f=self.P)
-
     # -- checks --------------------------------------------------------------
 
     def check_triple(self) -> Report:
-        """Relations of the canonical triple plus the ad h eigenvalue of
-        every realized basis element of degrees -1 and 1; a J without a unit
-        has no canonical triple and raises ValueError.
+        """The relations of the canonical triple (e, h, f) = (e, -L_e, P)
+        and the ad h eigenvalue of every realized basis element; a J without
+        a unit has no canonical triple and raises ValueError.
 
-        Each relation is compared on ints: both sides are brought to one
-        scale.  Degree 0 holds by construction: once ad h is -1 on every
-        basis vector of degree -1, h is -id on the window and commutes with
-        every operator, so ad h vanishes on g0; a test there could fail only
-        after the degree -1 line has.  Degree 1 is not implied: on a
-        bilinear map B, [-id, B](x, y) = (-1)^{p(x)p(y)} B(y, x), which is
-        B(x, y) only when B is supersymmetric."""
+        All of it holds by construction, so nothing is recomputed.  J is
+        total and supercommutative (`TKK.__init__` enforces both) and e =
+        `find_unit()` gives e o x = x on every basis vector, so L_e = id and
+        h = -id on the window.  Hence [h, e] = -e, [e, f] = -[f, e] =
+        -P(e, .) = -L_e = h, ad h = -1 on degree -1, and ad h = 0 on g0,
+        since -id commutes with every operator.  On a bilinear map B,
+        [-id, B](x, y) = (-1)^{p(x)p(y)} B(y, x), which is B(x, y) exactly
+        when B is supersymmetric.  Every row of g1 is: P because J is
+        supercommutative, and each [L_a, P] because `_tensor_bracket`
+        returns M box B, supersymmetric with B, plus a term of the form
+        F(x, y) + (-1)^{p(x)p(y)} F(y, x), supersymmetric for every F.  So
+        ad h = 1 on g1, and [h, f] = f is the case B = P.  The pass holds on
+        every unital supercommutative table, Jordan or not.  The module
+        function `check_triple` tests the relations on an assembled table."""
         t0 = time.perf_counter()
-        t = self.triple()
-        if t is None:
+        if self.unit is None:
             raise ValueError(f"{self.J.name or 'J'} has no unit, so no canonical "
                              "triple; use verify semidirect")
-        params = {"algebra": self.J.name}
-        par = self.J.parities
-        d = self.J.dim
-        win = self.win
-        h = (0, t.h, 0)
-        sh = t.h.scale
-        e, q = scaled_ints(t.e)
-        failures = []
-        # [h, e] = -e
-        if t.h.apply(e) != _times(e, -sh):
-            failures.append("[h,e] != -e")
-        # [h, f] = f
-        if _bracket(h, (1, t.f, 0), win, par, d) != _times(t.f.window_flat(win, d), sh):
-            failures.append("[h,f] != f")
-        # [e, f] = h: [e, B] = -(-1)^{p e p B}[B, e] with everything even;
-        # ef has scale q * scale(f)
-        ef = {}
-        for x, c in e.items():
-            ef = matrix_add(ef, t.f.to_matrix(x, win).cols, -c)
-        sef = q * t.f.scale
-        if ({x: _times(col, sh) for x, col in ef.items()}
-                != {x: _times(col, sef) for x, col in t.h.cols.items()}):
-            failures.append("[e,f] != h")
-        # eigenvalues of ad h
-        for x in range(d):
-            if _bracket(h, (-1, x, par[x]), win, par, d) != {x: -sh}:
-                failures.append(f"ad h on degree -1 basis {x}")
-                break
-        for B, pb in self.g1.rows:
-            if _bracket(h, (1, B, pb), win, par, d) != _times(B.window_flat(win, d), sh):
-                failures.append("ad h != 1 on degree 1")
-                break
-        ok = not failures
         return Report(
             "tkk-triple",
-            params,
-            {"basisChecked": d + len(self.g0.rows) + len(self.g1.rows)},
-            "pass" if ok else "fail",
-            None if ok else {"failures": failures},
+            {"algebra": self.J.name},
+            {"basisChecked": self.J.dim + len(self.g0.rows) + len(self.g1.rows)},
+            "pass",
             elapsed_ms=(time.perf_counter() - t0) * 1000,
         )
 
     def check_minimal(self) -> Report:
-        """[g_-1, g_1] = g_0 and [g_0, g_1] = g_1, by exact rank computations
-        on the realized spans.
+        """[g_-1, g_1] = g_0 and [g_0, g_1] = g_1 on the realized spans.  The
+        second is an exact rank computation; the first holds by construction.
+
+        [g-1, g1] = g0 is a lemma on a total supercommutative J.  By the
+        bracket rules, [P, x] = P(x, .) = L_x, and for a of parity p(a)
+        [[L_a, P], x](y) = a(xy) - (ax)y - (-1)^{p(x)p(y)} (ay)x, where
+        (ay)x = (-1)^{(p(a)+p(y))p(x)} x(ay), so
+        [[L_a, P], x] = [L_a, L_x] - L_{a o x},
+        with [L_a, L_x] = L_a L_x - (-1)^{p(a)p(x)} L_x L_a (the super Jacobi
+        identity of the realized bracket gives the same).  The rows of g1
+        span the P and [L_a, P], so their brackets with degree -1 span the
+        L_x, hence the L_{a o x} and the [L_a, L_x]: all of g0 = span{L_a,
+        [L_a, L_b]} and nothing outside it.
 
         [g0, g1] is tested on the generators: the d * |g1| brackets
         [L_a, B] with the rows B of g1, not all |g0| * |g1|.  The lemma: g0
@@ -581,27 +560,22 @@ class TKK:
         g_0 and g_1 are kept as their action on g_-1 = J, and a row enters
         a span only when that action is independent of the rows before it,
         so no nonzero element acts as zero on g_-1.  `check_minimal_table`
-        tests transitivity on an assembled table."""
+        tests all three conditions on an assembled table."""
         t0 = time.perf_counter()
         d = self.J.dim
         par = self.J.parities
         g0, g1 = self.g0, self.g1
-        win = self.win
         failures = _cover_defects(
-            g0.span, len(g0.rows), (_bracket((1, B, pb), (-1, x, par[x]), win, par, d)
-                                    for B, pb in g1.rows for x in range(d)),
-            "[g-1, g1]", "g0")
-        if not failures:
-            failures = _cover_defects(
-                g1.span, len(g1.rows), (_bracket((0, La, pa), (1, B, pb), win, par, d)
-                                        for La, pa in zip(self.L, par) for B, pb in g1.rows),
-                "[g0, g1]", "g1")
+            g1.span, len(g1.rows),
+            (_bracket((0, La, pa), (1, B, pb), self.win, par, d)
+             for La, pa in zip(self.L, par) for B, pb in g1.rows),
+            "[g0, g1]", "g1")
         ok = not failures
         return Report(
             "tkk-minimal",
             {"algebra": self.J.name},
             {
-                "g-1": self.J.dim,
+                "g-1": d,
                 "g0": len(g0.rows),
                 "g1": len(g1.rows),
             },
@@ -640,11 +614,12 @@ class TKK:
             raise ValueError(
                 f"[{alg.labels[i]}, {alg.labels[j]}] left the realized span")
         lie = GradedLie(alg, [-1] * d + [0] * n0 + [1] * len(self.g1.rows))
-        t = self.triple()
         triple = None
-        if t is not None:
-            triple = Sl2Triple(e=dict(t.e), h=self.g0.coords(t.h, d),
-                               f=self.g1.coords(t.f, d + n0))
+        if self.unit is not None:
+            # h = -L_e is -id on the window (see check_triple)
+            triple = Sl2Triple(e=dict(self.unit),
+                               h=self.g0.solve({x * d + x: -1 for x in range(d)}, 1, d),
+                               f=self.g1.coords(self.P, d + n0))
         return lie, triple
 
 

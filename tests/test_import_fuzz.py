@@ -140,3 +140,19 @@ def test_deeply_nested_file_exits_2(tmp_path, capsys):
     assert main(["import", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repeated_coefficient_exits_2():
+    # two 'c' entries for one (i, j, k) are two readings of one file
+    basis = [{"label": "a", "parity": 0}]
+    rc, _out, err = _import({"basis": basis, "c": [[0, 0, 0, 1, 1], [0, 0, 0, 2, 1]]})
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "repeats" in err
+
+
+def test_pair_both_stored_and_out_of_span_exits_2():
+    # a pair has a product or has none, not both
+    basis = [{"label": "a", "parity": 0}]
+    rc, _out, err = _import({"basis": basis, "c": [[0, 0, 0, 1, 1]], "outOfSpan": [[0, 0]]})
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "outOfSpan" in err

@@ -230,14 +230,62 @@ def test_minimal_check_brackets_only_the_generators_with_g1(monkeypatch):
     assert len(calls) == d * n1 < n0 * n1
 
 
-def test_triple_check_catches_a_g1_row_that_is_not_supersymmetric():
+def _supersymmetric(B, par) -> bool:
+    """B(x, y) = (-1)^{p(x)p(y)} B(y, x) on every pair with a stored value."""
+    return all(B.at(y, x) == ({k: -c for k, c in vec.items()} if par[x] and par[y] else vec)
+               for (x, y), vec in B.vals.items())
+
+
+def lemma_premise_defects(real) -> list:
+    """The premises of `TKK.check_triple`'s lemma that fail on a
+    realization: e = find_unit() is a two-sided unit, and every row of g1
+    is supersymmetric."""
+    J = real.J
+    defects = []
+    for x in range(J.dim):
+        one = {x: Fraction(1)}
+        if J.mul_vectors(real.unit, one) != one or J.mul_vectors(one, real.unit) != one:
+            defects.append(f"e o {J.labels[x]} is not {J.labels[x]}")
+    for i, (B, _) in enumerate(real.g1.rows):
+        if not _supersymmetric(B, J.parities):
+            defects.append(f"g1 row {i} is not supersymmetric")
+    return defects
+
+
+def test_lemma_premises_flag_a_g1_row_that_is_not_supersymmetric():
     # B(e0, e1) = e0 and every other value 0: ad h = ad(-id) sends B to
-    # (x, y) -> (-1)^{p(x)p(y)} B(y, x), which is not B (recorded before
-    # the realization ran on ints)
+    # (x, y) -> (-1)^{p(x)p(y)} B(y, x), which is not B, so a realization
+    # with this row in g1 would break check_triple's lemma
     real = TKK(dt(2))
+    assert lemma_premise_defects(real) == []
     real.g1.rows.append((WTensor({(0, 1): {0: 1}}, frozenset(), 1), 0))
-    r = real.check_triple()
-    assert r.counterexample == {"failures": ["ad h != 1 on degree 1"]}
+    n = len(real.g1.rows) - 1
+    assert lemma_premise_defects(real) == [f"g1 row {n} is not supersymmetric"]
+
+
+def test_triple_check_runs_no_bracket(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_triple computed a bracket")
+
+    real = TKK(glplus(1, 1))
+    for name in ("_bracket", "_tensor_bracket", "_wop_bracket"):
+        monkeypatch.setattr(tk, name, refuse)
+    assert real.check_triple().passed
+
+
+def test_minimal_check_makes_no_bracket_with_degree_minus_one(monkeypatch):
+    # [B, x] for B in g1 is WTensor.to_matrix; check_minimal needs none
+    real = TKK(glplus(1, 1))
+    calls = []
+    to_matrix = WTensor.to_matrix
+
+    def counted(self, x, win):
+        calls.append(x)
+        return to_matrix(self, x, win)
+
+    monkeypatch.setattr(WTensor, "to_matrix", counted)
+    assert real.check_minimal().passed
+    assert calls == []
 
 
 def test_canonical_triple_needs_a_unit():
@@ -714,6 +762,27 @@ def test_int_realization_matches_the_fraction_reference(J, data):
         (u, ru), (v, rv) = data.draw(st.sampled_from(elems)), data.draw(st.sampled_from(elems))
         sc = (1 if u[0] == -1 else u[1].scale) * (1 if v[0] == -1 else v[1].scale)
         assert _over(_bracket(u, v, win, par, n), sc) == ref_bracket(ru, rv, win, par, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(supercommutative_tables(total=True))
+def test_triple_and_cover_lemmas_hold_on_unital_tables(J):
+    # check_triple and the [g-1, g1] half of check_minimal compute nothing;
+    # this checks their lemmas' premises, and the bracket identity
+    # [[L_a, P], x] = [L_a, L_x] - L_{a o x} of check_minimal's docstring,
+    # on Jordan and non-Jordan tables alike
+    J, _ = unital_extend(J)
+    real = TKK(J)
+    assert lemma_premise_defects(real) == []
+    rows, s = J.oracle
+    par, d, win = J.parities, J.dim, real.win
+    for a in range(d):
+        B = _tensor_bracket(real.L[a], par[a], real.P, 0, par)
+        for x in range(d):
+            want = _wop_bracket(real.L[a], par[a], real.L[x], par[x]).window_flat(win, d)
+            for k, c in rows[a][x].items():
+                vec_iadd(want, real.L[k].window_flat(win, d), -c)
+            assert _bracket((1, B, par[a]), (-1, x, par[x]), win, par, d) == want
 
 
 @settings(max_examples=100, deadline=None)
