@@ -682,8 +682,7 @@ def hom_scan(dim: int, product, mul, images):
     target product of two images, each a sparse vector or None when it
     leaves the span.  mul is read only for a pair whose source product is
     in span.  The callers: `check_iso` passes S.product and T.mul_vectors,
-    `tkk.is_table_automorphism` alg.product and alg.mul_vectors, and
-    lieclass's splitting-map checks products computed from the int
+    and lieclass's splitting-map checks products computed from the int
     monomial kernels the tables are built from, so a refuted map costs
     the pairs up to its first failure and no table.
 

@@ -53,7 +53,7 @@ from .superpoly import (
     odd_var,
     render_monomial,
 )
-from .tkk import GradedLie, Sl2Triple, check_triple, triple_failures
+from .tkk import GradedLie, Sl2Triple, check_triple, matrix_apply, triple_failures
 
 
 # -- classical matrix algebras ------------------------------------------------------
@@ -109,15 +109,14 @@ class ClassicalAlgebra:
                 out[j] = col
         return out
 
-    def bracket_vec(self, u: dict, v: dict) -> dict:
-        return self.algebra.mul_vectors(u, v)
-
 
 def classical(family: str, size: int) -> ClassicalAlgebra:
     """sl(n), so(n) (n >= 5) or sp(2r) in the fixed form realizations."""
     fam = family.lower()
     if fam == "sl":
         n = size
+        if n < 2:
+            raise ValueError("sl(n) needs n >= 2")
         basis = []
         labels = []
         for r in range(n):
@@ -176,19 +175,12 @@ def classical(family: str, size: int) -> ClassicalAlgebra:
 # -- Killing form and short-grading data ---------------------------------------------
 
 
-def killing_row(L: ClassicalAlgebra, h: dict) -> dict:
-    """{i: kappa(X_i, h)} for a coordinate vector h, without zero entries.
-
-    With [X_i, X_k] = sum_j c_ik^j X_j, kappa(X_i, h) = tr(ad X_i ad h) is
-    the sum over the structure constants c_ik^j of c_ik^j (ad h)_kj, so the
-    row costs one pass over the table and one ad h.  kappa is bilinear, so
-    kappa(X, h) = sum_i X_i kappa(X_i, h): every further pairing with h is
-    a dot product with this row."""
-    return _killing_row(L, L.ad(h))
-
-
-def _killing_row(L: ClassicalAlgebra, adh: dict) -> dict:
-    """killing_row from ad h as a coordinate colmap: adh[j][k] = (ad h)_kj."""
+def killing_row(L: ClassicalAlgebra, adh: dict) -> dict:
+    """{i: kappa(X_i, h)} without zero entries, from the colmap adh[j][k] =
+    (ad h)_kj of `ClassicalAlgebra.ad`.  With [X_i, X_k] = sum_j c_ik^j X_j,
+    kappa(X_i, h) = tr(ad X_i ad h) = sum c_ik^j (ad h)_kj, one pass over the
+    table.  kappa is bilinear, so every pairing kappa(X, h) is a dot product
+    with this row."""
     row: dict = {}
     for (i, k), vec in L.structure().items():
         for j, c in vec.items():
@@ -196,11 +188,6 @@ def _killing_row(L: ClassicalAlgebra, adh: dict) -> dict:
             if x:
                 row[i] = row.get(i, 0) + c * x
     return {i: x for i, x in row.items() if x}
-
-
-def killing_pairing(L: ClassicalAlgebra, X: dict, Y: dict) -> Fraction:
-    """tr(ad X ad Y) for coordinate vectors, computed exactly."""
-    return _dot(X, killing_row(L, Y))
 
 
 def _dot(u: dict, row: dict) -> Fraction:
@@ -334,7 +321,7 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0):
     # kappa(z, h) for each degree-0 basis vector z: by bilinearity, a
     # centralizer vector pairs with h as its coordinates on zero dotted
     # with these
-    kh = _killing_row(L, adh)
+    kh = killing_row(L, adh)
     kappa_zero = {idx: _dot(z, kh) for idx, z in enumerate(zero)}
     for _ in range(SHORT_TRIPLE_SAMPLES):
         e: dict = {}
@@ -343,11 +330,13 @@ def find_short_triple(L: ClassicalAlgebra, h_mat: dict, seed: int = 0):
         if not e:
             records.append({"solvable": False, "condition17": False})
             continue
-        cols = [L.bracket_vec(e, u) for u in plus]
+        ade = L.ad(e)
+        cols = [matrix_apply(ade, u) for u in plus]
         sol = solve_linear(cols, h)
         solvable = sol is not None
-        # centralizer of e inside the 0-eigenspace
-        cent_cols = [L.bracket_vec(z, e) for z in zero]
+        # centralizer of e inside the 0-eigenspace: z -> [e, z] has the
+        # kernel of z -> [z, e]
+        cent_cols = [matrix_apply(ade, z) for z in zero]
         cond17 = True
         for kerc in nullspace(cent_cols):
             if _dot(kerc, kappa_zero):
@@ -426,6 +415,8 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     kind = kind.lower()
     if n < 3:
         raise ValueError("the triple needs n >= 3 odd generators")
+    if deg < 2:
+        raise ValueError("the triple is quadratic, so the fragment needs deg >= 2")
     if kind == "h":
         if k == 0 and n < 4:
             raise ValueError("the n = 3 fragment without even variables is not simple")
@@ -536,18 +527,13 @@ def _non_t_degree(mono) -> int:
     return mono_degree(mono) - mono[0][0]
 
 
-def _jordan_from_product(m, n, deg, kernel, name):
-    """Jordan table on the degree-<= deg monomials with reversed parity,
-    from an int monomial kernel (S, kern) of the product."""
-    monos = monomials_total_degree(m, n, deg)
-    alg = _poly_table(monos, deg, kernel, 1, name)
-    return alg, monos, {mo: i for i, mo in enumerate(monos)}
-
-
 def _jordan_h_kernel(k: int, n: int):
-    """(m, n2, (S, kern)): the signature (m, n2) of the carrier of
-    `short_subalgebra_jordan_h` and the int monomial kernel of its product,
-    built without a table."""
+    """(m, n2, (S, kern)): the signature of the reversed-parity carrier and
+    the int kernel kern(a, b) = S (a o b) on monomials of the Jordan product
+    induced by the degree-(-1) part of the "h" fragment,
+        f o g = (-1)^{p(f)} df/dxi_c g + f dg/dxi_c + (-1)^{p(f)} xi_c {f, g},
+    xi_c the carrier's last odd generator, {.,.} the diagonal restriction of
+    the ambient bracket, S its kernel's scale, p the reversed parity."""
     m, n2 = 2 * k, n - 2
     xc = odd_var(n2 - 1)
     xi_c = ((0,) * m, (n2 - 1,))
@@ -575,24 +561,12 @@ def _jordan_h_kernel(k: int, n: int):
     return m, n2, (S, kern)
 
 
-def short_subalgebra_jordan_h(k: int, n: int, deg: int = 3):
-    """The Jordan product on the reversed-parity carrier induced by the
-    degree-(-1) part of the "h" fragment:
-        f o g = (-1)^{p(f)} df/dxi_c g + f dg/dxi_c + (-1)^{p(f)} xi_c {f, g}
-    with xi_c the last odd generator of the carrier and {.,.} the diagonal
-    restriction of the ambient bracket; p is the reversed parity.
-
-    The kernel (`_jordan_h_kernel`) sums S (a o b) on ints for monomials
-    a, b, S the scale of the diagonal bracket's kernel: the two derivative
-    terms from `mono_partial` and `mono_mul` times S, and xi_c times the
-    bracket kernel's ints S {a, b}."""
-    m, n2, kernel = _jordan_h_kernel(k, n)
-    return _jordan_from_product(m, n2, deg, kernel, f"J(H({2*k},{n}),a)|deg{deg}")
-
-
 def _jordan_k_kernel(k: int, n: int):
-    """(m, n2, (S, kern)) of `short_subalgebra_jordan_k`, as
-    `_jordan_h_kernel`."""
+    """As `_jordan_h_kernel`, for the contact analogue
+        f o g = (-1)^{p(f)} ( df/dxi_c g + {xi_c f, g} + xi_c (1-E)(f) dg/dt
+                              - xi_c df/dt (1-E)(g) ),
+    E the Euler operator in the non-t variables ((1-E)(a) is
+    (1 - `_non_t_degree`(a)) a) and {.,.} the diagonal restriction, t inert."""
     m, n2 = 2 * k + 1, n - 2
     xc, t = odd_var(n2 - 1), even_var(0)
     xi_c = ((0,) * m, (n2 - 1,))
@@ -621,21 +595,6 @@ def _jordan_k_kernel(k: int, n: int):
         return acc
 
     return m, n2, (S, kern)
-
-
-def short_subalgebra_jordan_k(k: int, n: int, deg: int = 3):
-    """The contact analogue:
-        f o g = (-1)^{p(f)} ( df/dxi_c g + {xi_c f, g} + xi_c (1-E)(f) dg/dt
-                              - xi_c df/dt (1-E)(g) )
-    with E the Euler operator in the non-t variables and {.,.} the diagonal
-    restriction (t inert); p is the reversed parity.
-
-    The kernel (`_jordan_k_kernel`) sums S (a o b) on ints for monomials
-    a, b, S the scale of the inert-t bracket's kernel: the bracket kernel's
-    ints S {xi_c a, b}, and the other three terms from `mono_partial`,
-    `mono_mul` and (1-E)(a) = (1 - `_non_t_degree`(a)) a, times S."""
-    m, n2, kernel = _jordan_k_kernel(k, n)
-    return _jordan_from_product(m, n2, deg, kernel, f"J(K({2*k+1},{n}),a)|deg{deg}")
 
 
 def _double_factor_map(monos_src, n_src: int, target_monos):

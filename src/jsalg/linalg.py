@@ -86,9 +86,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def pivots(self):
-        return sorted(self.rows)
-
     def basis(self):
         """Rows in pivot order: the canonical RREF basis of the span."""
         out = []

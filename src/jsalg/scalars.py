@@ -1,6 +1,6 @@
 """Exact scalars: every structure constant and coefficient is a rational,
-held as fractions.Fraction.  The rendering and parsing of rationals lives
-here so that reports and polynomial text share one grammar.
+held as fractions.Fraction.  The rendering of rationals lives here so that
+reports and polynomial text share one form.
 """
 
 from __future__ import annotations
@@ -15,6 +15,3 @@ def rat_str(q: Fraction) -> str:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
-
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())

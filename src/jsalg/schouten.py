@@ -356,9 +356,9 @@ class ACPair:
         return pv
 
     def validate(self):
-        if self.a_polyvector():
-            if self.a_polyvector().parity() != 1:  # shifted parity of an even field
-                raise ValueError("a must be an even derivation")
+        apv = self.a_polyvector()
+        if apv and apv.parity() != 1:  # shifted parity of an even field
+            raise ValueError("a must be an even derivation")
         cpv = self.c_polyvector()
         if cpv and cpv.parity() != 0:
             raise ValueError("c must be an even 2-polyvector")
@@ -376,8 +376,10 @@ def gpb_from_ac(pair: ACPair, f: SuperPoly, g: SuperPoly) -> SuperPoly:
 
 
 def check_s_conditions(pair: ACPair) -> Report:
-    """[a,c] = 0 and [c,c] = -2 a^c, evaluated exactly."""
+    """[a,c] = 0 and [c,c] = -2 a^c, evaluated exactly.  The identities
+    assume a and c even, so an odd pair raises ValueError (`validate`)."""
     t0 = time.perf_counter()
+    pair.validate()
     a = pair.a_polyvector()
     c = pair.c_polyvector()
     r1 = schouten_bracket(a, c)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .scalars import parse_rat, rat_str
+from .scalars import rat_str
 
 Monomial = tuple  # (tuple[int, ...], tuple[int, ...])
 
@@ -326,11 +326,7 @@ def _even_exponents(m: int, bound: int):
             yield (head,) + rest
 
 
-# -- text rendering / parsing -------------------------------------------------
-#
-# Grammar (round-trips exactly):  poly := "0" | term (" + " term)*
-#   term := rational (" " factor)*      factor := name | name "^" int
-#   name := "x<i>" (even, 1-based) | "xi<j>" (odd, 1-based)
+# -- text rendering ----------------------------------------------------------
 
 
 def render_monomial(mono: Monomial) -> str:
@@ -358,30 +354,3 @@ def render(f: SuperPoly) -> str:
             parts.append(f"{rat_str(c)} {body}")
     return " + ".join(parts)
 
-
-def parse(text: str, m: int, n: int) -> SuperPoly:
-    text = text.strip()
-    if text == "0":
-        return SuperPoly.zero(m, n)
-    poly = SuperPoly.zero(m, n)
-    for chunk in text.split(" + "):
-        bits = chunk.split()
-        c = parse_rat(bits[0])
-        term = SuperPoly.const(m, n, c)
-        for fac in bits[1:]:
-            if "^" in fac:
-                name, pw = fac.split("^")
-                power = int(pw)
-            else:
-                name, power = fac, 1
-            if name.startswith("xi"):
-                v = odd_var(int(name[2:]) - 1)
-            elif name.startswith("x"):
-                v = even_var(int(name[1:]) - 1)
-            else:
-                raise ValueError(f"unknown generator name {name!r}")
-            vp = SuperPoly.variable(m, n, v)
-            for _ in range(power):
-                term = mul(term, vp)
-        poly = poly + term
-    return poly

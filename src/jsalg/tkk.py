@@ -63,13 +63,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jordan import FiniteSuperAlgebra, _mul_into, _table_report, check_simple, hom_scan
+from .jordan import FiniteSuperAlgebra, _mul_into, _table_report, check_simple
 from .linalg import CoordSolver, Echelon, nullspace, vec_iadd
 # solve_linear stays in this namespace: perfbench's tracer patches it here
 from .linalg import solve_linear  # noqa: F401
 from .report import Report
 
-# plain matrices on an assembled basis: dict col -> (dict row -> coeff)
+# matrices as column maps: dict col -> (dict row -> coeff)
 
 
 def matrix_apply(M: dict, vec: dict) -> dict:
@@ -79,29 +79,6 @@ def matrix_apply(M: dict, vec: dict) -> dict:
         if col:
             vec_iadd(out, col, cv)
     return out
-
-
-def matrix_compose(M: dict, N: dict) -> dict:
-    out = {}
-    for c, col in N.items():
-        v = matrix_apply(M, col)
-        if v:
-            out[c] = v
-    return out
-
-
-def matrix_add(M: dict, N: dict, c=1) -> dict:
-    out = {k: dict(col) for k, col in M.items()}
-    for k, col in N.items():
-        acc = out.setdefault(k, {})
-        vec_iadd(acc, col, c)
-        if not acc:
-            del out[k]
-    return out
-
-
-def identity_matrix(dim: int, one=Fraction(1)) -> dict:
-    return {i: {i: one} for i in range(dim)}
 
 
 # -- the operator layer: int operators and tensors on a carrier's basis -------------
@@ -691,34 +668,6 @@ def inverse_product(L: GradedLie, t: Sl2Triple) -> FiniteSuperAlgebra:
     return FiniteSuperAlgebra(labels, parities, table, name=f"J({alg.name})")
 
 
-def exp_ad(L: GradedLie, x: dict):
-    """exp(ad x) = 1 + ad x + (ad x)^2/2 as a matrix on the assembled basis;
-    requires (ad x)^3 = 0 and every column of ad x in the table's span."""
-    alg = L.algebra
-    d = alg.dim
-    ad = {}
-    for j in range(d):
-        col = alg.mul_vectors(x, {j: Fraction(1)})
-        if col is None:
-            raise ValueError(f"ad x on {alg.labels[j]} leaves the table span")
-        if col:
-            ad[j] = col
-    ad2 = matrix_compose(ad, ad)
-    ad3 = matrix_compose(ad, ad2)
-    if ad3:
-        raise ValueError("ad x is not nilpotent of order <= 3")
-    out = matrix_add(identity_matrix(d), ad)
-    return matrix_add(out, ad2, Fraction(1, 2))
-
-
-def is_table_automorphism(L: GradedLie, A: dict) -> bool:
-    """A (column i: the image of e_i) intertwines the bracket on every basis
-    pair whose products stay in span (`jordan.hom_scan`)."""
-    alg = L.algebra
-    return hom_scan(alg.dim, alg.product, alg.mul_vectors,
-                    [A.get(i, {}) for i in range(alg.dim)])[2] is None
-
-
 def check_lie_table(alg: FiniteSuperAlgebra, workers=None) -> Report:
     """Anticommutativity and the super Jacobi identity on basis triples,
     skipping tuples whose products leave a truncated span."""
@@ -830,7 +779,7 @@ def check_semidirect(J: FiniteSuperAlgebra, carrier: FiniteSuperAlgebra | None =
             span_gens.append(w)
     rows, sc = carrier_t.oracle
     L = {w: _wop_from_left_mul(rows, sc, w) for w in span_gens}
-    ident = WOp(identity_matrix(dimC, 1), frozenset(range(dimC)), 1)
+    ident = WOp({i: {i: 1} for i in range(dimC)}, frozenset(range(dimC)), 1)
     P = _product_tensor(rows, sc)
     memo = {}
 

@@ -97,9 +97,11 @@ def test_build_takes_no_report_flags(capsys):
 
 def test_short_gradings_cli(capsys):
     assert run("verify", "short-gradings", "--type", "sl", "--rank", "4") == 0
-    # sl(1) has no candidate vertex: an empty report must not pass
-    assert run("verify", "short-gradings", "--type", "sl", "--rank", "1") == 1
+    assert run("verify", "short-gradings", "--type", "sl", "--rank", "2") == 0
     capsys.readouterr()
+    # sl(1) is the zero algebra: a usage error, not a failed check
+    assert run("verify", "short-gradings", "--type", "sl", "--rank", "1") == 2
+    assert_one_error_line(capsys)
     # a negative rank is a usage error, not a failed check
     assert run("verify", "short-gradings", "--type", "sl", "--rank", "-1") == 2
     err = capsys.readouterr().err
@@ -285,6 +287,15 @@ def test_verify_tkk_on_nonunital_j_is_a_usage_error(capsys):
 def test_verify_hk_fragment(capsys):
     assert run("verify", "hk-fragment", "--kind", "h", "--k", "0", "--n", "4") == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, k, deg", [("k", "0", "0"), ("k", "0", "1"),
+                                          ("h", "1", "0"), ("h", "1", "1")])
+def test_hk_fragment_below_degree_two_is_a_usage_error(kind, k, deg, capsys):
+    # the triple's quadratic monomials leave a degree-<= 1 span
+    assert run("verify", "hk-fragment", "--kind", kind, "--k", k, "--n", "3",
+               "--deg", deg) == 2
+    assert_one_error_line(capsys)
 
 
 def test_verify_iso_suite(capsys):

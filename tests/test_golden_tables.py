@@ -40,9 +40,8 @@ from jsalg.lieclass import (
     example71_iso,
     example72_iso,
     h_zero_n_lie,
-    short_subalgebra_jordan_h,
-    short_subalgebra_jordan_k,
 )
+from references import short_subalgebra_jordan_h, short_subalgebra_jordan_k
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_tables.json").read_text())
 

@@ -21,15 +21,13 @@ from jsalg.lieclass import (
     example72_iso,
     find_short_triple,
     h_zero_n_lie,
-    killing_pairing,
     killing_row,
     _non_t_degree,
-    short_subalgebra_jordan_h,
-    short_subalgebra_jordan_k,
 )
 from jsalg.linalg import vec_iadd
 from jsalg.superpoly import mono_degree
 from jsalg.tkk import check_lie_table
+from references import short_subalgebra_jordan_h, short_subalgebra_jordan_k
 
 
 def _coords(L, mat):
@@ -55,6 +53,12 @@ def reference_ad(L, vec):
 cached_classical = cache(classical)
 
 
+def killing(L, X, Y):
+    """kappa(X, Y): the dot product of X with the Killing row of Y."""
+    row = killing_row(L, L.ad(Y))
+    return sum((c * row.get(i, 0) for i, c in X.items()), Fraction(0))
+
+
 @pytest.mark.parametrize("fam, size", [("sl", 4), ("so", 5), ("sp", 4)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -69,7 +73,7 @@ def test_killing_value_sl4():
     L = classical("sl", 4)
     h = {(i, i): Fraction(1, 2) if i < 2 else Fraction(-1, 2) for i in range(4)}
     hc = _coords(L, h)
-    assert killing_pairing(L, hc, hc) == 8
+    assert killing(L, hc, hc) == 8
 
 
 def test_killing_symmetry_and_invariance():
@@ -77,10 +81,10 @@ def test_killing_symmetry_and_invariance():
     u = {0: Fraction(1), 3: Fraction(-2)}
     v = {1: Fraction(1, 2), 2: Fraction(3)}
     w = {4: Fraction(1)}
-    assert killing_pairing(L, u, v) == killing_pairing(L, v, u)
+    assert killing(L, u, v) == killing(L, v, u)
     # ad-invariance: K([u,v], w) + K(v, [u,w]) = 0
-    assert killing_pairing(L, L.bracket_vec(u, v), w) + killing_pairing(
-        L, v, L.bracket_vec(u, w)
+    assert killing(L, L.algebra.mul_vectors(u, v), w) + killing(
+        L, v, L.algebra.mul_vectors(u, w)
     ) == 0
 
 
@@ -108,7 +112,7 @@ def test_killing_form_is_the_trace_form_times_the_closed_form_constant(fam, size
     L = classical(fam, size)
     c = KILLING_TRACE[fam](size)
     for j, Xj in enumerate(L.basis):
-        assert killing_row(L, {j: Fraction(1)}) == {
+        assert killing_row(L, L.ad({j: Fraction(1)})) == {
             i: c * t for i, Xi in enumerate(L.basis) if (t := _trace_form(Xi, Xj))}
 
 
@@ -117,12 +121,12 @@ def test_killing_row_matches_the_ad_trace_and_the_pairing(fam, size):
     L = classical(fam, size)
     for vertex in candidate_vertices(L):
         h = _coords(L, coweight_h(L, vertex))
-        row = killing_row(L, h)
+        row = killing_row(L, L.ad(h))
         for i in range(L.dim):
             e_i = {i: Fraction(1)}
-            assert row.get(i, 0) == _trace_ad_ad(L, e_i, h) == killing_pairing(L, e_i, h)
+            assert row.get(i, 0) == _trace_ad_ad(L, e_i, h) == killing(L, e_i, h)
         X = {i: Fraction(i - 3, 2) for i in range(0, L.dim, 3)}
-        assert killing_pairing(L, X, h) == _trace_ad_ad(L, X, h)
+        assert killing(L, X, h) == _trace_ad_ad(L, X, h)
 
 
 def test_classical_dimensions():
@@ -162,11 +166,15 @@ def test_enumeration_matches_classification(fam, size):
     assert found == set(classified_short_vertices(fam, size))
 
 
-def test_sl1_constructs_but_its_empty_table_is_refused():
-    L = classical("sl", 1)
-    assert L.dim == 0
+def test_sl_below_two_is_refused():
+    # sl(1) and sl(0) are the zero algebra: no grading to enumerate
+    for n in range(2):
+        with pytest.raises(ValueError, match="sl"):
+            classical("sl", n)
+    assert classical("sl", 2).dim == 3
+    # built by hand, its empty table is refused as before
     with pytest.raises(ValueError, match="empty basis"):
-        L.algebra
+        lieclass.ClassicalAlgebra("sl", 1, [], [], 0).algebra
 
 
 def test_so_below_five_is_refused():
@@ -177,7 +185,8 @@ def test_so_below_five_is_refused():
 
 
 def test_enumeration_without_candidate_vertices_does_not_pass():
-    r = enumerate_short_gradings(classical("sl", 1))
+    # the zero algebra, built by hand: classical() refuses it
+    r = enumerate_short_gradings(lieclass.ClassicalAlgebra("sl", 1, [], [], 0))
     assert r.certified_span["vertices"] == []
     assert not r.passed
     assert "reason" in r.counterexample

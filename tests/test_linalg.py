@@ -87,7 +87,7 @@ def test_echelon_basis_is_independent_of_insertion_order(columns, rnd):
         b.insert(dict(col))
     assert a.basis() == b.basis()
     assert a.rank == b.rank
-    for row, p in zip(a.basis(), a.pivots()):
+    for row, p in zip(a.basis(), sorted(a.rows)):
         assert row[p] == 1 and min(row) == p
 
 
@@ -293,7 +293,7 @@ def test_echelon_matches_the_fraction_reference(case):
     ech, ref = Echelon(), RefEchelon()
     for col in columns:
         assert ech.insert(dict(col)) == ref.insert(dict(col))
-    assert ech.pivots() == ref.pivots()
+    assert sorted(ech.rows) == ref.pivots()
     assert [_items(r) for r in ech.basis()] == [_items(r) for r in ref.basis()]
     for t in _targets(columns, targets):
         assert _items(ech.reduce(t)) == _items(ref.reduce(t))

@@ -1,8 +1,9 @@
 """The integer monomial kernels of the polynomial product tables against
 per-term SuperPoly references.
 
-`lieclass.short_subalgebra_jordan_h`, `lieclass.short_subalgebra_jordan_k`
-and `jordan.kkm_double` sum their products on ints over monomials.  The
+`references.short_subalgebra_jordan_h` and `_k` (the tables of
+`lieclass._jordan_h_kernel` and `_jordan_k_kernel`) and `jordan.kkm_double`
+sum their products on ints over monomials.  The
 references below evaluate the same formulas on SuperPoly objects with
 Fraction coefficients (`mul`, `partial`, `bracket` and the Euler operator
 `euler` below), one basis pair at a time, and build the table the way the
@@ -17,11 +18,7 @@ import pytest
 
 from jsalg.brackets import BracketSpec, bracket, bracket_monomials
 from jsalg.jordan import FiniteSuperAlgebra, kkm_double
-from jsalg.lieclass import (
-    _inert_t_h_spec,
-    short_subalgebra_jordan_h,
-    short_subalgebra_jordan_k,
-)
+from jsalg.lieclass import _inert_t_h_spec
 from jsalg.superpoly import (
     SuperPoly,
     even_var,
@@ -33,6 +30,7 @@ from jsalg.superpoly import (
     partial,
     render_monomial,
 )
+from references import short_subalgebra_jordan_h, short_subalgebra_jordan_k
 
 ONE = Fraction(1)
 

@@ -164,14 +164,14 @@ def test_gpb_agrees_with_builtin_brackets():
                 assert gpb_from_ac(pair, f, g) == bracket(spec, f, g)
 
 
-def test_pair_validation():
+def test_s_conditions_refuse_a_pair_whose_a_is_odd():
     m, n = 0, 2
     one = SuperPoly.one(m, n)
     bad = ACPair(m, n, ((one, odd_var(0)),), ())  # an odd derivation
-    with pytest.raises(ValueError):
-        bad.validate()
-    pairing_h_pair(1, 3).validate()
-    pairing_k_pair(1, 2).validate()
+    with pytest.raises(ValueError, match="a must be an even derivation"):
+        check_s_conditions(bad)
+    assert check_s_conditions(pairing_h_pair(1, 3)).passed
+    assert check_s_conditions(pairing_k_pair(1, 2)).passed
 
 
 def test_gpb_jacobi_reports_the_failing_identity():

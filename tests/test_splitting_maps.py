@@ -4,7 +4,7 @@ the work a refuted map does.
 `lieclass.example71_iso` and `example72_iso` read each source and target
 product when the intertwining scan reaches its pair, from the int monomial
 kernels the tables are built from.  The reference below is the path they
-replaced: build the whole source table (`short_subalgebra_jordan_h`/`_k`)
+replaced: build the whole source table (`references.short_subalgebra_jordan_h`/`_k`)
 and the whole target double (`kkm_double`), then scan the two
 FiniteSuperAlgebras pair by pair.  Every report must have the same bytes:
 counts, counterexample and status."""
@@ -17,14 +17,10 @@ from jsalg import jordan, lieclass
 from jsalg.brackets import BracketSpec
 from jsalg.jordan import kkm_double
 from jsalg.linalg import vec_iadd
-from jsalg.lieclass import (
-    example71_iso,
-    example72_iso,
-    short_subalgebra_jordan_h,
-    short_subalgebra_jordan_k,
-)
+from jsalg.lieclass import example71_iso, example72_iso
 from jsalg.report import Report
 from jsalg.superpoly import monomials_total_degree
+from references import short_subalgebra_jordan_h, short_subalgebra_jordan_k
 
 
 def table_hom_scan(S, T, images):

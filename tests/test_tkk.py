@@ -43,14 +43,12 @@ from jsalg.tkk import (
     check_minimal_table,
     check_semidirect,
     check_triple,
-    exp_ad,
     inverse_product,
-    is_table_automorphism,
     matrix_apply,
-    matrix_compose,
     tkk,
     unital_extend,
 )
+from references import exp_ad, is_table_automorphism, matrix_compose
 
 
 def graded_dims(T):
