@@ -433,16 +433,24 @@ def _compile(spec: BracketSpec, budget):
 
 def expand(S: int, kern, f: SuperPoly, g: SuperPoly) -> SuperPoly:
     """The bilinear extension of a monomial kernel at scale S: the sum of
-    c_a c_b kern(a, b) / S over the terms c_a a of f and c_b b of g, summed
-    on ints with c_a and c_b over their common denominators F and G."""
+    c_a c_b kern(a, b) / S over the terms c_a a of f and c_b b of g.  Each
+    coefficient is cleared once to an int over its argument's common
+    denominator (F for f, G for g, the lcm of the denominators, so the
+    divisions are exact), the products sum on ints, and each nonzero sum v
+    becomes one Fraction v / (S F G) in the result's terms."""
     F, G = den_lcm(f.terms.values()), den_lcm(g.terms.values())
+    gs = [(b, cb.numerator * (G // cb.denominator)) for b, cb in g.terms.items()]
     acc: dict = {}
     for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            c = _clear(ca, F) * _clear(cb, G)
+        ca = ca.numerator * (F // ca.denominator)
+        for b, cb in gs:
+            c = ca * cb
             for y, v in kern(a, b).items():
                 acc[y] = acc.get(y, 0) + c * v
-    return SuperPoly(f.m, f.n, {y: Fraction(v, S * F * G) for y, v in acc.items()})
+    out = SuperPoly(f.m, f.n)
+    D = S * F * G
+    out.terms = {y: Fraction(v, D) for y, v in acc.items() if v}
+    return out
 
 
 def bracket_monomials(spec: BracketSpec, m1, m2) -> dict:

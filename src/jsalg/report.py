@@ -121,12 +121,18 @@ class DetRand:
         return Fraction(num, den)
 
 
+MAX_WORKERS = 64  # a scan forks up to this many processes
+
+
 def resolve_workers(workers=None) -> int:
-    """workers, else $JSALG_WORKERS, else 1; ValueError unless an int >= 1."""
+    """workers, else $JSALG_WORKERS, else 1; ValueError unless an int from
+    1 to MAX_WORKERS (64), so a count no host could run starts no pool."""
     name, w = ("workers", workers) if workers is not None else (
         "JSALG_WORKERS", os.environ.get("JSALG_WORKERS") or "1")
     if not str(w).isdecimal() or int(w) < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {w!r}")
+    if int(w) > MAX_WORKERS:
+        raise ValueError(f"{name} must be at most {MAX_WORKERS}, got {w!r}")
     return int(w)
 
 

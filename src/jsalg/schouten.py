@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .brackets import DerivationD, den_lcm, der_defect, der_ints, der_terms, expand
+from .brackets import DerivationD, den_lcm, der_ints, der_terms, expand
 from .report import Report
 from .superpoly import (SuperPoly, VarRef, even_var, mono_mul, mono_partial, mul, odd_var,
                         partial)
@@ -315,29 +315,58 @@ class ACPair:
         kern(x, y) is the dict of nonzero ints S {x, y} on monomials, and S
         the lcm of the denominators of the coefficients (the bracket is
         linear in them; partials add integer factors).  The fields are a
-        and, for each homogeneous part co of a coefficient, co d/db_i."""
+        and, for each homogeneous part co of a coefficient, b_i = co d/db_i.
+
+        Every value the formula reads depends on one monomial: a(x), each
+        b_i(x) at scale S and each d_i x = d/dd_i x.  These are x's jet,
+        filled through `der_terms` and `mono_partial` on x's first use and
+        kept in a memo that the kernel owns, so a scan over N monomials
+        computes N jets, not one per pair; the memo holds one jet per
+        distinct monomial the pair has met.  It is sound because the pair
+        is frozen: a kernel sees one a and one c for its lifetime.
+        kern(x, y) then takes one `mono_mul` per product term of two jets."""
         S = den_lcm(c for co, *_ in self.a_terms + self.c_pairs for c in co.terms.values())
         a = der_ints(self.a_derivation(), S)
         cs = [(der_ints(DerivationD(self.m, self.n, ((co, bv),)), S), dv,
                (co.parity() + _der(_factor_key(bv))) & 1)
               for coeff, bv, dv in self.c_pairs for co in _homogeneous_parts(coeff)]
+        jets = {}
+
+        def jet(x):
+            # (S a(x), ((S b_i(x), d_i x), ...)) as term tuples and partials
+            jets[x] = j = (tuple(der_terms(a, x)),
+                           tuple((tuple(der_terms(b, x)), mono_partial(x, dv))
+                                 for b, dv, _ in cs))
+            return j
 
         def kern(x, y):
+            (ax, bdx), (ay, bdy) = jets.get(x) or jet(x), jets.get(y) or jet(y)
             acc = {}
-            der_defect(a, x, y, acc)
+            # S (x a(y) - a(x) y)
+            for c, z in ay:
+                r = mono_mul(x, z)
+                if r:
+                    acc[r[1]] = acc.get(r[1], 0) + c * r[0]
+            for c, z in ax:
+                r = mono_mul(z, y)
+                if r:
+                    acc[r[1]] = acc.get(r[1], 0) - c * r[0]
             px = len(x[1]) & 1
-            for b, dv, pb in cs:
-                # (-1)^{p(x) pb} (b(x) d(y) - (-1)^{pb} d(x) b(y)), d = d/dd_i
+            for (bx, dx), (by, dy), (_, _, pb) in zip(bdx, bdy, cs):
+                # (-1)^{p(x) pb} (b(x) d(y) - (-1)^{pb} d(x) b(y))
                 st = -1 if pb and px else 1
-                dy, dx = mono_partial(y, dv), mono_partial(x, dv)
-                for c, z in der_terms(b, x) if dy else ():
-                    r = mono_mul(z, dy[1])
-                    if r:
-                        acc[r[1]] = acc.get(r[1], 0) + st * c * dy[0] * r[0]
-                for c, z in der_terms(b, y) if dx else ():
-                    r = mono_mul(dx[1], z)
-                    if r:
-                        acc[r[1]] = acc.get(r[1], 0) + (st if pb else -1) * c * dx[0] * r[0]
+                if dy:
+                    k, w = st * dy[0], dy[1]
+                    for c, z in bx:
+                        r = mono_mul(z, w)
+                        if r:
+                            acc[r[1]] = acc.get(r[1], 0) + k * c * r[0]
+                if dx:
+                    k, w = (st if pb else -1) * dx[0], dx[1]
+                    for c, z in by:
+                        r = mono_mul(w, z)
+                        if r:
+                            acc[r[1]] = acc.get(r[1], 0) + k * c * r[0]
             return {z: v for z, v in acc.items() if v}
 
         return S, kern

@@ -8,14 +8,19 @@
 * Matrix operations on an assembled Lie table: sums, compositions, the
   nilpotent exponential exp(ad x) and the automorphism test.  A matrix is a
   column map, dict col -> (dict row -> coeff), as `tkk.matrix_apply` reads.
+* The bracket of an (a, c) pair on monomials in its per-pair form, which
+  derives every one-monomial value again for each pair through
+  `brackets.der_defect`; `schouten.ACPair.kernel` reads them from jets.
 """
 
 from fractions import Fraction
 
+from jsalg.brackets import DerivationD, den_lcm, der_defect, der_ints, der_terms
 from jsalg.jordan import _poly_table, hom_scan
 from jsalg.lieclass import _jordan_h_kernel, _jordan_k_kernel
 from jsalg.linalg import vec_iadd
-from jsalg.superpoly import monomials_total_degree
+from jsalg.schouten import _der, _factor_key, _homogeneous_parts
+from jsalg.superpoly import mono_mul, mono_partial, monomials_total_degree
 from jsalg.tkk import GradedLie, matrix_apply
 
 
@@ -86,3 +91,33 @@ def is_table_automorphism(L: GradedLie, A: dict) -> bool:
     alg = L.algebra
     return hom_scan(alg.dim, alg.product, alg.mul_vectors,
                     [A.get(i, {}) for i in range(alg.dim)])[2] is None
+
+
+def ac_pair_kernel(pair):
+    """(S, kern) of the pair's bracket, kern(x, y) the dict of nonzero ints
+    S {x, y}, with a(x), b_i(x) and d_i x derived again on every call."""
+    S = den_lcm(c for co, *_ in pair.a_terms + pair.c_pairs for c in co.terms.values())
+    a = der_ints(pair.a_derivation(), S)
+    cs = [(der_ints(DerivationD(pair.m, pair.n, ((co, bv),)), S), dv,
+           (co.parity() + _der(_factor_key(bv))) & 1)
+          for coeff, bv, dv in pair.c_pairs for co in _homogeneous_parts(coeff)]
+
+    def kern(x, y):
+        acc = {}
+        der_defect(a, x, y, acc)
+        px = len(x[1]) & 1
+        for b, dv, pb in cs:
+            # (-1)^{p(x) pb} (b(x) d(y) - (-1)^{pb} d(x) b(y)), d = d/dd_i
+            st = -1 if pb and px else 1
+            dy, dx = mono_partial(y, dv), mono_partial(x, dv)
+            for c, z in der_terms(b, x) if dy else ():
+                r = mono_mul(z, dy[1])
+                if r:
+                    acc[r[1]] = acc.get(r[1], 0) + st * c * dy[0] * r[0]
+            for c, z in der_terms(b, y) if dx else ():
+                r = mono_mul(dx[1], z)
+                if r:
+                    acc[r[1]] = acc.get(r[1], 0) + (st if pb else -1) * c * dx[0] * r[0]
+        return {z: v for z, v in acc.items() if v}
+
+    return S, kern

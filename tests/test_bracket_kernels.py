@@ -3,12 +3,15 @@ the orbit-reduced identity scans against scans of every ordered triple.
 
 `bracket_kernel` (behind `bracket_monomials` and `bracket`) and
 `schouten.ACPair.kernel` (behind `gpb_from_ac`) evaluate a compiled
-presentation on ints.  The references below evaluate the same formulas
-term by term on Fractions, straight from the spec or the pair.  The
-Leibniz and kmc workers visit one triple per orbit; the reference workers
-below visit every ordered triple."""
+presentation on ints, and `expand` extends a kernel bilinearly.  The
+references below evaluate the same formulas term by term on Fractions,
+straight from the spec or the pair; the pair kernel is also checked against
+its per-pair form (`references.ac_pair_kernel`).  The Leibniz and kmc
+workers visit one triple per orbit; the reference workers below visit
+every ordered triple."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jsalg.brackets as br
+import jsalg.schouten as sch
 from jsalg.brackets import (
     BracketSpec,
     DerivationD,
@@ -25,6 +29,7 @@ from jsalg.brackets import (
     bracket_monomials,
     check_gen_leibniz,
     check_kmc,
+    expand,
     gauge_twist,
 )
 from jsalg.schouten import (
@@ -48,6 +53,8 @@ from jsalg.superpoly import (
     odd_var,
     partial,
 )
+
+from references import ac_pair_kernel
 
 THIRD = [[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0], [0, 0, Fraction(-1, 3)]]
 
@@ -123,6 +130,14 @@ def ref_gpb_from_ac(pair, f, g):
     return out
 
 
+def _same_pair_kernels(pair, monos):
+    (S, kern), (S0, ref) = pair.kernel, ac_pair_kernel(pair)
+    assert S == S0
+    for x in monos:
+        for y in monos:
+            assert kern(x, y) == ref(x, y), (pair, x, y)
+
+
 SPECS = {
     "h(1,2)": BracketSpec.h_type(1, 2),
     "h(0,4)": BracketSpec.h_type(0, 4),
@@ -178,6 +193,7 @@ def test_bracket_of_polynomials_matches_the_reference():
 def test_gpb_kernel_matches_the_reference_on_every_pair(k, n):
     for pair in (pairing_h_pair(k, n), pairing_k_pair(k, n)):
         monos = monomials_total_degree(pair.m, pair.n, 3)
+        _same_pair_kernels(pair, monos)
         for a in monos:
             f = SuperPoly(pair.m, pair.n, {a: 1})
             for b in monos:
@@ -200,6 +216,116 @@ def test_gpb_kernel_matches_the_reference_on_random_polynomials():
         for _ in range(25):
             f, g = (_random_poly(rng, pair.m, pair.n) for _ in range(2))
             assert gpb_from_ac(pair, f, g) == ref_gpb_from_ac(pair, f, g)
+
+
+_DEN = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def _ac_pairs(draw):
+    """A pair on m <= 3 even and 1 <= n <= 3 odd generators whose c list
+    holds a coefficient with both homogeneous parts, a zero one and up to
+    two more of any parity; a has up to two terms.  Denominators are <= 7.
+    Nothing asks the pair to be even or to satisfy the closure conditions."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    monos = monomials_total_degree(m, n, 2)
+    ev = [x for x in monos if not mono_parity(x)]
+    od = [x for x in monos if mono_parity(x)]
+
+    def poly(parts):
+        return SuperPoly(m, n, {x: draw(_DEN) for part in parts
+                                for x in draw(st.sets(st.sampled_from(part), min_size=1,
+                                                      max_size=2))})
+
+    var = st.sampled_from([even_var(i) for i in range(m)] + [odd_var(j) for j in range(n)])
+    any_parity = st.sampled_from([[ev], [od], [ev, od]])
+    c_pairs = [(poly([ev, od]), draw(var), draw(var)),
+               (SuperPoly.zero(m, n), draw(var), draw(var))]
+    c_pairs += [(poly(draw(any_parity)), draw(var), draw(var))
+                for _ in range(draw(st.integers(0, 2)))]
+    a_terms = [(poly(draw(any_parity)), draw(var)) for _ in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(len(c_pairs))))
+    return ACPair(m, n, tuple(a_terms), tuple(c_pairs[i] for i in order))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ac_pairs())
+def test_pair_kernel_matches_its_per_pair_form_on_random_pairs(pair):
+    _same_pair_kernels(pair, monomials_total_degree(pair.m, pair.n, 2))
+
+
+def test_pair_jets_are_filled_once_per_monomial(monkeypatch):
+    # a(x), each b_i(x) and each d_i x are computed once per monomial x,
+    # however many pairs read them
+    calls = Counter()
+    for name in ("der_terms", "mono_partial"):
+        fn = getattr(sch, name)
+        monkeypatch.setattr(sch, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    pair = pairing_k_pair(1, 2)
+    fields = len(pair.c_pairs)  # homogeneous coefficients: one field b_i each
+    S, kern = pair.kernel
+    monos = monomials_total_degree(pair.m, pair.n, 3)
+    for _ in range(2):
+        for x in monos:
+            for y in monos:
+                kern(x, y)
+    N = len(monos)
+    assert calls == {"der_terms": N * (1 + fields), "mono_partial": N * fields}
+    # a second pair compiles its own kernel and memo
+    calls.clear()
+    f = SuperPoly(pair.m, pair.n, {monos[-1]: 1})
+    gpb_from_ac(pairing_k_pair(1, 2), f, f)
+    assert calls == {"der_terms": 1 + fields, "mono_partial": fields}
+
+
+def ref_expand(S, kern, f, g) -> dict:
+    """The bilinear extension on Fractions, term by term."""
+    acc = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            for y, v in kern(a, b).items():
+                _add(acc, y, ca * cb * Fraction(v, S))
+    return {y: c for y, c in acc.items() if c}
+
+
+def test_expand_matches_a_fraction_reference():
+    rng = random.Random(28)
+    kernels = [(spec.m, spec.n, bracket_kernel(spec)) for spec in SPECS.values()] + [
+        (3, 1, pairing_k_pair(1, 1).kernel), (2, 3, pairing_h_pair(1, 3).kernel)]
+    for m, n, (S, kern) in kernels:
+        monos = monomials_total_degree(m, n, 3)
+        for _ in range(8):
+            f, g = (SuperPoly(m, n, {rng.choice(monos): Fraction(rng.randint(-5, 5),
+                                                                 rng.choice([1, 2, 3, 5, 7, 12]))
+                                     for _ in range(rng.randint(1, 5))}) for _ in range(2))
+            out = expand(S, kern, f, g)
+            assert out.terms == ref_expand(S, kern, f, g)
+            assert all(type(c) is Fraction and c for c in out.terms.values())
+
+
+def test_expand_stores_no_cancelled_term():
+    p, q = (SuperPoly.variable(2, 0, even_var(i)) for i in range(2))
+    S, kern = bracket_kernel(BracketSpec.h_type(1, 0))
+    f = p + q
+    # {p, q} + {q, p} cancels on the constant monomial, the pq part stays
+    g = f + mul(p, q).scale(Fraction(1, 3))
+    out = expand(S, kern, f, g)
+    assert out.terms == ref_expand(S, kern, f, g) == {((1, 0), ()): Fraction(1, 3),
+                                                       ((0, 1), ()): Fraction(-1, 3)}
+    assert expand(S, kern, f, f).terms == {}
+
+
+def test_gauge_bracket_values_are_pinned():
+    # recorded before expand summed each argument's ints once
+    x1, x2 = (SuperPoly.variable(2, 0, even_var(i)) for i in range(2))
+    one = SuperPoly.one(2, 0)
+    tw = gauge_twist(BracketSpec.h_type(1, 0), one + x1)
+    f = x1 + x2.scale(Fraction(1, 2))
+    g = mul(x2, x2) - mul(x1, x2).scale(Fraction(1, 3)) + one.scale(2)
+    want = {((0, 0), ()): "-1", ((0, 1), ()): "13/6", ((0, 2), ()): "1/2",
+            ((1, 0), ()): "-1/3", ((1, 1), ()): "25/6", ((2, 0), ()): "-2/3"}
+    assert bracket(tw, f, g, 4) == SuperPoly(2, 0, {y: Fraction(c) for y, c in want.items()})
+    assert bracket(tw, g, f, 4) == -bracket(tw, f, g, 4)
 
 
 def test_compiling_checks_the_scale(monkeypatch):

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from jsalg import acceptance
+from jsalg import acceptance, report
 from jsalg.cli import REPORT, SUITES, main
 from jsalg.jordan import FAMILIES
-from jsalg.report import resolve_workers
+from jsalg.report import MAX_WORKERS, resolve_workers
 
 
 def run(*argv):
@@ -208,6 +208,24 @@ def test_bad_worker_counts_are_usage_errors(capsys, monkeypatch):
             resolve_workers()
     # an explicit count wins over the variable
     assert run(*base, "--workers", "1") == 0
+
+
+def test_worker_counts_above_the_ceiling_are_usage_errors(capsys, monkeypatch):
+    # refused before any pool starts: here starting one raises
+    def no_pool(*_):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(report, "get_context", no_pool)
+    base = ("verify", "jordan-identity", "--family", "Dt", "--t", "2")
+    assert run(*base, "--workers", "100000") == 2
+    assert capsys.readouterr().err == f"error: workers must be at most {MAX_WORKERS}, got 100000\n"
+    monkeypatch.setenv("JSALG_WORKERS", "100000")
+    assert run(*base) == 2
+    assert capsys.readouterr().err == (
+        f"error: JSALG_WORKERS must be at most {MAX_WORKERS}, got '100000'\n")
+    assert resolve_workers(MAX_WORKERS) == MAX_WORKERS
+    with pytest.raises(ValueError, match="at most"):
+        resolve_workers(MAX_WORKERS + 1)
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
