@@ -83,6 +83,16 @@ antisymmetry, Leibniz and kmc-product order 1: the window's pair prepass
 proves the antisymmetry its multiset scan needs.  The condition is needed:
 P(f) = sum_j df/dxi_j on even f and 0 on odd f vanishes on the monomials of
 degree <= 1, not on xi1 xi2.
+
+The rerun after a failing window tests each outer row i on the window
+first (`_row_passes`): with slot 1 fixed to a_i, P still has order <= r in
+the other slots, so P(a_i, ., .) vanishes on all polynomials iff it does
+on every *ordered* window tuple (orbit representatives would need the
+antisymmetry a failing run has not proved).  A passing row is skipped, its
+tuples counted, and a failing one scanned in full: the first failure is the
+same at any worker count.  A degree r - 1 window agrees only by other
+lemmas (Leibniz has order 0 in slots 2 and 3, a super-antisymmetric
+Jacobiator order 1).
 """
 
 from __future__ import annotations
@@ -91,6 +101,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
 from operator import add
 
@@ -689,37 +700,57 @@ def _spec_oracle(spec: BracketSpec, monos, max_deg: int, D=None, halve=False):
     return _PairCache(monos, kern, kscale, scale, E, max_deg if series else None)
 
 
-def _antisymmetry_scan(o: _PairCache, rows: list, lo: int, hi: int):
+def _row_passes(win, fails, slots: int = 2) -> bool:
+    """The row test of "Order windows", which every scan runs on each outer
+    row when given the window's list ids win: whether win is given and
+    fails(*t) is falsy on every ordered tuple t of `slots` of them."""
+    return win is not None and not any(fails(*t) for t in product(win, repeat=slots))
+
+
+def _skew_defect(o: _PairCache, rows: list, i, j) -> dict:
+    """{a_i, a_j} + (-1)^{p(a_i)p(a_j)} {a_j, a_i}, read from rows."""
+    acc = dict(rows[i][j])
+    s = -1 if o.par[i] and o.par[j] else 1
+    for y, v in rows[j][i].items():
+        acc[y] = acc.get(y, 0) + s * v
+    return acc
+
+
+def _antisymmetry_scan(o: _PairCache, rows: list, lo: int, hi: int, win=None):
     """Super-antisymmetry of the bracket read from rows (the bracket or the
     modified bracket cache) on the pairs (i, j >= i), for i in [lo, hi).
     Returns (certified, 0, identity, tuple, residual) as the scans do."""
-    N, par = o.size, o.par
+    N = o.size
     cnt = 0
     for i in range(lo, hi):
-        ri = rows[i]
+        if _row_passes(win, lambda j: any(_skew_defect(o, rows, i, j).values()), 1):
+            cnt += N - i
+            continue
         for j in range(i, N):
-            acc = dict(ri[j])
-            s = -1 if par[i] and par[j] else 1
-            for y, v in rows[j][i].items():
-                acc[y] = acc.get(y, 0) + s * v
+            acc = _skew_defect(o, rows, i, j)
             cnt += 1
             if any(acc.values()) and o.certified(acc):
                 return cnt, 0, "antisymmetry", (i, j), o.residual(acc, 1)
     return cnt, 0, None, None, None
 
 
-def _jacobi_scan(o: _PairCache, lo: int, hi: int):
+def _jacobi_scan(o: _PairCache, lo: int, hi: int, win=None):
     """Super-antisymmetry on the pairs (i, j >= i), then the super Jacobi
     identity on the multisets (i, j >= i, k >= j), for i in [lo, hi).
     Returns (certified, 0, identity, tuple, residual) at the first failure,
-    else (certified, 0, None, None, None): nothing is skipped."""
+    else (certified, 0, None, None, None); a row that passes its row test
+    (`_row_passes`) is counted, not scanned."""
     N, par, br = o.size, o.par, o.br
-    first = _antisymmetry_scan(o, br, lo, hi)
+    first = _antisymmetry_scan(o, br, lo, hi, win)
     if first[2]:
         return first
     cnt = first[0]
     for i in range(lo, hi):
         bi = br[i]
+        if _row_passes(win, lambda j, k: any(_jacobiator(
+                br, bi, br[j], k, bi[j], -1 if par[i] and par[j] else 1).values())):
+            cnt += (N - i) * (N - i + 1) // 2
+            continue
         for j in range(i, N):
             s = -1 if par[i] and par[j] else 1
             ab, bj = bi[j], br[j]
@@ -778,20 +809,24 @@ def _product_rule(pr: list, ri, ea: dict, j, k, ab: dict, s: int) -> dict:
 
 
 def _jacobi_worker(args):
-    (spec, _D, monos, max_deg), lo, hi = args
-    return _jacobi_scan(_spec_oracle(spec, monos, max_deg), lo, hi)
+    (spec, _D, monos, max_deg, win), lo, hi = args
+    return _jacobi_scan(_spec_oracle(spec, monos, max_deg), lo, hi, win)
 
 
 def _leibniz_worker(args):
     """The generalized Leibniz rule on the triples (i, j, k >= j), for i in
     [lo, hi): by the lemma at `_product_rule` they decide every ordered
     triple."""
-    (spec, D, monos, max_deg), lo, hi = args
+    (spec, D, monos, max_deg, win), lo, hi = args
     o = _spec_oracle(spec, monos, max_deg, D)
     N, par, br, ev, pr = o.size, o.par, o.br, o.ev, o.pr
     cnt = 0
     for i in range(lo, hi):
         ea, bi = ev[i], br[i]
+        if _row_passes(win, lambda j, k: any(_product_rule(
+                pr, bi, ea, j, k, bi[j], -1 if par[i] and par[j] else 1).values())):
+            cnt += N * (N + 1) // 2
+            continue
         for j in range(N):
             s = -1 if par[i] and par[j] else 1
             ab = bi[j]
@@ -808,6 +843,20 @@ def _root_is_superskew(spec: BracketSpec) -> bool:
     while spec.base is not None:
         spec = spec.base
     return spec.is_superskew()
+
+
+def _kmc_jacobi(o: _PairCache, i, j, k, fg: dict, s: int) -> dict:
+    """kmc-jacobi K(a_i, a_j, a_k) (`_kmc_worker`) on the modified bracket,
+    fg = [a_i, a_j] and s = (-1)^{p(a_i)p(a_j)}."""
+    par, dm, ev, pr = o.par, o.dm, o.ev, o.pr
+    acc = _jacobiator(dm, dm[i], dm[j], k, fg, s)
+    if ev[i]:
+        _mul_into(acc, pr, ev[i], dm[j][k])
+    if ev[j]:
+        _mul_into(acc, pr, ev[j], dm[k][i], -1 if (par[i] and (par[j] ^ par[k])) else 1)
+    if ev[k]:
+        _mul_into(acc, pr, ev[k], fg, -1 if (par[k] and (par[i] ^ par[j])) else 1)
+    return acc
 
 
 def _kmc_worker(args):
@@ -838,20 +887,28 @@ def _kmc_worker(args):
     super-antisymmetric bracket so.  Otherwise kmc-jacobi runs on every
     ordered triple, after the pair prepass (which fails at a pair of
     listed generators once max_deg >= 1)."""
-    (spec, D, monos, max_deg), lo, hi = args
+    (spec, D, monos, max_deg, win), lo, hi = args
     o = _spec_oracle(spec, monos, max_deg, D, halve=True)
     N, par, dm, ev, pr = o.size, o.par, o.dm, o.ev, o.pr
-    first = _antisymmetry_scan(o, dm, lo, hi)
+    first = _antisymmetry_scan(o, dm, lo, hi, win)
     if first[2]:
         return first
     cnt = first[0]
     skew = _root_is_superskew(spec)
     for i in range(lo, hi):
         pf, ef, di = par[i], ev[i], dm[i]
+
+        def fails(j, k):
+            fg, s = di[j], -1 if pf and par[j] else 1
+            return any(_product_rule(pr, di, ef, j, k, fg, s).values()) or any(
+                _kmc_jacobi(o, i, j, k, fg, s).values())
+
+        if _row_passes(win, fails):
+            cnt += N * (N + 1) // 2 + ((N - i) * (N - i + 1) // 2 if skew else N * N)
+            continue
         for j in range(N):
-            pg, eg, dj = par[j], ev[j], dm[j]
             fg = di[j]
-            s_fg = -1 if (pf and pg) else 1
+            s_fg = -1 if (pf and par[j]) else 1
             for k in range(j if skew else 0, N):
                 if k >= j:
                     # product rule for the modified bracket
@@ -862,14 +919,7 @@ def _kmc_worker(args):
                 if skew and j < i:
                     continue
                 # double-bracket rule for the modified bracket
-                ph = par[k]
-                acc = _jacobiator(dm, di, dj, k, fg, s_fg)
-                if ef:
-                    _mul_into(acc, pr, ef, dj[k])
-                if eg:
-                    _mul_into(acc, pr, eg, dm[k][i], -1 if (pf and (pg ^ ph)) else 1)
-                if ev[k]:
-                    _mul_into(acc, pr, ev[k], fg, -1 if (ph and (pf ^ pg)) else 1)
+                acc = _kmc_jacobi(o, i, j, k, fg, s_fg)
                 cnt += 1
                 if any(acc.values()) and o.certified(acc):
                     return cnt, 0, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
@@ -882,18 +932,20 @@ _ORDER = {_jacobi_worker: 2, _leibniz_worker: 1, _kmc_worker: 2}  # see "Order w
 def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span_counts):
     """Run a scan worker on the identity engine (`report.scan`) over the
     first monomial index, on its order window first if it has one, and
-    report its failure."""
+    report its failure; a failing window reruns the list with the window's
+    list ids for its row tests (see "Order windows")."""
     t0 = time.perf_counter()
     series = _is_series(spec)
     monos = monomials(spec.m, spec.n, max_deg)
     N = len(monos)
     r = _ORDER.get(worker, max_deg + 1)
-    fail = True
+    fail, win = True, None
     if not series and r <= max_deg:
         window = monomials_total_degree(spec.m, spec.n, r)
-        fail = scan(worker, (spec, D, window, max_deg), len(window), workers)[2]
+        fail = scan(worker, (spec, D, window, max_deg, None), len(window), workers)[2]
+        win = tuple(map({mono: i for i, mono in enumerate(monos)}.get, window))
     if fail:
-        fail = scan(worker, (spec, D, monos, max_deg), N, workers)[2]
+        fail = scan(worker, (spec, D, monos, max_deg, win), N, workers)[2]
     ce = None
     if fail is not None:
         identity, idxs, res = fail

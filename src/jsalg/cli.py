@@ -36,21 +36,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit2(message)
 
 
-def _nonnegative(text: str) -> int:
-    if not re.fullmatch(r"\d+", text.strip()):
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _size(hi: int):
+    """An argparse type: an integer from 0 to the ceiling hi."""
+    def size(text: str) -> int:
+        if not re.fullmatch(r"\d+", text.strip()) or int(text) > hi:
+            raise argparse.ArgumentTypeError(f"must be an integer from 0 to {hi}, got {text!r}")
+        return int(text)
+    return size
 
 
-# flag groups: flag -> add_argument keywords
-_SIZE = {"type": _nonnegative, "default": 0}
-DEG = {"--deg": {"type": _nonnegative, "default": 3}}
+# flag groups: flag -> add_argument keywords; each size ceiling is above every
+# value the battery and CI use, so a larger one exits 2 before anything is built
+_SIZE = {"type": _size(8), "default": 0}
+DEG = {"--deg": {"type": _size(8), "default": 3}}
 FAMILY = {"--family": {}, "--m": _SIZE, "--n": _SIZE, "--t": {}, **DEG}
-PAIRING = {"--kind": {"choices": ("h", "k"), "default": "h"}, "--k": _SIZE, "--n": _SIZE}
+PAIRING = {"--kind": {"choices": ("h", "k"), "default": "h"},
+           "--k": {"type": _size(4), "default": 0}, "--n": _SIZE}
 WORKERS = {"--workers": {"type": int}}
 SEED = {"--seed": {"type": int, "default": 0}}
 GRADING = {"--type": {"dest": "ltype", "choices": ("sl", "so", "sp")},
-           "--rank": {"type": int}}
+           "--rank": {"type": _size(16)}}
 REPORT = {"--format": {"choices": ("text", "json"), "default": "text"}, "--out": {}}
 
 

@@ -384,7 +384,7 @@ def test_a_spec_instance_compiles_once(monkeypatch):
 
 def ref_leibniz_worker(args):
     """The generalized Leibniz rule on every ordered triple."""
-    (spec, D, monos, max_deg), lo, hi = args
+    (spec, D, monos, max_deg, _win), lo, hi = args
     o = br._spec_oracle(spec, monos, max_deg, D)
     N, par, rows, ev, pr = o.size, o.par, o.br, o.ev, o.pr
     cnt = 0
@@ -403,7 +403,7 @@ def ref_leibniz_worker(args):
 
 def ref_kmc_worker(args):
     """Both kmc identities on every ordered triple, product rule first."""
-    (spec, D, monos, max_deg), lo, hi = args
+    (spec, D, monos, max_deg, _win), lo, hi = args
     o = br._spec_oracle(spec, monos, max_deg, D, halve=True)
     N, par, dm, ev, pr = o.size, o.par, o.dm, o.ev, o.pr
     cnt = 0
@@ -525,7 +525,7 @@ def test_orbit_scan_visit_counts():
     D = spec.derivation()
     monos = monomials(spec.m, spec.n, 2)
     N = len(monos)
-    args = ((spec, D, monos, 2), 0, N)
+    args = ((spec, D, monos, 2, None), 0, N)
     assert check_kmc(spec, D, 2).passed
     assert br._leibniz_worker(args) == (N * N * (N + 1) // 2, 0, None, None, None)
     assert br._kmc_worker(args) == (N * (N + 1) // 2 + N * N * (N + 1) // 2
@@ -541,7 +541,7 @@ def test_a_root_matrix_that_is_not_superskew_scans_every_ordered_triple():
     monos = monomials(2, 2, 0)
     N = len(monos)
     assert not spec.is_superskew() and check_kmc(spec, D, 0).passed
-    assert br._kmc_worker(((spec, D, monos, 0), 0, N)) == (
+    assert br._kmc_worker(((spec, D, monos, 0, None), 0, N)) == (
         N * (N + 1) // 2 + N * N * (N + 1) // 2 + N**3, 0, None, None, None)
     assert check_kmc(spec, D, 0).to_json() == ref_check("kmc", spec, D, 0, 1).to_json()
 
@@ -610,6 +610,52 @@ def test_order_windows_scan_the_whole_list_when_they_do_not_apply(monkeypatch):
     assert visits(br.check_jacobi, tw, 3) == (True, [len(monomials(2, 0, 3))])
     assert visits(check_gen_leibniz, tw, tw.derivation(), 3)[1] == [len(monomials(2, 0, 3))]
     assert visits(ref_check, "kmc", h, h.derivation(), 3, 1) == (True, [len(monomials(2, 1, 3))])
+
+
+PLANTED = [BracketSpec.k_type(*kn) for kn in ((0, 3), (1, 0), (1, 1), (0, 4))]
+
+
+@pytest.mark.parametrize("check", [check_gen_leibniz, check_kmc])
+def test_planted_failures_equal_the_scan_without_order_windows(check):
+    # the k specs with D = 0 and d/dt fail; their reports are the whole
+    # list's at 1 and 2 workers, whatever rows the row tests skip
+    for spec in PLANTED:
+        for D in (DerivationD.zero(spec.m, spec.n), DerivationD.multiple_of_dt(spec.m, spec.n, 1)):
+            with mock.patch.dict(br._ORDER, clear=True):
+                want = check(spec, D, 3, 1).to_json()
+            assert '"status":"fail"' in want
+            assert check(spec, D, 3, 1).to_json() == check(spec, D, 3, 2).to_json() == want
+
+
+def test_a_failing_window_scans_only_the_rows_that_fail_their_row_test(monkeypatch):
+    # planted Leibniz on k(1,1): the failure is at (x1, 1, 1), x1 the list's
+    # 21st monomial.  The 20 rows before it pass their row test of W1^2
+    # window pairs each, so only x1's row is scanned, not 20 rows of
+    # N (N + 1) / 2 triples
+    spec = BracketSpec.k_type(1, 1)
+    W1, N = len(monomials_total_degree(3, 1, 1)), len(monomials(3, 1, 3))
+    calls = []
+    rule = br._product_rule
+    monkeypatch.setattr(br, "_product_rule", lambda *a: calls.append(1) or rule(*a))
+    r = check_gen_leibniz(spec, DerivationD.zero(3, 1), 3, workers=1)
+    assert r.counterexample["monomials"] == ["x1", "1", "1"]
+    assert r.counterexample["indices"] == [20, 0, 0]
+    assert len(calls) <= 20 * W1**2 + N**2 < 20 * N * (N + 1) // 2
+
+
+@pytest.mark.parametrize("worker", [br._jacobi_worker, br._leibniz_worker, br._kmc_worker])
+def test_rows_that_pass_their_row_test_count_the_tuples_they_skip(worker):
+    # on passing specs every row passes its row test, and the counts are the
+    # row scans' (the kmc ones with a superskew root and without)
+    for spec, deg in ((BracketSpec.k_type(0, 2), 2), (BracketSpec.h_type(1, 1), 2),
+                      (BracketSpec.custom(2, 2, [[0, 1, 0, 0], [1, 0, 0, 0],
+                                                 [0, 0, 1, 0], [0, 0, 0, 1]]), 0)):
+        monos = monomials(spec.m, spec.n, deg)
+        win = tuple(range(len(monos)))
+        D = DerivationD.zero(spec.m, spec.n) if spec.kind == "custom" else spec.derivation()
+        scanned = worker(((spec, D, monos, deg, None), 0, len(monos)))
+        assert scanned[2] is None
+        assert worker(((spec, D, monos, deg, win), 0, len(monos))) == scanned
 
 
 _COEFF = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))

@@ -1,6 +1,7 @@
 """Bracket evaluations and the exhaustive identity drivers."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -265,8 +266,19 @@ def test_failing_reports_are_pinned(case):
 
 
 def test_failing_report_bytes_do_not_depend_on_workers():
-    run, want = GOLDEN_FAILURES[2]
-    assert run(2).to_json() == want
+    for run, want in GOLDEN_FAILURES:
+        assert run(2).to_json() == want
+
+
+def test_golden_failures_equal_the_scan_without_order_windows():
+    # the window and the row tests of the rerun (see "Order windows") change
+    # no failing report: each equals the whole-list scan at 1 and 2 workers
+    import jsalg.brackets as br
+
+    for run, want in GOLDEN_FAILURES:
+        with mock.patch.dict(br._ORDER, clear=True):
+            assert run(1).to_json() == want
+        assert run(1).to_json() == run(2).to_json() == want
 
 
 def test_kmc_prepass_reports_antisymmetry():
@@ -288,8 +300,8 @@ def test_kmc_antisymmetry_failure_in_a_later_chunk_is_reported_first():
     spec = BracketSpec.custom(2, 0, [[1, 0], [0, 0]])
     D = DerivationD(2, 0, ((SuperPoly.one(2, 0), even_var(1)),))
     monos = monomials(2, 0, 2)
-    assert br._kmc_worker(((spec, D, monos, 2), 0, 3))[2] in ("kmc-product", "kmc-jacobi")
-    assert br._kmc_worker(((spec, D, monos, 2), 3, 6))[2:4] == ("antisymmetry", (3, 3))
+    assert br._kmc_worker(((spec, D, monos, 2, None), 0, 3))[2] in ("kmc-product", "kmc-jacobi")
+    assert br._kmc_worker(((spec, D, monos, 2, None), 3, 6))[2:4] == ("antisymmetry", (3, 3))
     for w in (1, 2):
         ce = check_kmc(spec, D, 2, workers=w).counterexample
         assert ce["identity"] == "antisymmetry" and ce["indices"] == [3, 3]

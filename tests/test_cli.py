@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from jsalg import acceptance, report
+from jsalg import acceptance, brackets, jordan, lieclass, report, schouten
 from jsalg.cli import REPORT, SUITES, main
 from jsalg.jordan import FAMILIES
 from jsalg.report import MAX_WORKERS, resolve_workers
@@ -125,6 +125,28 @@ def test_bad_polynomial_parameters_are_usage_errors(capsys):
                  ("hk-fragment", "--kind", "h", "--k", "0", "--n", "-1")):
         assert run("verify", *argv) == 2
         assert_one_error_line(capsys)
+
+
+def test_size_flags_above_their_ceilings_are_usage_errors(capsys, monkeypatch):
+    # every builder raises, so a value at its ceiling exits 3 at once and one
+    # above it exits 2 before anything is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    for owner, name in ((jordan, "build"), (brackets.BracketSpec, "h_type"),
+                        (schouten, "pairing_h_pair"), (lieclass, "build_hk"),
+                        (lieclass, "classical")):
+        monkeypatch.setattr(owner, name, refuse)
+    for argv, flag, hi in ((("verify", "bracket-jacobi"), "--deg", 8),
+                           (("verify", "schouten"), "--k", 4),
+                           (("build", "--family", "GLplus"), "--m", 8),
+                           (("verify", "hk-fragment", "--k", "1"), "--n", 8),
+                           (("verify", "short-gradings", "--type", "sl"), "--rank", 16)):
+        assert run(*argv, flag, str(hi)) == 3
+        assert "internal error: AssertionError: built" in capsys.readouterr().err
+        assert run(*argv, flag, str(hi + 1)) == 2
+        assert capsys.readouterr().err == (
+            f"error: argument {flag}: must be an integer from 0 to {hi}, got '{hi + 1}'\n")
 
 
 def test_export_import_roundtrip(tmp_path, capsys):
