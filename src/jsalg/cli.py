@@ -45,6 +45,9 @@ def _size(hi: int):
     return size
 
 
+# what --t accepts: a plain integer, fraction (nonzero denominator) or decimal
+RATIONAL = re.compile(r"[+-]?(\d+(/0*[1-9]\d*)?|\d*\.\d+|\d+\.)")
+
 # flag groups: flag -> add_argument keywords; each size ceiling is above every
 # value the battery and CI use, so a larger one exits 2 before anything is built
 _SIZE = {"type": _size(8), "default": 0}
@@ -167,10 +170,11 @@ def _build_algebra(args) -> jd.FiniteSuperAlgebra:
         raise SystemExit2("this command needs --family")
     t = None
     if args.t is not None:
-        try:
-            t = Fraction(args.t)
-        except (ValueError, ZeroDivisionError):
-            raise SystemExit2(f"--t must be a rational number, got {args.t!r}") from None
+        # Fraction also reads exponents, and 1e100000 is a 100001-digit integer
+        if len(args.t) > 32 or not RATIONAL.fullmatch(args.t):
+            raise SystemExit2("--t must be a rational number given as a plain integer, fraction "
+                              f"or decimal of at most 32 characters, got {args.t[:40]!r}")
+        t = Fraction(args.t)
     return jd.build(args.family, m=args.m, n=args.n, t=t, deg=args.deg)
 
 

@@ -1,18 +1,38 @@
-"""Polyvector fields of degree <= 3 with coordinate-derivation wedges, the
-Schouten bracket, and the bracket-from-biderivation construction with its
-two closure conditions.
+"""The Schouten bracket as the odd bracket on doubled-variable
+superpolynomials, and the bracket built from an even pair (a, c) with its two
+closure conditions (Lichnerowicz, J. Math. Pures Appl. 1978).
 
-Wedge factors are coordinate derivations d/dz, z any generator.  In the
-exterior algebra the relevant parity of a factor is shifted: d/dx is odd,
-d/dxi is even (so d/dxi ^ d/dxi survives while d/dx ^ d/dx dies).  The parity
-of a term f X_1^...^X_k is p(f) + #even-variable factors (mod 2), and the
-bracket satisfies the Lie superalgebra axioms for the once-more-shifted
-parity q = p + 1:
+Polyvectors are the functions on the odd cotangent bundle.  Give each
+generator z of the (m, n) superalgebra a dual z* of the opposite parity, so
+x*_i is odd and xi*_j is even.  The doubled signature has m + n even
+generators (x1..xm, then xi*_1..xi*_n) and n + m odd ones (xi1..xin, then
+x*_1..x*_m), and the polyvector f d/dz1^...^d/dzk is the `SuperPoly`
+f z1*...zk* on it.  Then:
 
-    [u,v] = -(-1)^{(p(u)+1)(p(v)+1)} [v,u]
-    [u, a^b] = [u,a]^b + (-1)^{(p(u)+1) p(a)} a^[u,b]
+* the wedge is `superpoly.mul`: d/dx ^ d/dx = x* x* = 0, while
+  d/dxi ^ d/dxi = xi*^2 survives;
+* the shifted parity p(f) + #d/dx factors is `SuperPoly.parity()`;
+* the Schouten bracket is the canonical odd Poisson bracket
+  (Kosmann-Schwarzbach, Ann. Inst. Fourier 1996)
 
-with [X,Y] the vector-field commutator, [X,f] = X(f), [f,g] = 0.
+      [F, G] = sum_z (F <d/dz*)(d/dz G) - (F <d/dz)(d/dz* G),
+
+  with d/dz G the left partial (`partial`) and F <d/dv the right partial.
+  For homogeneous F the right partial in an even v is the left one, and in
+  an odd v it is (-1)^{p(F)+1} times it: the sign (-1)^p, p the parity of
+  the result, so it applies term by term to mixed F too.
+
+Lemma (sign convention).  With p the parity on the doubled signature, the
+bracket is odd, and
+    [F, G] = -(-1)^{(p(F)+1)(p(G)+1)} [G, F],
+    [F, G H] = [F, G] H + (-1)^{(p(F)+1) p(G)} G [F, H],
+and on generators [z*, w] = delta_zw (so [X, f] = X(f) for a vector field
+X), [z, w] = 0 and [z*, w*] = 0 (coordinate fields commute).  A bracket with
+these two rules is fixed by its values on generator pairs.  The
+coordinate-derivation calculus (the product rule on wedges, [X, Y] the
+vector-field commutator, [f, g] = 0) obeys the same rules with the same
+values, so the two agree; tests/references.py keeps that calculus, and a
+differential test holds them equal.
 """
 
 from __future__ import annotations
@@ -24,177 +44,66 @@ from fractions import Fraction
 
 from .brackets import DerivationD, den_lcm, der_ints, der_terms, expand
 from .report import Report
-from .superpoly import (SuperPoly, VarRef, even_var, mono_mul, mono_partial, mul, odd_var,
-                        partial)
-
-# wedge factor key: (0, i) = d/dx_{i+1} (even variable), (1, j) = d/dxi_{j+1}
-FactorKey = tuple
-
-MAX_DEGREE = 3
+from .superpoly import SuperPoly, even_var, mono_mul, mono_partial, mul, odd_var, partial
 
 
-def _factor_key(v: VarRef) -> FactorKey:
-    return (0, v.index) if v.kind == "even" else (1, v.index)
+def _duals(m: int, n: int) -> list:
+    """(z, z*) for each generator z of (m, n), as generators of the doubled
+    signature (m + n, n + m)."""
+    return ([(even_var(i), odd_var(n + i)) for i in range(m)]
+            + [(odd_var(j), even_var(m + j)) for j in range(n)])
 
 
-def _factor_var(key: FactorKey) -> VarRef:
-    return VarRef("even", key[1]) if key[0] == 0 else VarRef("odd", key[1])
-
-
-def _lam(key: FactorKey) -> int:
-    """Shifted parity of one coordinate derivation in the wedge algebra."""
-    return 1 if key[0] == 0 else 0
-
-
-def _der(key: FactorKey) -> int:
-    return 0 if key[0] == 0 else 1
-
-
-def wedge_parity(key: tuple) -> int:
-    """Shifted parity of a pure wedge: number of even-variable factors mod 2."""
-    return sum(1 for f in key if f[0] == 0) & 1
-
-
-def canonicalize_wedge(factors: tuple):
-    """Sort factors ascending with swap signs; a repeated even-variable
-    derivation kills the wedge (returns None)."""
-    fs = list(factors)
-    sign = 1
-    for i in range(1, len(fs)):
-        j = i
-        while j > 0 and fs[j] < fs[j - 1]:
-            if _lam(fs[j]) and _lam(fs[j - 1]):
-                sign = -sign
-            fs[j], fs[j - 1] = fs[j - 1], fs[j]
-            j -= 1
-    for i in range(1, len(fs)):
-        if fs[i] == fs[i - 1] and _lam(fs[i]):
-            return None
-    return sign, tuple(fs)
-
-
-class PolyVector:
-    """Homogeneous-degree polyvector: dict wedge-key -> SuperPoly coefficient."""
-
-    __slots__ = ("m", "n", "degree", "terms")
-
-    def __init__(self, m: int, n: int, degree: int, terms: dict | None = None):
-        if not 0 <= degree <= MAX_DEGREE:
-            raise ValueError(f"polyvector degree {degree} out of range 0..{MAX_DEGREE}")
-        self.m = m
-        self.n = n
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for key, poly in terms.items():
-                if len(key) != degree:
-                    raise ValueError("wedge length disagrees with degree")
-                if poly:
-                    self.terms[key] = poly
-
-    @staticmethod
-    def function(f: SuperPoly) -> "PolyVector":
-        return PolyVector(f.m, f.n, 0, {(): f})
-
-    @staticmethod
-    def vector_field(m: int, n: int, terms) -> "PolyVector":
-        """terms: iterable of (SuperPoly, VarRef)."""
-        pv = PolyVector(m, n, 1)
-        for coeff, v in terms:
-            pv._add((_factor_key(v),), coeff)
-        return pv
-
-    def _add(self, key: tuple, poly: SuperPoly):
-        cur = self.terms.get(key)
-        tot = poly if cur is None else cur + poly
-        if tot:
-            self.terms[key] = tot
-        elif cur is not None:
-            del self.terms[key]
-
-    def add_term(self, factors: tuple, poly: SuperPoly):
-        if not poly:
-            return
-        r = canonicalize_wedge(factors)
-        if r is None:
-            return
-        sign, key = r
-        self._add(key, poly if sign > 0 else -poly)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVector):
-            return NotImplemented
-        return (
-            (self.m, self.n, self.degree) == (other.m, other.n, other.degree)
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "PolyVector") -> "PolyVector":
-        if (self.m, self.n, self.degree) != (other.m, other.n, other.degree):
-            raise ValueError("polyvector shape mismatch")
-        out = PolyVector(self.m, self.n, self.degree, dict(self.terms))
-        for key, poly in other.terms.items():
-            out._add(key, poly)
-        return out
-
-    def __neg__(self) -> "PolyVector":
-        return self.scale(-1)
-
-    def __sub__(self, other: "PolyVector") -> "PolyVector":
-        return self + (-other)
-
-    def scale(self, c) -> "PolyVector":
-        out = PolyVector(self.m, self.n, self.degree)
-        if c:
-            out.terms = {k: p.scale(c) for k, p in self.terms.items()}
-        return out
-
-    def parity(self):
-        """Shifted parity; None on zero, error on mixed."""
-        p = None
-        for key, poly in self.terms.items():
-            q = (poly.parity() + wedge_parity(key)) & 1
-            if p is None:
-                p = q
-            elif p != q:
-                raise ValueError("mixed-parity polyvector")
-        return p
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            names = []
-            for f in key:
-                v = _factor_var(f)
-                names.append(
-                    f"d/dx{v.index+1}" if v.kind == "even" else f"d/dxi{v.index+1}"
-                )
-            body = "^".join(names)
-            coeff = self.terms[key].render()
-            bits.append(f"({coeff}) {body}" if body else f"({coeff})")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"PolyVector(deg {self.degree}: {self.render()})"
-
-
-def wedge(u: PolyVector, v: PolyVector) -> PolyVector:
-    """Exterior product (total degree must stay within the cap)."""
-    out = PolyVector(u.m, u.n, u.degree + v.degree)
-    for k1, f in u.terms.items():
-        for k2, g in v.terms.items():
-            for gp in _homogeneous_parts(g):
-                for c, W in _wedge_term(u.m, u.n, f, k1, gp, k2):
-                    out.add_term(W, c)
+def polyvector(m: int, n: int, terms) -> SuperPoly:
+    """The sum of f d/dz1^...^d/dzk over terms (f, (z1, ..., zk)), f a
+    `SuperPoly` of (m, n), on the doubled signature."""
+    star = dict(_duals(m, n))
+    pad = (0,) * n
+    out = SuperPoly(m + n, n + m)
+    for f, zs in terms:
+        t = SuperPoly(m + n, n + m)
+        t.terms = {(ev + pad, od): c for (ev, od), c in f.terms.items()}
+        for z in zs:
+            t = mul(t, SuperPoly.variable(m + n, n + m, star[z]))
+        out = out + t
     return out
+
+
+def _right_partial(F: SuperPoly, v) -> SuperPoly:
+    """F <d/dv: the left partial, its terms of odd parity negated if v is odd."""
+    d = partial(F, v)
+    if v.kind == "odd":
+        d.terms = {mo: -c if len(mo[1]) & 1 else c for mo, c in d.terms.items()}
+    return d
+
+
+def schouten_bracket(m: int, F: SuperPoly, G: SuperPoly) -> SuperPoly:
+    """[F, G] for polyvectors of the (m, F.m - m) superalgebra."""
+    out = SuperPoly(F.m, F.n)
+    for z, zs in _duals(m, F.m - m):
+        out = (out + mul(_right_partial(F, zs), partial(G, z))
+               - mul(_right_partial(F, z), partial(G, zs)))
+    return out
+
+
+def render_polyvector(m: int, F: SuperPoly) -> str:
+    """F as "(f) d/dx1^d/dxi2 + ...": one term per wedge, the wedges in
+    ascending factor order (every d/dx before every d/dxi), each coefficient
+    a `SuperPoly` of (m, n) in its own rendering."""
+    n = F.m - m
+    wedges = {}
+    for (ev, od), c in F.terms.items():
+        k = sum(j < n for j in od)  # the xi come before the x*
+        key = (tuple((0, i - n) for i in od[k:])
+               + tuple((1, j) for j, e in enumerate(ev[m:]) for _ in range(e)))
+        wedges.setdefault(key, {})[(ev[:m], od[:k])] = c
+    if not wedges:
+        return "0"
+    bits = []
+    for key in sorted(wedges):
+        body = "^".join(f"d/dx{i + 1}" if kind == 0 else f"d/dxi{i + 1}" for kind, i in key)
+        bits.append(f"({SuperPoly(m, n, wedges[key]).render()}) {body}".rstrip())
+    return " + ".join(bits)
 
 
 def _homogeneous_parts(poly: SuperPoly):
@@ -206,91 +115,6 @@ def _homogeneous_parts(poly: SuperPoly):
             p = SuperPoly(poly.m, poly.n)
             p.terms = part
             out.append(p)
-    return out
-
-
-def _term_parity(f: SuperPoly, W: tuple) -> int:
-    return (f.parity() + wedge_parity(W)) & 1
-
-
-def _wedge_term(m, n, f, W1, g, W2):
-    """(f, W1) ^ (g, W2) as a raw term list (coefficients homogeneous)."""
-    coeff = mul(f, g)
-    if wedge_parity(W1) and g.parity():
-        coeff = -coeff
-    return [(coeff, W1 + W2)] if coeff else []
-
-
-def _bracket_terms(m, n, f, W1, g, W2) -> list:
-    """Schouten bracket of single terms with parity-homogeneous coefficients;
-    returns raw (SuperPoly, factors) pairs."""
-    k, l = len(W1), len(W2)
-    if k == 0 and l == 0:
-        return []
-    if k == 0:
-        # antisymmetry: [f, v] = -(-1)^{(p(f)+1)(p(v)+1)} [v, f]
-        p1 = _term_parity(f, W1)
-        p2 = _term_parity(g, W2)
-        flip = 1 if ((p1 ^ 1) and (p2 ^ 1)) else -1
-        return [
-            (c.scale(flip), W) for c, W in _bracket_terms(m, n, g, W2, f, W1)
-        ]
-    if k == 1:
-        X = W1[0]
-        if l == 0:
-            c = mul(f, _apply_factor(X, g))
-            return [(c, ())] if c else []
-        # [u, v_head ^ Y] = [u, v_head]^Y + (-1)^{(p(u)+1) p(v_head)} v_head^[u, Y]
-        Y = W2[-1]
-        v_head_W = W2[:-1]
-        out = []
-        for c, W in _bracket_terms(m, n, f, W1, g, v_head_W):
-            out.extend(_wedge_term(m, n, c, W, SuperPoly.one(m, n), (Y,)))
-        pu = _term_parity(f, W1)
-        pv_head = _term_parity(g, v_head_W)
-        s = -1 if ((pu ^ 1) and pv_head) else 1
-        # [fX, Y] = -(-1)^{pder(fX) pder(Y)} Y(f) X
-        dyf = _apply_factor(Y, f)
-        if dyf:
-            pd = (f.parity() + _der(X)) & 1
-            sgn = -1 if (pd and _der(Y)) else 1
-            c = dyf.scale(-sgn)
-            for cc, WW in _wedge_term(m, n, g, v_head_W, c, (X,)):
-                out.append((cc.scale(s), WW))
-        return out
-    # k >= 2: [u_head ^ X, v] = u_head^[X, v] + (-1)^{lam(X)(p(v)+1)} [u_head, v]^X
-    X = W1[-1]
-    u_head_W = W1[:-1]
-    out = []
-    one = SuperPoly.one(m, n)
-    for c, W in _bracket_terms(m, n, one, (X,), g, W2):
-        out.extend(_wedge_term(m, n, f, u_head_W, c, W))
-    pv = _term_parity(g, W2)
-    s = -1 if (_lam(X) and (pv ^ 1)) else 1
-    for c, W in _bracket_terms(m, n, f, u_head_W, g, W2):
-        out.extend(_wedge_term(m, n, c.scale(s), W, one, (X,)))
-    return out
-
-
-def _apply_factor(key: FactorKey, g: SuperPoly) -> SuperPoly:
-    return partial(g, _factor_var(key))
-
-
-def schouten_bracket(u: PolyVector, v: PolyVector) -> PolyVector:
-    """The Schouten bracket; degree(u) + degree(v) <= 4 so the result fits
-    within the degree cap."""
-    if (u.m, u.n) != (v.m, v.n):
-        raise ValueError("signature mismatch")
-    if u.degree + v.degree > MAX_DEGREE + 1:
-        raise ValueError("bracket result would exceed the polyvector degree cap")
-    deg = max(u.degree + v.degree - 1, 0)
-    out = PolyVector(u.m, u.n, deg)
-    for W1, fraw in u.terms.items():
-        for f in _homogeneous_parts(fraw):
-            for W2, graw in v.terms.items():
-                for g in _homogeneous_parts(graw):
-                    for c, W in _bracket_terms(u.m, u.n, f, W1, g, W2):
-                        out.add_term(W, c)
     return out
 
 
@@ -328,7 +152,7 @@ class ACPair:
         S = den_lcm(c for co, *_ in self.a_terms + self.c_pairs for c in co.terms.values())
         a = der_ints(self.a_derivation(), S)
         cs = [(der_ints(DerivationD(self.m, self.n, ((co, bv),)), S), dv,
-               (co.parity() + _der(_factor_key(bv))) & 1)
+               (co.parity() + (bv.kind == "odd")) & 1)
               for coeff, bv, dv in self.c_pairs for co in _homogeneous_parts(coeff)]
         jets = {}
 
@@ -374,23 +198,19 @@ class ACPair:
     def a_derivation(self) -> DerivationD:
         return DerivationD(self.m, self.n, self.a_terms)
 
-    def a_polyvector(self) -> PolyVector:
-        return PolyVector.vector_field(self.m, self.n, self.a_terms)
+    def a_polyvector(self) -> SuperPoly:
+        return polyvector(self.m, self.n, ((f, (v,)) for f, v in self.a_terms))
 
-    def c_polyvector(self) -> PolyVector:
-        pv = PolyVector(self.m, self.n, 2)
-        for coeff, bv, dv in self.c_pairs:
-            for c in _homogeneous_parts(coeff):
-                pv.add_term((_factor_key(bv), _factor_key(dv)), c)
-        return pv
+    def c_polyvector(self) -> SuperPoly:
+        return polyvector(self.m, self.n, ((f, (b, d)) for f, b, d in self.c_pairs))
 
     def validate(self):
-        apv = self.a_polyvector()
-        if apv and apv.parity() != 1:  # shifted parity of an even field
-            raise ValueError("a must be an even derivation")
-        cpv = self.c_polyvector()
-        if cpv and cpv.parity() != 0:
-            raise ValueError("c must be an even 2-polyvector")
+        """a and c even: shifted parities 1 and 0 on every term, so a
+        mixed-parity a or c is refused as an odd one is."""
+        for F, p, what in ((self.a_polyvector(), 1, "a must be an even derivation"),
+                           (self.c_polyvector(), 0, "c must be an even 2-polyvector")):
+            if any(len(od) & 1 != p for _, od in F.terms):
+                raise ValueError(what)
 
 
 def gpb_from_ac(pair: ACPair, f: SuperPoly, g: SuperPoly) -> SuperPoly:
@@ -409,16 +229,15 @@ def check_s_conditions(pair: ACPair) -> Report:
     assume a and c even, so an odd pair raises ValueError (`validate`)."""
     t0 = time.perf_counter()
     pair.validate()
-    a = pair.a_polyvector()
-    c = pair.c_polyvector()
-    r1 = schouten_bracket(a, c)
-    r2 = schouten_bracket(c, c) + wedge(a, c).scale(2)
-    ok = r1.is_zero() and r2.is_zero()
+    m, a, c = pair.m, pair.a_polyvector(), pair.c_polyvector()
+    r1 = schouten_bracket(m, a, c)
+    r2 = schouten_bracket(m, c, c) + mul(a, c).scale(2)
+    ok = not r1 and not r2
     ce = None
     if not ok:
         ce = {
-            "residual_a_c": r1.render(),
-            "residual_c_c_plus_2ac": r2.render(),
+            "residual_a_c": render_polyvector(m, r1),
+            "residual_c_c_plus_2ac": render_polyvector(m, r2),
         }
     return Report(
         suite="schouten-conditions",

@@ -107,9 +107,6 @@ class SuperPoly:
 
     # -- basic structure ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -131,12 +128,6 @@ class SuperPoly:
             elif p != q:
                 raise ValueError("parity query on a mixed-parity element")
         return p
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(ev) + len(od) for (ev, od) in self.terms)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((((0,) * self.m), ()), Fraction(0))

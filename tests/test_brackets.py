@@ -58,7 +58,7 @@ def test_h_bracket_lowers_even_degree_by_two():
                 SuperPoly(4, 0, {m1: Fraction(1)}),
                 SuperPoly(4, 0, {m2: Fraction(1)}),
             )
-            assert val.is_zero() or val.degree() == 0
+            assert set(val.terms) <= {((0,) * 4, ())}  # zero or a constant
 
 
 def test_bracket_parity_preserving():
@@ -69,7 +69,7 @@ def test_bracket_parity_preserving():
             f = SuperPoly(2, 2, {m1: Fraction(1)})
             g = SuperPoly(2, 2, {m2: Fraction(1)})
             v = bracket(spec, f, g)
-            if not v.is_zero():
+            if v:
                 assert v.parity() == (f.parity() + g.parity()) % 2
 
 
@@ -103,7 +103,7 @@ def test_d_modified_contact_constant():
     one = SuperPoly.one(1, 2)
     g = mul(xv(1, 2, 0), xv(1, 2, 0))
     assert bracket(dspec, one, g) == xv(1, 2, 0).scale(2)
-    assert bracket(dspec, one, one).is_zero()
+    assert not bracket(dspec, one, one)
 
 
 def test_check_jacobi_passes_builtin():

@@ -149,6 +149,25 @@ def test_size_flags_above_their_ceilings_are_usage_errors(capsys, monkeypatch):
             f"error: argument {flag}: must be an integer from 0 to {hi}, got '{hi + 1}'\n")
 
 
+def test_t_is_a_plain_rational_of_at_most_32_characters(capsys, monkeypatch):
+    # the builder raises, so an accepted --t exits 3 at once and a refused one
+    # exits 2 before anything is built; Fraction alone would read 1e100000 as a
+    # 100001-digit integer
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(jordan, "build", refuse)
+    for t in ("2", "-3/7", "+4/6", "1/007", "0.5", "-.5", "1.", "9" * 32):
+        assert run("verify", "simple", "--family", "Dt", f"--t={t}") == 3, t
+        assert "internal error: AssertionError: built" in capsys.readouterr().err
+    for t in ("1e100000", "1E3", "2.5e-1", "0x10", "1_000", " 2", "2 ", "nan", "inf",
+              "1/2/3", "1/0", "-3/00", "", "9" * 33, "1" * 100000):
+        assert run("verify", "simple", "--family", "Dt", f"--t={t}") == 2, t
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t must be a rational number") and err.count("\n") == 1
+        assert len(err) < 200
+
+
 def test_export_import_roundtrip(tmp_path, capsys):
     path = tmp_path / "falg.json"
     assert run("export", "--family", "Falg", "--out", str(path)) == 0
