@@ -94,7 +94,7 @@ def _gpb_agreement(pair, spec, max_deg, tag) -> Report:
     t0 = time.perf_counter()
     m, n = spec.m, spec.n
     monos = monomials_total_degree(m, n, max_deg)
-    (S, gpb), (S2, builtin) = pair.kernel, br.bracket_kernel(spec)
+    (S, gpb), (S2, builtin) = pair.kernel, spec.kernel
     bad = next(((a, b) for a in monos for b in monos
                 if {y: v * S2 for y, v in gpb(a, b).items()}
                 != {y: v * S for y, v in builtin(a, b).items()}), None)

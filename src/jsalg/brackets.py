@@ -11,8 +11,9 @@ Built-in bracket kinds:
   with E the Euler operator in the non-t variables; D = 2 d/dt.
 * "custom": constant superskew matrix C with {X_i, X_j} = C_ij extended as a
   biderivation, optionally with the same contact extension (has_time).
-* "gauge": {f,g}^phi = phi^{-1} {phi f, phi g}; evaluation carries an explicit
-  degree budget since phi^{-1} is a series.
+* "gauge": {f,g}^phi = phi^{-1} {phi f, phi g} for an even phi with a
+  nonzero constant term, over a base whose constant matrix is superskew;
+  a polynomial bracket by the gauge lemma below.
 * "dmod": {f,g}_D = {f,g} - (f D(g) - D(f) g)/2 over a base spec.
 
 The "custom" evaluation uses
@@ -20,16 +21,31 @@ The "custom" evaluation uses
 which reproduces {X_i,X_j} = C_ij on generators (the odd-odd prefactor
 swallows the extra Koszul sign of the squared odd derivatives).
 
-Evaluation.  `bracket_kernel(spec, budget)` is the one compile step of every
-kind; it maps a monomial pair to the ints of S {a, b}, S = spec_scale(spec,
-budget).  h/k/custom compile to S c_ij (checked to clear every entry), the
-odd block's outer sign and the time part's integer factors; dmod compiles
-over its base's kernel and D once; gauge evaluates phi^{-1} {phi a, phi b}
-over its base's kernel, truncated at the budget.  A spec instance compiles
-once and keeps its kernel (`BracketSpec.kernel`); the series kind compiles
-per budget.  `bracket` is `expand` over the kernel, `bracket_monomials` its
-value on one pair, and the identity drivers read every value from one pair
-oracle, `_PairCache`:
+Gauge lemma.  Every other kind is {f,g} = P(f,g) + f a(g) - a(f) g with
+a = {1, .} an even derivation and P a biderivation: h and custom are P
+alone, the contact part adds a = 2 d/dt and the biderivation
+-(E f dg/dt - df/dt E g), and a D-modification takes a to a - D/2.  P is
+super-antisymmetric when the constant matrix under the spec is superskew
+(`_root_is_superskew`).  Then for an even phi with a nonzero constant term
+    phi^{-1} {phi f, phi g} = phi {f,g} + f X(g) - X(f) g,
+    X = P(phi, .) = {phi, .} - phi {1, .} + {1, phi} .,
+an even derivation.  Proof: for an even phi the biderivation rules give
+P(phi f, phi g) = phi^2 P(f, g) + phi f P(phi, g) + phi P(f, phi) g
++ f P(phi, phi) g, where P(phi, phi) = 0 and P(f, phi) = -P(phi, f) by
+super-antisymmetry.  The a-terms give phi^2 (f a(g) - a(f) g), the two
+a(phi) f g terms cancelling.  Divide by phi.  The twist has the same form,
+with P' = phi P and a' = phi a + X, so twists nest.  Without
+super-antisymmetry P(phi, phi) need not vanish and the twist can be a power
+series, so `BracketSpec.gauge` refuses such a base.
+
+Evaluation.  `BracketSpec.kernel` is the one compile step of every kind; it
+maps a monomial pair to the ints of S {a, b}, S = spec_scale(spec).
+h/k/custom compile to S c_ij (checked to clear every entry), the odd block's
+outer sign and the time part's integer factors; dmod compiles over its
+base's kernel and D once, and gauge over its base's kernel, phi and X once.
+A spec instance compiles once and keeps its kernel.  `bracket` is `expand`
+over the kernel, `bracket_monomials` its value on one pair, and the identity
+drivers read every value from one pair oracle, `_PairCache`:
 
 * Monomials are interned to dense int ids, the driver's canonical list
   first, so id i is the driver's index i.  The oracle caches the bracket,
@@ -41,8 +57,7 @@ oracle, `_PairCache`:
   values are the kernel's ints times scale / S.  A scale that leaves a
   denominator raises RuntimeError: a scale below its bound is an internal
   error, never a verdict.
-* The scans accumulate ints.  A tuple fails iff some value is nonzero (for
-  the series kind, some value of degree at most the certified degree).
+* The scans accumulate ints.  A tuple fails iff some value is nonzero.
   Only then is the residual mapped back to monomials and Fractions, divided
   by scale for the linear identities (antisymmetry, generalized Leibniz,
   kmc-product) and by scale^2 for the ones that nest two values (Jacobi,
@@ -61,28 +76,27 @@ triple of a set closed under those permutations is its own representative,
 so a scan stops at the same triple as a scan of every ordered triple and
 reports the same residual.
 
-Order windows.  A driver of order r (`_ORDER`) on a spec that is not a
-series, with r <= max_deg, first scans the window of monomials of total
-degree <= r.  A pass there certifies every ordered tuple of the listed
-monomials, by the lemma below; a failure reruns the whole list, so the
-report names the same first failure.  Lemma: let P be an identity that on
-the Grassmann envelope, where every argument is even and the Koszul signs
-vanish, is a multidifferential operator of order <= r in each slot: a sum
-of c d^A1 f1 ... d^As fs, each d^A a product of <= r of the d/dx_i and
-d/dxi_j, with polynomial coefficients c that do not depend on the parity of
-the arguments.  If P vanishes on the monomials of total degree <= r, it
-vanishes on all polynomials.  Proof: fix all slots but one, P(f) =
-sum_A c_A d^A f.  d^A takes x^a xi^B to +-(a!/(a-a')!) x^(a-a') xi^(B-B')
-if A = (a', B') divides (a, B), else to 0.  So by induction on the degree
-of (a, B) (times a fresh odd envelope generator if |B| is odd), P(x^a xi^B)
-= +-a! c_(a,B) and every c_A is 0; then free the slots one at a time.  The
+Order windows.  A driver of order r (`_ORDER`) with r <= max_deg first scans
+the window of monomials of total degree <= r.  A pass there certifies every
+ordered tuple of the listed monomials, by the lemma below; a failure reruns
+the whole list, so the report names the same first failure.  Lemma: let P be
+an identity that on the Grassmann envelope, where every argument is even and
+the Koszul signs vanish, is a multidifferential operator of order <= r in
+each slot: a sum of c d^A1 f1 ... d^As fs, each d^A a product of <= r of the
+d/dx_i and d/dxi_j, with polynomial coefficients c that do not depend on the
+parity of the arguments.  If P vanishes on the monomials of total degree <=
+r, it vanishes on all polynomials.  Proof: fix all slots but one, P(f) =
+sum_A c_A d^A f.  d^A takes x^a xi^B to +-(a!/(a-a')!) x^(a-a') xi^(B-B') if
+A = (a', B') divides (a, B), else to 0.  So by induction on the degree of
+(a, B) (times a fresh odd envelope generator if |B| is odd), P(x^a xi^B) =
++-a! c_(a,B) and every c_A is 0; then free the slots one at a time.  The
 brackets have order 1 in each slot (the odd block's -(-1)^{p(f)} df/dxi is
-the right derivative, -d/dxi on the envelope; the contact part and an even D
-have polynomial coefficients), so Jacobi and kmc-jacobi have order 2, and
-antisymmetry, Leibniz and kmc-product order 1: the window's pair prepass
-proves the antisymmetry its multiset scan needs.  The condition is needed:
-P(f) = sum_j df/dxi_j on even f and 0 on odd f vanishes on the monomials of
-degree <= 1, not on xi1 xi2.
+the right derivative, -d/dxi on the envelope; the contact part, an even D
+and a twist's phi {f,g} + f X(g) - X(f) g have polynomial coefficients), so
+Jacobi and kmc-jacobi have order 2, and antisymmetry, Leibniz and
+kmc-product order 1: the window's pair prepass proves the antisymmetry its
+multiset scan needs.  The condition is needed: P(f) = sum_j df/dxi_j on even
+f and 0 on odd f vanishes on the monomials of degree <= 1, not on xi1 xi2.
 
 The rerun after a failing window tests each outer row i on the window
 first (`_row_passes`): with slot 1 fixed to a_i, P still has order <= r in
@@ -108,7 +122,6 @@ from operator import add
 from .report import Report, scan
 from .superpoly import (
     SuperPoly,
-    VarRef,
     even_var,
     merge_odds,
     mono_degree,
@@ -246,6 +259,8 @@ class BracketSpec:
             raise ValueError("gauge element must be even")
         if not phi.constant_term():
             raise ValueError("gauge element must be invertible (nonzero constant term)")
+        if not _root_is_superskew(base):
+            raise ValueError("gauge twist needs a superskew base matrix (the gauge lemma)")
         return BracketSpec(base.m, base.n, "gauge", base=base, phi=phi)
 
     @staticmethod
@@ -256,9 +271,10 @@ class BracketSpec:
 
     @cached_property
     def kernel(self):
-        """bracket_kernel(self) of a non-series spec, compiled on first use
-        and kept on this instance: an equal spec compiles its own."""
-        return _compile(self, None)
+        """(S, kern): kern(a, b) is the dict of nonzero ints S {a, b} on
+        monomials, S = spec_scale(self).  Compiled on first use and kept on
+        this instance: an equal spec compiles its own."""
+        return _compile(self)
 
     def __getstate__(self):
         # a compiled kernel is a closure, which does not pickle
@@ -284,15 +300,10 @@ class BracketSpec:
         if self.kind == "dmod":
             return self.base.derivation().scale(Fraction(1, 2))
         if self.kind == "gauge":
-            base_d = self.base.derivation()
-            phi = self.phi
-            d_phi = base_d.apply(phi)
-
-            def val(v: VarRef) -> SuperPoly:
-                zv = SuperPoly.variable(self.m, self.n, v)
-                return mul(d_phi, zv) + bracket(self.base, phi, zv)
-
-            return DerivationD.from_generator_values(self.m, self.n, val)
+            # a' = {1, .} of the twist (the gauge lemma)
+            one = SuperPoly.one(self.m, self.n)
+            return DerivationD.from_generator_values(self.m, self.n, lambda v: bracket(
+                self, one, SuperPoly.variable(self.m, self.n, v)))
         raise ValueError(f"unknown kind {self.kind}")
 
 
@@ -358,38 +369,39 @@ def der_defect(dterms, a, b, acc: dict, s: int = 1):
             acc[r[1]] = acc.get(r[1], 0) - s * c * r[0]
 
 
-def bracket_kernel(spec: BracketSpec, budget=None):
-    """(S, kern): kern(a, b) is the dict of nonzero ints S {a, b} on
-    monomials, S = spec_scale(spec, budget).  This is the one compile step
-    of every kind.  A spec compiles once per instance and keeps its kernel
-    (`BracketSpec.kernel`); the series kind compiles per budget, over its
-    base's kept kernel."""
-    if not _is_series(spec):
-        return spec.kernel
-    if budget is None:
-        raise ValueError("gauge bracket evaluation needs a degree budget")
-    return _compile(spec, budget)
-
-
-def _compile(spec: BracketSpec, budget):
-    """The kernel of bracket_kernel: the entries S c_ij (checked to be
+def _compile(spec: BracketSpec):
+    """The kernel of `BracketSpec.kernel`: the entries S c_ij (checked to be
     integral) and the time part (2 - E) a db/dt - da/dt (2 - E) b by its
     integer factors times S; dmod and gauge over the base's kernel."""
-    S = spec_scale(spec, budget)
+    S = spec_scale(spec)
     if spec.kind == "gauge":
-        Sb, base = bracket_kernel(spec.base, budget)
-        phi, m, n = spec.phi, spec.m, spec.n
+        # phi {a,b} + a X(b) - X(a) b, X = {phi, .} - phi {1, .} + {1, phi} .
+        base, phi, m, n = spec.base, spec.phi, spec.m, spec.n
+        Sb, bkern = base.kernel
+        one = SuperPoly.one(m, n)
+        a_phi = bracket(base, one, phi)
+
+        def x_of(v):
+            z = SuperPoly.variable(m, n, v)
+            return bracket(base, phi, z) - mul(phi, bracket(base, one, z)) + mul(a_phi, z)
+
+        X = der_ints(DerivationD.from_generator_values(m, n, x_of), S)
+        ph = [(z, _clear(c / Sb, S)) for z, c in phi.terms.items()]
 
         def gkern(a, b):
-            # phi^{-1} {phi a, phi b}, truncated at the budget
-            u = expand(Sb, base, mul(phi, SuperPoly(m, n, {a: 1})),
-                       mul(phi, SuperPoly(m, n, {b: 1})))
-            return {y: _clear(c, S) for y, c in mul_by_inverse(phi, u, budget).terms.items()}
+            acc = {}
+            for y, v in bkern(a, b).items():
+                for z, c in ph:
+                    r = mono_mul(z, y)
+                    if r is not None:
+                        acc[r[1]] = acc.get(r[1], 0) + c * v * r[0]
+            der_defect(X, a, b, acc)
+            return {y: v for y, v in acc.items() if v}
 
         return S, gkern
     if spec.kind == "dmod":
         # {a,b}_D = {a,b} - (a D(b) - D(a) b)/2
-        Sb, base = bracket_kernel(spec.base, budget)
+        Sb, base = spec.base.kernel
         t = _clear(Fraction(1, Sb), S)
         half = der_ints(spec.base.derivation().scale(Fraction(1, 2)), S)
 
@@ -465,48 +477,23 @@ def expand(S: int, kern, f: SuperPoly, g: SuperPoly) -> SuperPoly:
 
 
 def bracket_monomials(spec: BracketSpec, m1, m2) -> dict:
-    """{m1, m2} as a term dict, for the non-series bracket kinds."""
-    S, kern = bracket_kernel(spec)
+    """{m1, m2} as a term dict."""
+    S, kern = spec.kernel
     return {y: Fraction(v, S) for y, v in kern(m1, m2).items()}
 
 
-def bracket(spec: BracketSpec, f: SuperPoly, g: SuperPoly, budget=None) -> SuperPoly:
-    """Evaluate the bracket.  The series kind ("gauge") needs a degree budget
-    and returns the truncation to total degree <= budget."""
+def bracket(spec: BracketSpec, f: SuperPoly, g: SuperPoly) -> SuperPoly:
+    """Evaluate the bracket."""
     if (f.m, f.n) != (spec.m, spec.n) or (g.m, g.n) != (spec.m, spec.n):
         raise ValueError("signature mismatch between spec and arguments")
-    return expand(*bracket_kernel(spec, budget), f, g)
+    return expand(*spec.kernel, f, g)
 
 
 def gauge_twist(spec: BracketSpec, phi: SuperPoly) -> BracketSpec:
     return BracketSpec.gauge(spec, phi)
 
 
-def mul_by_inverse(phi: SuperPoly, u: SuperPoly, budget: int) -> SuperPoly:
-    """phi^{-1} * u truncated to total degree <= budget (geometric series)."""
-    c = phi.constant_term()
-    if not c:
-        raise ValueError("phi is not invertible")
-    psi = SuperPoly.const(phi.m, phi.n, 1) - phi.scale(Fraction(1) / c)
-    acc = u.truncate(budget)
-    term = acc
-    while term:
-        term = mul(psi, term).truncate(budget)
-        acc = acc + term
-    return acc.scale(Fraction(1) / c)
-
-
 # -- verification drivers --------------------------------------------------------
-
-GAUGE_SLACK = 2  # degree loss of one nested bracket application
-
-
-def _is_series(spec: BracketSpec) -> bool:
-    while spec is not None:
-        if spec.kind == "gauge":
-            return True
-        spec = spec.base
-    return False
 
 
 def den_lcm(values) -> int:
@@ -524,9 +511,8 @@ def _derivation_den(D: DerivationD) -> int:
     return den_lcm(c for poly, _ in D.terms for c in poly.terms.values())
 
 
-def spec_scale(spec: BracketSpec, budget=None) -> int:
-    """An integer S with S * {a, b} integral for all monomials a, b (for the
-    series kind, the bracket truncated at `budget`).
+def spec_scale(spec: BracketSpec) -> int:
+    """An integer S with S * {a, b} integral for all monomials a, b.
 
     * h, k, custom: the lcm of the denominators of c_even and c_odd.  The
       constant part is bilinear in these entries with integer
@@ -534,21 +520,17 @@ def spec_scale(spec: BracketSpec, budget=None) -> int:
       (2 - E) f dg/dt - df/dt (2 - E) g has integer coefficients.
     * dmod: 2 * S(base) * den(D), D = base.derivation(): the correction
       (f D(g) - D(f) g)/2 is linear in the coefficients of D.
-    * gauge: S(base) * L^2 * p * (L p)^budget, with L the lcm of the
-      denominators of phi and p the numerator of its constant term c.
-      {phi f, phi g} is bilinear in the coefficients of phi, so S(base) L^2
-      clears it.  psi = 1 - phi/c has denominators dividing L p and no
-      constant term, so of the series phi^{-1} = (1/c) sum_k psi^k only
-      k <= budget survives the truncation, and 1/c adds p.
+    * gauge: S(base) * L, L the lcm of the denominators of phi: phi {a, b}
+      and X(z) = {phi, z} - phi {1, z} + {1, phi} z are linear in phi's
+      coefficients and in base values, and a X(b) - X(a) b adds integer
+      partial-derivative factors.
     """
     if spec.kind in ("h", "k", "custom"):
         return den_lcm(c for _i, _j, c in spec.c_even + spec.c_odd)
     if spec.kind == "dmod":
-        return 2 * spec_scale(spec.base, budget) * _derivation_den(spec.base.derivation())
+        return 2 * spec_scale(spec.base) * _derivation_den(spec.base.derivation())
     if spec.kind == "gauge":
-        L = den_lcm(spec.phi.terms.values())
-        p = abs(spec.phi.constant_term().numerator)
-        return spec_scale(spec.base, budget) * L * L * p * (L * p) ** budget
+        return spec_scale(spec.base) * den_lcm(spec.phi.terms.values())
     raise ValueError(f"unknown kind {spec.kind}")
 
 
@@ -571,9 +553,9 @@ class _PairCache:
     """The pair oracle the identity scans read every value from.
 
     Monomials are interned to dense int ids, the driver's list first, so id
-    i is the driver's index i; `par` and `deg` hold each id's parity and
-    total degree.  Four caches hold `scale` times an exact value as an
-    id-keyed dict of nonzero ints, filled on first use:
+    i is the driver's index i; `par` holds each id's parity.  Four caches
+    hold `scale` times an exact value as an id-keyed dict of nonzero ints,
+    filled on first use:
 
     * br[i][j], the bracket {a_i, a_j}, kern(a_i, a_j) times scale / kscale;
     * dm[i][j], the modified bracket {a, b} - a E(b) + E(a) b;
@@ -588,17 +570,15 @@ class _PairCache:
     error, never a verdict.
     """
 
-    def __init__(self, monos, kern, kscale: int, scale: int, E=None, keep=None):
+    def __init__(self, monos, kern, kscale: int, scale: int, E=None):
         self.kern = kern  # kscale times the bracket on monomials, as ints
         self.mult = _clear(Fraction(1, kscale), scale)
         self.scale = scale
         self.E = None if E is None else der_ints(E, scale)
-        self.keep = keep  # series kind: only degrees <= keep are certified
         self.size = len(monos)
         self.monos: list = []
         self.ids: dict = {}
         self.par: list = []
-        self.deg: list = []
         self.br: list = []
         self.dm: list = []
         self.pr: list = []
@@ -612,7 +592,6 @@ class _PairCache:
             i = self.ids[mono] = len(self.monos)
             self.monos.append(mono)
             self.par.append(mono_parity(mono))
-            self.deg.append(mono_degree(mono))
             self.br.append(_Row(self._fill_pair, i))
             self.dm.append(_Row(self._fill_dmod, i))
             self.pr.append(_Row(self._fill_prod, i))
@@ -638,19 +617,11 @@ class _PairCache:
         _mul_into(acc, self.pr, self.ev[i], {j: 1})
         return {y: v for y, v in acc.items() if v}
 
-    def certified(self, acc: dict) -> bool:
-        """Whether a nonzero accumulator has a nonzero certified value."""
-        keep, deg = self.keep, self.deg
-        return keep is None or any(v and deg[y] <= keep for y, v in acc.items())
-
     def residual(self, acc: dict, power: int) -> dict:
-        """The certified part of an accumulator as a monomial term dict,
-        divided by scale**power (1 for a linear identity, 2 for one that
-        nests two scaled values)."""
+        """An accumulator as a monomial term dict, divided by scale**power
+        (1 for a linear identity, 2 for one that nests two scaled values)."""
         d = self.scale**power
-        keep, deg = self.keep, self.deg
-        return {self.monos[y]: Fraction(v, d) for y, v in acc.items()
-                if v and (keep is None or deg[y] <= keep)}
+        return {self.monos[y]: Fraction(v, d) for y, v in acc.items() if v}
 
 
 def _mul_into(acc: dict, pr: list, t1: dict, t2: dict, s: int = 1):
@@ -685,19 +656,16 @@ def _spec_oracle(spec: BracketSpec, monos, max_deg: int, D=None, halve=False):
     """The pair oracle of a bracket spec.  Its scale is spec_scale(spec),
     times den(D) when D is given (the Leibniz term D(a)bc is linear in D),
     and times 2 more with halve, where E = D/2 (kmc's D').  It is filled
-    from the spec's kernel, compiled at the budget max_deg + GAUGE_SLACK for
-    the series kind."""
-    series = _is_series(spec)
-    budget = max_deg + GAUGE_SLACK if series else None
-    kscale, kern = bracket_kernel(spec, budget)
-    scale = spec_scale(spec, budget)
+    from the spec's kernel."""
+    kscale, kern = spec.kernel
+    scale = spec_scale(spec)
     E = D
     if D is not None:
         scale *= _derivation_den(D)
         if halve:
             scale *= 2
             E = D.scale(Fraction(1, 2))
-    return _PairCache(monos, kern, kscale, scale, E, max_deg if series else None)
+    return _PairCache(monos, kern, kscale, scale, E)
 
 
 def _row_passes(win, fails, slots: int = 2) -> bool:
@@ -729,7 +697,7 @@ def _antisymmetry_scan(o: _PairCache, rows: list, lo: int, hi: int, win=None):
         for j in range(i, N):
             acc = _skew_defect(o, rows, i, j)
             cnt += 1
-            if any(acc.values()) and o.certified(acc):
+            if any(acc.values()):
                 return cnt, 0, "antisymmetry", (i, j), o.residual(acc, 1)
     return cnt, 0, None, None, None
 
@@ -757,7 +725,7 @@ def _jacobi_scan(o: _PairCache, lo: int, hi: int, win=None):
             for k in range(j, N):
                 acc = _jacobiator(br, bi, bj, k, ab, s)
                 cnt += 1
-                if any(acc.values()) and o.certified(acc):
+                if any(acc.values()):
                     return cnt, 0, "jacobi", (i, j, k), o.residual(acc, 2)
     return cnt, 0, None, None, None
 
@@ -833,7 +801,7 @@ def _leibniz_worker(args):
             for k in range(j, N):
                 acc = _product_rule(pr, bi, ea, j, k, ab, s)
                 cnt += 1
-                if any(acc.values()) and o.certified(acc):
+                if any(acc.values()):
                     return cnt, 0, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
     return cnt, 0, None, None, None
 
@@ -914,14 +882,14 @@ def _kmc_worker(args):
                     # product rule for the modified bracket
                     acc = _product_rule(pr, di, ef, j, k, fg, s_fg)
                     cnt += 1
-                    if any(acc.values()) and o.certified(acc):
+                    if any(acc.values()):
                         return cnt, 0, "kmc-product", (i, j, k), o.residual(acc, 1)
                 if skew and j < i:
                     continue
                 # double-bracket rule for the modified bracket
                 acc = _kmc_jacobi(o, i, j, k, fg, s_fg)
                 cnt += 1
-                if any(acc.values()) and o.certified(acc):
+                if any(acc.values()):
                     return cnt, 0, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
     return cnt, 0, None, None, None
 
@@ -935,12 +903,11 @@ def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span
     report its failure; a failing window reruns the list with the window's
     list ids for its row tests (see "Order windows")."""
     t0 = time.perf_counter()
-    series = _is_series(spec)
     monos = monomials(spec.m, spec.n, max_deg)
     N = len(monos)
     r = _ORDER.get(worker, max_deg + 1)
     fail, win = True, None
-    if not series and r <= max_deg:
+    if r <= max_deg:
         window = monomials_total_degree(spec.m, spec.n, r)
         fail = scan(worker, (spec, D, window, max_deg, None), len(window), workers)[2]
         win = tuple(map({mono: i for i, mono in enumerate(monos)}.get, window))
@@ -954,7 +921,9 @@ def _check(suite: str, worker, spec: BracketSpec, D, max_deg: int, workers, span
               "residual": SuperPoly(spec.m, spec.n, res).render()}
     span = {"signature": [spec.m, spec.n], "kind": spec.kind,
             "maxEvenDegree": max_deg, "monomials": N, **span_counts(N)}
-    if series:
+    if spec.kind == "gauge":
+        # the twist is exact, so every degree is certified and this is only
+        # a lower bound; kept for the gauge spans the benchmark recorded
         span["certifiedDegree"] = max_deg
     return Report(
         suite=suite,

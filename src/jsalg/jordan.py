@@ -42,7 +42,7 @@ import time
 from fractions import Fraction
 from functools import cached_property
 
-from .brackets import BracketSpec, bracket_kernel
+from .brackets import BracketSpec
 from .linalg import CoordSolver, Echelon, scaled_ints, solve_linear, vec_iadd
 from .report import DetRand, Report, scan
 from .superpoly import (
@@ -1045,7 +1045,7 @@ def _poly_coords(ints: dict, S: int, pos: dict, deg: int, sign: int = 1,
 def _poly_table(monos, deg, kernel, parity_shift, name,
                 drop_const=False) -> FiniteSuperAlgebra:
     """The table on a monomial basis from an int monomial kernel
-    (S, kern), the shape `brackets.bracket_kernel` returns: kern(a, b) is
+    (S, kern), the shape of `BracketSpec.kernel`: kern(a, b) is
     the term dict of S (a o b) as ints, and entry (i, j) is its
     coordinates divided by S (`_poly_coords`).  A pair is out of span when
     a term has degree above deg.  Parities are the monomial parities plus
@@ -1086,7 +1086,7 @@ def kkm_formula(spec: BracketSpec, deg: int = 3, negate_bracket: bool = False):
     """
     if deg < 0:
         raise ValueError("deg >= 0")
-    S, dkern = bracket_kernel(BracketSpec.d_modified(spec))
+    S, dkern = BracketSpec.d_modified(spec).kernel
     bsign = -1 if negate_bracket else 1
     monos = monomials_total_degree(spec.m, spec.n, deg)
     pos = {mo: i for i, mo in enumerate(monos)}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .brackets import BracketSpec, bracket_kernel
+from .brackets import BracketSpec
 from .jordan import (
     FiniteSuperAlgebra,
     _algebra_from_matrices,
@@ -438,7 +438,7 @@ def build_hk(kind: str, k: int, n: int, deg: int = 3):
     for mo in monos:
         odds = mo[1]
         grading.append((1 if (n - 2) in odds else 0) - (1 if (n - 1) in odds else 0))
-    alg = _poly_table(monos, deg, bracket_kernel(spec), 0,
+    alg = _poly_table(monos, deg, spec.kernel, 0,
                       f"{kind.upper()}({m},{n})|deg{deg}", drop_const=drop_const)
     lie = GradedLie(alg, grading)
     # the triple relations and the ad h eigenvalue of every spanned monomial,
@@ -477,7 +477,7 @@ def h_zero_n_lie(n: int) -> FiniteSuperAlgebra:
     Grassmann monomials modulo constants: the span of all brackets."""
     spec = BracketSpec.h_type(0, n)
     monos = [mo for mo in monomials_total_degree(0, n, n) if mono_degree(mo) > 0]
-    H = _poly_table(monos, n, bracket_kernel(spec), 0, f"H'(0,{n})", drop_const=True)
+    H = _poly_table(monos, n, spec.kernel, 0, f"H'(0,{n})", drop_const=True)
     solver = CoordSolver()
     span_rows = []
     for (i, j), vec in sorted(H.table.items()):
@@ -537,7 +537,7 @@ def _jordan_h_kernel(k: int, n: int):
     m, n2 = 2 * k, n - 2
     xc = odd_var(n2 - 1)
     xi_c = ((0,) * m, (n2 - 1,))
-    S, br = bracket_kernel(BracketSpec.diagonal(k, n2))
+    S, br = BracketSpec.diagonal(k, n2).kernel
 
     def kern(a, b):
         sign = 1 if mono_parity(a) else -1  # (-1)^{p(a)}, p reversed
@@ -570,7 +570,7 @@ def _jordan_k_kernel(k: int, n: int):
     m, n2 = 2 * k + 1, n - 2
     xc, t = odd_var(n2 - 1), even_var(0)
     xi_c = ((0,) * m, (n2 - 1,))
-    S, br = bracket_kernel(_inert_t_h_spec(k, n2))
+    S, br = _inert_t_h_spec(k, n2).kernel
 
     def kern(a, b):
         sign = 1 if mono_parity(a) else -1  # (-1)^{p(a)}, p reversed

@@ -150,7 +150,7 @@ def scan(worker, payload, n: int, workers=None):
     chunks = [(payload, lo, min(lo + size, n)) for lo in range(0, n, size)]
     if len(chunks) <= 1:
         results = [worker(ch) for ch in chunks]
-    else:  # results keep the chunk order, so the merge below is schedule-independent
+    else:  # results stay in chunk order, so the merge below is schedule-independent
         with get_context("fork").Pool(len(chunks)) as pool:
             results = pool.map(worker, chunks)
     fails = [k for k, r in enumerate(results) if r[2]]

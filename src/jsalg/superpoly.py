@@ -180,15 +180,6 @@ class SuperPoly:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def truncate(self, max_degree: int) -> "SuperPoly":
-        out = SuperPoly(self.m, self.n)
-        out.terms = {
-            mono: c
-            for mono, c in self.terms.items()
-            if sum(mono[0]) + len(mono[1]) <= max_degree
-        }
-        return out
-
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:

@@ -11,6 +11,9 @@
 * The bracket of an (a, c) pair on monomials in its per-pair form, which
   derives every one-monomial value again for each pair through
   `brackets.der_defect`; `schouten.ACPair.kernel` reads them from jets.
+* The gauge twist phi^{-1} {phi f, phi g} with phi^{-1} a geometric series
+  truncated at a degree budget, the evaluation that `brackets` replaced by
+  the closed form of its gauge lemma.
 * Polyvector fields of degree <= 3 with coordinate-derivation wedges and
   their Schouten bracket by the recursive product rule, the calculus that
   `schouten` replaced by the odd bracket on doubled-variable polynomials.
@@ -18,7 +21,7 @@
 
 from fractions import Fraction
 
-from jsalg.brackets import DerivationD, den_lcm, der_defect, der_ints, der_terms
+from jsalg.brackets import DerivationD, bracket, den_lcm, der_defect, der_ints, der_terms
 from jsalg.jordan import _poly_table, hom_scan
 from jsalg.lieclass import _jordan_h_kernel, _jordan_k_kernel
 from jsalg.linalg import vec_iadd
@@ -125,6 +128,41 @@ def ac_pair_kernel(pair):
         return {z: v for z, v in acc.items() if v}
 
     return S, kern
+
+
+def truncate(p: SuperPoly, max_degree: int) -> SuperPoly:
+    out = SuperPoly(p.m, p.n)
+    out.terms = {
+        mono: c
+        for mono, c in p.terms.items()
+        if sum(mono[0]) + len(mono[1]) <= max_degree
+    }
+    return out
+
+
+def mul_by_inverse(phi: SuperPoly, u: SuperPoly, budget: int) -> SuperPoly:
+    """phi^{-1} * u truncated to total degree <= budget (geometric series)."""
+    c = phi.constant_term()
+    if not c:
+        raise ValueError("phi is not invertible")
+    psi = SuperPoly.const(phi.m, phi.n, 1) - phi.scale(Fraction(1) / c)
+    acc = truncate(u, budget)
+    term = acc
+    while term:
+        term = truncate(mul(psi, term), budget)
+        acc = acc + term
+    return acc.scale(Fraction(1) / c)
+
+
+def series_gauge_bracket(spec, f: SuperPoly, g: SuperPoly, budget: int) -> SuperPoly:
+    """phi^{-1} {phi f, phi g} on a gauge spec, truncated at total degree <=
+    budget: its terms of degree <= budget are exact.  A gauge base is
+    evaluated the same way at the same budget."""
+    base, phi = spec.base, spec.phi
+    f, g = mul(phi, f), mul(phi, g)
+    u = (series_gauge_bracket(base, f, g, budget) if base.kind == "gauge"
+         else bracket(base, f, g))
+    return mul_by_inverse(phi, u, budget)
 
 
 # -- the polyvector calculus with coordinate-derivation wedges ------------------

@@ -1,12 +1,13 @@
 """The compiled integer kernels against per-term Fraction references, and
 the orbit-reduced identity scans against scans of every ordered triple.
 
-`bracket_kernel` (behind `bracket_monomials` and `bracket`) and
+`BracketSpec.kernel` (behind `bracket_monomials` and `bracket`) and
 `schouten.ACPair.kernel` (behind `gpb_from_ac`) evaluate a compiled
 presentation on ints, and `expand` extends a kernel bilinearly.  The
 references below evaluate the same formulas term by term on Fractions,
 straight from the spec or the pair; the pair kernel is also checked against
-its per-pair form (`references.ac_pair_kernel`).  The Leibniz and kmc
+its per-pair form (`references.ac_pair_kernel`), and the closed form of a
+gauge twist against its series (`references.series_gauge_bracket`).  The Leibniz and kmc
 workers visit one triple per orbit; the reference workers below visit
 every ordered triple."""
 
@@ -25,7 +26,6 @@ from jsalg.brackets import (
     BracketSpec,
     DerivationD,
     bracket,
-    bracket_kernel,
     bracket_monomials,
     check_gen_leibniz,
     check_kmc,
@@ -54,7 +54,7 @@ from jsalg.superpoly import (
     partial,
 )
 
-from references import ac_pair_kernel
+from references import ac_pair_kernel, series_gauge_bracket
 
 THIRD = [[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0], [0, 0, Fraction(-1, 3)]]
 
@@ -157,7 +157,7 @@ SPECS = {
 def test_bracket_kernel_matches_the_reference_on_every_pair(name):
     spec = SPECS[name]
     monos = monomials(spec.m, spec.n, 3)
-    S, kern = bracket_kernel(spec)
+    S, kern = spec.kernel
     for a in monos:
         for b in monos:
             want = ref_bracket_monomials(spec, a, b)
@@ -290,7 +290,7 @@ def ref_expand(S, kern, f, g) -> dict:
 
 def test_expand_matches_a_fraction_reference():
     rng = random.Random(28)
-    kernels = [(spec.m, spec.n, bracket_kernel(spec)) for spec in SPECS.values()] + [
+    kernels = [(spec.m, spec.n, spec.kernel) for spec in SPECS.values()] + [
         (3, 1, pairing_k_pair(1, 1).kernel), (2, 3, pairing_h_pair(1, 3).kernel)]
     for m, n, (S, kern) in kernels:
         monos = monomials_total_degree(m, n, 3)
@@ -305,7 +305,7 @@ def test_expand_matches_a_fraction_reference():
 
 def test_expand_stores_no_cancelled_term():
     p, q = (SuperPoly.variable(2, 0, even_var(i)) for i in range(2))
-    S, kern = bracket_kernel(BracketSpec.h_type(1, 0))
+    S, kern = BracketSpec.h_type(1, 0).kernel
     f = p + q
     # {p, q} + {q, p} cancels on the constant monomial, the pq part stays
     g = f + mul(p, q).scale(Fraction(1, 3))
@@ -324,24 +324,67 @@ def test_gauge_bracket_values_are_pinned():
     g = mul(x2, x2) - mul(x1, x2).scale(Fraction(1, 3)) + one.scale(2)
     want = {((0, 0), ()): "-1", ((0, 1), ()): "13/6", ((0, 2), ()): "1/2",
             ((1, 0), ()): "-1/3", ((1, 1), ()): "25/6", ((2, 0), ()): "-2/3"}
-    assert bracket(tw, f, g, 4) == SuperPoly(2, 0, {y: Fraction(c) for y, c in want.items()})
-    assert bracket(tw, g, f, 4) == -bracket(tw, f, g, 4)
+    assert bracket(tw, f, g) == SuperPoly(2, 0, {y: Fraction(c) for y, c in want.items()})
+    assert bracket(tw, g, f) == -bracket(tw, f, g)
+
+
+def _random_phi(rng, m, n):
+    """An even phi with a nonzero constant term, up to three more terms of
+    degree <= 2 and a xi1 xi2 term when n >= 2."""
+    nz = [-3, -2, -1, 1, 2, 3]
+    even = [x for x in monomials_total_degree(m, n, 2) if mono_degree(x) and not mono_parity(x)]
+    terms = {x: Fraction(rng.choice(nz), rng.randint(1, 3))
+             for x in rng.sample(even, min(3, len(even)))}
+    terms[((0,) * m, ())] = Fraction(rng.choice(nz), rng.randint(1, 2))
+    if n >= 2:
+        terms[((0,) * m, (0, 1))] = Fraction(rng.choice(nz), rng.randint(1, 3))
+    return SuperPoly(m, n, terms)
+
+
+GAUGE_BASES = [
+    BracketSpec.h_type(1, 0), BracketSpec.h_type(1, 2), BracketSpec.h_type(0, 3),
+    BracketSpec.k_type(0, 2), BracketSpec.k_type(1, 1), BracketSpec.k_type(0, 3),
+    BracketSpec.d_modified(BracketSpec.k_type(1, 1)),
+    BracketSpec.custom(2, 2, [[0, Fraction(1, 2), 0, 0], [Fraction(-1, 2), 0, 0, 0],
+                              [0, 0, 1, Fraction(-2, 3)], [0, 0, Fraction(-2, 3), 0]]),
+    BracketSpec.custom(3, 1, THIRD, has_time=True),
+    gauge_twist(BracketSpec.k_type(0, 2),
+                SuperPoly.const(1, 2, 3) - SuperPoly.variable(1, 2, even_var(0))),
+]
+
+
+def test_gauge_closed_form_equals_the_series_past_its_degree():
+    # phi {f,g} + f X(g) - X(f) g against phi^{-1} {phi f, phi g} by the
+    # geometric series, on every pair of degree-<= 2 monomials for three
+    # random phi a base; at a budget two past the closed form's degree the
+    # truncated series has no further term
+    rng = random.Random(32)
+    for base in GAUGE_BASES:
+        m, n = base.m, base.n
+        monos = [SuperPoly(m, n, {x: 1}) for x in monomials_total_degree(m, n, 2)]
+        for _ in range(3):
+            tw = gauge_twist(base, _random_phi(rng, m, n))
+            for f in monos:
+                for g in monos:
+                    want = bracket(tw, f, g)
+                    budget = max(map(mono_degree, want.terms), default=0) + 2
+                    assert series_gauge_bracket(tw, f, g, budget) == want, (base, tw.phi, f, g)
 
 
 def test_compiling_checks_the_scale(monkeypatch):
     import jsalg.brackets as br
 
     spec = BracketSpec.custom(3, 1, THIRD, has_time=True)
-    monkeypatch.setattr(br, "spec_scale", lambda spec, budget=None: 2)
+    monkeypatch.setattr(br, "spec_scale", lambda spec: 2)
     with pytest.raises(RuntimeError, match="scale"):
-        bracket_kernel(spec)
+        spec.kernel
     # an oracle scale that is not a multiple of its kernel's scale
     with pytest.raises(RuntimeError, match="scale"):
         br._PairCache(monomials(1, 0, 1), lambda a, b: {}, 3, 4)
 
 
-def test_series_oracle_values_are_scaled_once():
-    # D = (1/3) d/dt triples the oracle's scale over the series kernel's
+def test_twist_oracle_values_are_scaled_once():
+    # D = (1/3) d/dt triples the oracle's scale over the twist kernel's
     tw = gauge_twist(BracketSpec.k_type(0, 1),
                      SuperPoly.one(1, 1) + SuperPoly.variable(1, 1, even_var(0)))
     r = check_gen_leibniz(tw, DerivationD.multiple_of_dt(1, 1, c=Fraction(1, 3)), 2)
@@ -357,7 +400,7 @@ def test_a_spec_instance_compiles_once(monkeypatch):
     kinds = []
     compile_ = br._compile
     monkeypatch.setattr(br, "_compile",
-                        lambda spec, budget: kinds.append(spec.kind) or compile_(spec, budget))
+                        lambda spec: kinds.append(spec.kind) or compile_(spec))
     spec = BracketSpec.d_modified(BracketSpec.k_type(1, 1))
     f = SuperPoly.variable(3, 1, even_var(0)) + SuperPoly.variable(3, 1, odd_var(0))
     a, b = f.terms
@@ -370,13 +413,13 @@ def test_a_spec_instance_compiles_once(monkeypatch):
     assert kinds == ["dmod", "k"] * 2
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec and "kernel" not in vars(clone) and "kernel" in vars(spec)
-    # the series kind compiles per evaluation, over its base's kept kernel
+    # a twist compiles once too, its base once inside it
     tw = gauge_twist(BracketSpec.k_type(1, 1),
                      SuperPoly.one(3, 1) + SuperPoly.variable(3, 1, even_var(1)))
     kinds.clear()
-    bracket(tw, f, f, 3)
-    bracket(tw, f, f, 3)
-    assert kinds == ["gauge", "k", "gauge"]
+    bracket(tw, f, f)
+    bracket(tw, f, f)
+    assert kinds == ["gauge", "k"]
 
 
 # -- the orbit-reduced scans against every ordered triple -------------------------
@@ -396,7 +439,7 @@ def ref_leibniz_worker(args):
             for k in range(N):
                 acc = br._product_rule(pr, bi, ea, j, k, ab, s)
                 cnt += 1
-                if any(acc.values()) and o.certified(acc):
+                if any(acc.values()):
                     return cnt, 0, "generalized-leibniz", (i, j, k), o.residual(acc, 1)
     return cnt, 0, None, None, None
 
@@ -416,7 +459,7 @@ def ref_kmc_worker(args):
             for k in range(N):
                 acc = br._product_rule(pr, di, ef, j, k, fg, s_fg)
                 cnt += 1
-                if any(acc.values()) and o.certified(acc):
+                if any(acc.values()):
                     return cnt, 0, "kmc-product", (i, j, k), o.residual(acc, 1)
                 ph = par[k]
                 acc = br._jacobiator(dm, di, dj, k, fg, s_fg)
@@ -426,7 +469,7 @@ def ref_kmc_worker(args):
                     br._mul_into(acc, pr, eg, dm[k][i], -1 if (pf and (pg ^ ph)) else 1)
                 if ev[k]:
                     br._mul_into(acc, pr, ev[k], fg, -1 if (ph and (pf ^ pg)) else 1)
-                if any(acc.values()) and o.certified(acc):
+                if any(acc.values()):
                     return cnt, 0, "kmc-jacobi", (i, j, k), o.residual(acc, 2)
     return cnt, 0, None, None, None
 
@@ -604,22 +647,33 @@ def test_order_windows_scan_the_whole_list_when_they_do_not_apply(monkeypatch):
     assert visits(br.check_jacobi, h, 1) == (True, [len(monomials(2, 1, 1))])
     assert visits(check_kmc, h, h.derivation(), 1) == (True, [len(monomials(2, 1, 1))])
     assert visits(check_gen_leibniz, h, h.derivation(), 0) == (True, [len(monomials(2, 1, 0))])
-    # the series kind, and a worker that declares no order
+    # a twist has order 1 in each slot like its base
     tw = gauge_twist(BracketSpec.h_type(1, 0),
                      SuperPoly.one(2, 0) + SuperPoly.variable(2, 0, even_var(0)))
-    assert visits(br.check_jacobi, tw, 3) == (True, [len(monomials(2, 0, 3))])
-    assert visits(check_gen_leibniz, tw, tw.derivation(), 3)[1] == [len(monomials(2, 0, 3))]
+    assert visits(br.check_jacobi, tw, 3) == (True, [len(monomials_total_degree(2, 0, 2))])
+    assert visits(check_gen_leibniz, tw, tw.derivation(), 3) == (
+        True, [len(monomials_total_degree(2, 0, 1))])
+    # a worker that declares no order
     assert visits(ref_check, "kmc", h, h.derivation(), 3, 1) == (True, [len(monomials(2, 1, 3))])
 
 
 PLANTED = [BracketSpec.k_type(*kn) for kn in ((0, 3), (1, 0), (1, 1), (0, 4))]
 
 
+def _twist(spec):
+    """spec twisted by phi = 2 + x_m (+ xi1 xi2 when n >= 2)."""
+    m, n = spec.m, spec.n
+    phi = SuperPoly.const(m, n, 2) + SuperPoly.variable(m, n, even_var(m - 1))
+    if n >= 2:
+        phi = phi + mul(SuperPoly.variable(m, n, odd_var(0)), SuperPoly.variable(m, n, odd_var(1)))
+    return gauge_twist(spec, phi)
+
+
 @pytest.mark.parametrize("check", [check_gen_leibniz, check_kmc])
 def test_planted_failures_equal_the_scan_without_order_windows(check):
-    # the k specs with D = 0 and d/dt fail; their reports are the whole
-    # list's at 1 and 2 workers, whatever rows the row tests skip
-    for spec in PLANTED:
+    # the k specs and their twists with D = 0 and d/dt fail; their reports
+    # are the whole list's at 1 and 2 workers, whatever rows the row tests skip
+    for spec in PLANTED + [_twist(spec) for spec in PLANTED]:
         for D in (DerivationD.zero(spec.m, spec.n), DerivationD.multiple_of_dt(spec.m, spec.n, 1)):
             with mock.patch.dict(br._ORDER, clear=True):
                 want = check(spec, D, 3, 1).to_json()

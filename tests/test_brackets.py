@@ -13,9 +13,10 @@ from jsalg.brackets import (
     check_jacobi,
     check_kmc,
     gauge_twist,
-    mul_by_inverse,
 )
-from jsalg.superpoly import SuperPoly, even_var, monomials, mul, odd_var
+from jsalg.superpoly import SuperPoly, even_var, monomials, monomials_total_degree, mul, odd_var
+
+from references import mul_by_inverse, series_gauge_bracket, truncate
 
 
 def xiv(m, n, j):
@@ -147,7 +148,7 @@ def test_gauge_identity_element_is_noop():
         for m2 in monos:
             f = SuperPoly(2, 0, {m1: Fraction(1)})
             g = SuperPoly(2, 0, {m2: Fraction(1)})
-            assert bracket(tw, f, g, budget=8) == bracket(spec, f, g)
+            assert bracket(tw, f, g) == bracket(spec, f, g)
 
 
 def test_gauge_twist_preserves_identities():
@@ -177,19 +178,26 @@ def test_gauge_requires_even_invertible():
         gauge_twist(spec, mul(xiv(0, 2, 0), xiv(0, 2, 1)))  # zero constant term
 
 
-def test_gauge_preserves_failure_verdict():
+def test_gauge_needs_a_superskew_base():
+    # the closed form phi {f,g} + f X(g) - X(f) g needs P(phi, phi) = 0; on
+    # this symmetric base it differs from phi^{-1} {phi f, phi g}
     bad = BracketSpec.custom(2, 0, [[0, 1], [1, 0]])
     phi = SuperPoly.one(2, 0) + xv(2, 0, 0)
-    tw = gauge_twist(bad, phi)
-    assert not check_jacobi(bad, 2).passed
-    assert not check_jacobi(tw, 2).passed
+    with pytest.raises(ValueError, match="superskew"):
+        gauge_twist(bad, phi)
+    with pytest.raises(ValueError, match="superskew"):
+        gauge_twist(BracketSpec.d_modified(bad), phi)
+    raw = BracketSpec(2, 0, "gauge", base=bad, phi=phi)
+    monos = [SuperPoly(2, 0, {x: 1}) for x in monomials_total_degree(2, 0, 2)]
+    assert any(bracket(raw, f, g) != series_gauge_bracket(raw, f, g, 8)
+               for f in monos for g in monos)
 
 
 def test_series_inverse():
     phi = SuperPoly.one(1, 0) + xv(1, 0, 0)
     one = SuperPoly.one(1, 0)
     inv = mul_by_inverse(phi, one, 4)
-    assert mul(phi, inv).truncate(4) == one
+    assert truncate(mul(phi, inv), 4) == one
 
 
 def test_k_type_requires_time_slot():
@@ -333,7 +341,7 @@ def test_gauge_with_nonunit_constant_term():
 def test_scale_below_its_bound_raises(monkeypatch):
     import jsalg.brackets as br
 
-    monkeypatch.setattr(br, "spec_scale", lambda spec, budget=None: 1)
+    monkeypatch.setattr(br, "spec_scale", lambda spec: 1)
     with pytest.raises(RuntimeError, match="scale"):
         check_jacobi(THIRD, 2)
     monkeypatch.setattr(br, "_derivation_den", lambda D: 1)

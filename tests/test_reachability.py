@@ -8,7 +8,9 @@ as an `ast.Name` or an `ast.Attribute`, in module-level code of
 identifier that the files under `perfbench/` use: names, attribute names
 and the identifier-shaped words of string constants, which is how the
 benchmark's tracer targets and its `getattr` dispatch name functions.
-Dunder methods are exempt, and a nested def belongs to its enclosing def.
+A dunder method is reached when its class is, since the interpreter calls
+it by its role and not by a name in the source; it is never reported
+itself.  A nested def belongs to its enclosing def.
 
 A name match can keep dead code that shares its name with live code, but
 it cannot flag live code, as long as `src/` looks nothing up by a computed
@@ -49,16 +51,23 @@ def _used(*nodes) -> set:
     return out
 
 
-def _collect(body, prefix, defs, module_code):
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _collect(body, prefix, defs, module_code, cls=None):
+    """defs[qualname] = (the name that reaches the def, its node): a dunder
+    method's class name, any other def's own name."""
     for stmt in body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defs[prefix + stmt.name] = stmt
+            defs[prefix + stmt.name] = (cls if cls and _is_dunder(stmt.name) else stmt.name,
+                                        stmt)
             # decorators and defaults run at import
             module_code.extend(stmt.decorator_list)
             module_code.append(stmt.args)
         elif isinstance(stmt, ast.ClassDef):
             module_code.extend(stmt.decorator_list + stmt.bases + stmt.keywords)
-            _collect(stmt.body, f"{prefix}{stmt.name}.", defs, module_code)
+            _collect(stmt.body, f"{prefix}{stmt.name}.", defs, module_code, stmt.name)
         else:
             module_code.append(stmt)
 
@@ -86,13 +95,12 @@ def unreached(modules: dict, root_names: set) -> dict:
     grew = True
     while grew:
         grew = False
-        for q, node in list(todo.items()):
-            if node.name in names:
+        for q, (key, node) in list(todo.items()):
+            if key in names:
                 del todo[q]
                 names |= _used(node)
                 grew = True
-    return {q: node for q, node in todo.items()
-            if not (node.name.startswith("__") and node.name.endswith("__"))}
+    return {q: node for q, (_key, node) in todo.items() if not _is_dunder(node.name)}
 
 
 @cache
@@ -111,6 +119,14 @@ def test_every_def_is_reached_or_allowed():
     assert not stray, ("defs that no jsalg command or benchmark job reaches: "
                        "delete them, move them to tests/, or give them a caller: "
                        + ", ".join(stray.values()))
+
+
+def test_the_gate_needs_no_dunder_root():
+    # the benchmark's sources name __init__ and friends; without those words
+    # the gate must flag no more than with them
+    bench = roots(p.read_text() for p in sorted(BENCH.rglob("*.py")))
+    found = unreached(_src_modules(), {w for w in bench if not _is_dunder(w)})
+    assert sorted(found) == sorted(_unreached_in_src()) == sorted(ALLOWED)
 
 
 def test_allowed_defs_exist_and_are_unreached():
@@ -171,6 +187,20 @@ def test_the_scan_flags_exactly_the_planted_dead_defs():
     bench = 'TARGETS = [("x", "a", "B.by_string")]'
     got = unreached({k: ast.parse(v) for k, v in PLANTED.items()}, roots([bench]))
     assert sorted(got) == ["a.B.unused", "a.dead"]
+
+
+def test_a_dunder_body_is_walked_when_its_class_is_reached():
+    # Live's __init__ alone names fill; Dead is never named, so its
+    # __init__ does not keep helper alive, whatever the roots say
+    src = {"m": ast.parse("def main():\n    return Live()\n\n"
+                          "class Live:\n"
+                          "    def __init__(self):\n        self.fill()\n\n"
+                          "    def fill(self):\n        pass\n\n"
+                          "class Dead:\n"
+                          "    def __init__(self):\n        helper()\n\n"
+                          "def helper():\n    pass\n")}
+    for bench in ([], ["x.__init__()\n"]):
+        assert sorted(unreached(src, roots(bench))) == ["m.helper"]
 
 
 def test_a_def_named_only_by_a_dead_def_is_unreached():

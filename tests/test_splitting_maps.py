@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from jsalg import jordan, lieclass
+from jsalg import brackets, lieclass
 from jsalg.brackets import BracketSpec
 from jsalg.jordan import kkm_double
 from jsalg.linalg import vec_iadd
@@ -140,10 +140,10 @@ def _counting_dmod_kernel(monkeypatch):
     """Count the evaluations of the double's eta-eta kernel, the dmod
     bracket kernel `jordan.kkm_formula` compiles."""
     calls = []
-    compile_kernel = jordan.bracket_kernel
+    compile_kernel = brackets._compile
 
-    def wrapped(spec, *args):
-        S, kern = compile_kernel(spec, *args)
+    def wrapped(spec):
+        S, kern = compile_kernel(spec)
         if spec.kind != "dmod":
             return S, kern
 
@@ -153,7 +153,7 @@ def _counting_dmod_kernel(monkeypatch):
 
         return S, counted
 
-    monkeypatch.setattr(jordan, "bracket_kernel", wrapped)
+    monkeypatch.setattr(brackets, "_compile", wrapped)
     return calls
 
 
